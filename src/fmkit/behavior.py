@@ -62,42 +62,59 @@ class OccurrenceScanner:
 
     Tracks, per (event, thing), which region flow arcs that thing has
     traversed; emits an occurrence when the set is complete and resets so
-    the same event can occur again.
+    the same event can occur again.  A record is looked up by its action
+    and its arc label or stage text, so it touches only the events whose
+    region it lies in, still in event order.
     """
 
     def __init__(self, events: Sequence[EventDef]) -> None:
         self.events = list(events)
         self._flow_sets = {e.name: set(e.region.flow_labels) for e in self.events}
-        self._arc_sets = {e.name: set(e.region.arc_labels) for e in self.events}
-        self._stage_sets = {e.name: {str(ep) for ep in e.region.stages} for e in self.events}
-        self._progress: dict[tuple[str, int], tuple[int, set[str]]] = {}
+        arc_sets = {e.name: set(e.region.arc_labels) for e in self.events}
+        stage_sets = {e.name: {str(ep) for ep in e.region.stages} for e in self.events}
+        # Arc label or stage text -> names of the events it touches.
+        self._by_flow = self._index(self._flow_sets)
+        self._by_arc = self._index(arc_sets)
+        self._by_stage = self._index(stage_sets)
+        # event -> thing -> [start tick, flow labels traversed so far]
+        self._progress: dict[str, dict[int, list]] = {e.name: {} for e in self.events}
+
+    def _index(self, sets: dict[str, set[str]]) -> dict[str, list[str]]:
+        by_key: dict[str, list[str]] = {}
+        for edef in self.events:
+            for key in sets[edef.name]:
+                by_key.setdefault(key, []).append(edef.name)
+        return by_key
 
     def feed(self, event: TraceEvent) -> list[Occurrence]:
         """Consume one trace record; return occurrences it completed."""
         out: list[Occurrence] = []
-        if event.thing is None:
+        thing = event.thing
+        if thing is None:
             return out
-        for edef in self.events:
-            name = edef.name
-            touched = False
-            traversed: Optional[str] = None
-            if event.action == "move" and event.arc in self._flow_sets[name]:
-                touched = True
-                traversed = event.arc
-            elif event.action == "trigger-fired" and event.arc in self._arc_sets[name]:
-                touched = True
-            elif event.action in ("spawn", "consume") and event.at in self._stage_sets[name]:
-                touched = True
-            if not touched:
-                continue
-            key = (name, event.thing)
-            start, seen = self._progress.get(key, (event.tick, set()))
-            if traversed is not None:
-                seen = seen | {traversed}
-            self._progress[key] = (start, seen)
-            if self._flow_sets[name] and seen >= self._flow_sets[name]:
-                out.append(Occurrence(name, start, event.tick, event.thing))
-                del self._progress[key]
+        action = event.action
+        if action == "move":
+            names = self._by_flow.get(event.arc)
+        elif action == "trigger-fired":
+            names = self._by_arc.get(event.arc)
+        elif action == "spawn" or action == "consume":
+            names = self._by_stage.get(event.at)
+        else:
+            return out
+        if names is None:
+            return out
+        for name in names:
+            started = self._progress[name]
+            entry = started.get(thing)
+            if entry is None:
+                entry = started[thing] = [event.tick, set()]
+            if action == "move":
+                # Only moves add to the traversed set, so only they complete.
+                seen = entry[1]
+                seen.add(event.arc)
+                if len(seen) == len(self._flow_sets[name]):
+                    out.append(Occurrence(name, entry[0], event.tick, thing))
+                    del started[thing]
         return out
 
 
@@ -418,6 +435,10 @@ class EnforcementGate:
         for e in events:
             for label in e.region.arc_labels:
                 self._owners.setdefault(label, set()).add(e.name)
+        # The event labels each automaton state allows, built once.
+        self._allowed: dict[int, set[str]] = {}
+        for state, label in automaton.transitions:
+            self._allowed.setdefault(state, set()).add(label)
         self.occurrences: list[Occurrence] = []
 
     def permits(self, arc_label: str) -> bool:
@@ -426,8 +447,7 @@ class EnforcementGate:
             return True
         if self.dead:
             return False
-        allowed = set(self.automaton.allowed(self.state))
-        return bool(owners & allowed)
+        return not owners.isdisjoint(self._allowed.get(self.state, ()))
 
     def observe(self, event: TraceEvent) -> None:
         for occ in sorted(self.scanner.feed(event), key=lambda o: o.event):

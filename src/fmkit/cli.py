@@ -12,7 +12,7 @@ import sys
 from typing import Optional
 
 from . import behavior as bhv
-from . import export, history, simulate
+from . import export, history, jsonl, simulate
 from .canon import load_model
 from .model import Model
 from .validate import validate as validate_model
@@ -48,7 +48,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = validate_model(model)
     for d in report.diagnostics:
         print(d.render(), file=sys.stderr)
-    print(json.dumps(report.to_json(), sort_keys=True, separators=(",", ":")))
+    print(jsonl.dumps(report.to_json()))
     return OK if report.ok else FAIL
 
 
@@ -105,7 +105,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
     if program is not None:
         verdict = bhv.check(trace, model.events, program)
-        print(json.dumps(verdict.to_json(), sort_keys=True, separators=(",", ":")))
+        print(jsonl.dumps(verdict.to_json()))
         if args.mode == "observe" and not verdict.conforms:
             return FAIL
     return OK
@@ -142,7 +142,7 @@ def cmd_conform(args: argparse.Namespace) -> int:
         print(f"fmkit: {args.trace}: {exc}", file=sys.stderr)
         return USAGE
     verdict = bhv.check(trace, model.events, program)
-    print(json.dumps(verdict.to_json(), sort_keys=True, separators=(",", ":")))
+    print(jsonl.dumps(verdict.to_json()))
     return OK if verdict.conforms else FAIL
 
 
@@ -175,7 +175,7 @@ def cmd_history(args: argparse.Namespace) -> int:
     try:
         if args.timeline:
             for record in log.timeline(args.slot):
-                print(json.dumps(record.to_json(), sort_keys=True, separators=(",", ":")))
+                print(jsonl.dumps(record.to_json()))
             return OK
         if args.at is None:
             print("fmkit: history --slot needs --at or --timeline", file=sys.stderr)

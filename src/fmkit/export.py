@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
+from . import jsonl
 from .behavior import BehaviorAutomaton
 from .model import Model, Sphere
 from .simulate import Trace, TraceEvent
@@ -99,7 +100,6 @@ def behavior_to_dot(automaton: BehaviorAutomaton) -> str:
 
 # Trace files ----------------------------------------------------------------
 
-TRACE_FIELDS = ("tick", "action", "thing", "kind", "at", "arc")
 _ACTIONS = {"spawn", "move", "consume", "trigger-fired", "blocked", "quiescent"}
 
 
@@ -111,34 +111,47 @@ class TraceParseError(Exception):
 
 def write_trace(trace: Trace) -> str:
     """One compact JSON object per line; key order is fixed by sorting."""
-    return "".join(
-        json.dumps(event.to_json(), sort_keys=True, separators=(",", ":")) + "\n" for event in trace
-    )
+    return jsonl.lines(event.to_json() for event in trace)
+
+
+_decode = json.JSONDecoder().decode
 
 
 def read_trace(text: str | Iterable[str]) -> Trace:
-    """Inverse of write_trace; raises TraceParseError naming the bad line."""
+    """Inverse of write_trace; raises TraceParseError naming the bad line.
+
+    Field types are checked exactly (``bool`` is not an ``int`` here):
+    ``tick`` is an integer, ``thing`` an integer or null, and ``kind``,
+    ``at`` and ``arc`` are strings or null."""
     lines = text.splitlines() if isinstance(text, str) else list(text)
     trace: Trace = []
     for i, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _decode(line)
         except json.JSONDecodeError as exc:
             raise TraceParseError(i, f"not valid JSON: {exc.msg}") from exc
-        if not isinstance(obj, dict):
+        if type(obj) is not dict:
             raise TraceParseError(i, "expected a JSON object")
-        for field in TRACE_FIELDS:
-            if field not in obj:
-                raise TraceParseError(i, f"missing '{field}' field")
-        if not isinstance(obj["tick"], int):
+        try:
+            tick, action, thing = obj["tick"], obj["action"], obj["thing"]
+            kind, at, arc = obj["kind"], obj["at"], obj["arc"]
+        except KeyError as exc:
+            raise TraceParseError(i, f"missing '{exc.args[0]}' field") from None
+        if type(tick) is not int:
             raise TraceParseError(i, "'tick' must be an integer")
-        if obj["action"] not in _ACTIONS:
-            raise TraceParseError(i, f"unknown action '{obj['action']}'")
-        trace.append(
-            TraceEvent(obj["tick"], obj["action"], obj["thing"], obj["kind"], obj["at"], obj["arc"])
-        )
+        if type(action) is not str or action not in _ACTIONS:
+            raise TraceParseError(i, f"unknown action '{action}'")
+        if thing is not None and type(thing) is not int:
+            raise TraceParseError(i, "'thing' must be an integer or null")
+        if kind is not None and type(kind) is not str:
+            raise TraceParseError(i, "'kind' must be a string or null")
+        if at is not None and type(at) is not str:
+            raise TraceParseError(i, "'at' must be a string or null")
+        if arc is not None and type(arc) is not str:
+            raise TraceParseError(i, "'arc' must be a string or null")
+        trace.append(TraceEvent(tick, action, thing, kind, at, arc))
     return trace
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Optional
 
+from . import jsonl
+
 ACTIONS = ("receive", "install", "remove")
 
 
@@ -177,9 +179,7 @@ class ReplacementLog:
     # Persistence (.fmh: one JSON object per line) ---------------------------
 
     def to_lines(self) -> str:
-        return "".join(
-            json.dumps(r.to_json(), sort_keys=True, separators=(",", ":")) + "\n" for r in self._records
-        )
+        return jsonl.lines(r.to_json() for r in self._records)
 
     @classmethod
     def from_lines(cls, text: str | Iterable[str]) -> "ReplacementLog":

@@ -96,8 +96,29 @@ class Endpoint:
     path: tuple[str, ...]  # sphere names followed by the machine name
     stage: Stage
 
+    # Text and hash are built on first use and kept on the instance (they
+    # are not fields, so equality and repr are unchanged).  Every trace
+    # record at an endpoint then shares one string.
+    _text = None
+    _hash = None
+
     def __str__(self) -> str:
-        return "/".join(self.path) + "." + self.stage.value
+        text = self._text
+        if text is None:
+            text = "/".join(self.path) + "." + self.stage.value
+            object.__setattr__(self, "_text", text)
+        return text
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.path, self.stage))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes: never pickle the cache.
+        return {"path": self.path, "stage": self.stage}
 
     @property
     def machine_path(self) -> tuple[str, ...]:

@@ -10,10 +10,29 @@ things only against enables, which also waive their remaining dwell.
 
 Every choice is resolved by the canonical order (arc label, then thing id),
 so runs are bit-identical across repeats and platforms.
+
+A tick touches only the things that can change:
+
+* Completion calendar.  Whenever a thing arrives somewhere (spawn or move)
+  its id goes into the bucket of the tick its dwell completes.  A tick
+  completes the things of its own bucket, in id order, skipping stale
+  entries: a thing that has been consumed, or that left early through an
+  enable and so arrived again since.
+* Parked things.  A thing that is past its dwell, has no candidate arc and
+  whose guards raised no error (so it emitted no ``blocked`` record) is
+  parked: move selection and ``live()`` skip it from then on.  Candidates
+  depend on the location, the chain position and the guards; guards read
+  only attributes, and attributes change only when a dwell completes, which
+  for a parked thing has already happened at this location.  Only a move
+  changes the location, so a parked thing can never move again (it can
+  still be consumed).  A thing at an enable-gated stage is examined before
+  its dwell is over, since an enable waives the dwell; it is never parked
+  then, because its completion may still assign attributes.
+* ``self.things`` is iterated in dict order, which is id order: ids are
+  monotone and a consumed thing is never re-inserted.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Protocol
 
@@ -29,7 +48,7 @@ class SimError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     tick: int
     action: str  # spawn | move | consume | trigger-fired | blocked | quiescent
@@ -132,6 +151,8 @@ class Simulation:
         self.pending_enables: dict[Endpoint, list[int]] = {}
         self.pending_firings: list[_PendingFiring] = []
         self.gated = model.gated_endpoints()
+        self._calendar: dict[int, list[int]] = {}  # completion tick -> thing ids
+        self._parked: set[int] = set()
         self.injections = sorted(
             scenario.injections, key=lambda inj: inj.tick
         )  # stable: ties keep declaration order
@@ -168,6 +189,7 @@ class Simulation:
         thing = Thing(self.next_id, kind_name, attrs, target, self.tick, self.tick)
         self.next_id += 1
         self.things[thing.id] = thing
+        self._schedule(thing)
         return thing, TraceEvent(self.tick, "spawn", thing.id, kind_name, str(target), None)
 
     def _apply_injections(self) -> list[TraceEvent]:
@@ -180,6 +202,10 @@ class Simulation:
             _, event = self._spawn(inj.kind, inj.target, dict(inj.attrs))
             events.append(event)
         return events
+
+    def _schedule(self, thing: Thing) -> None:
+        """Enter a thing that has just arrived in its completion bucket."""
+        self._calendar.setdefault(thing.arrival_tick + self.config.stage_dwell, []).append(thing.id)
 
     # Move candidates ------------------------------------------------------
 
@@ -211,22 +237,34 @@ class Simulation:
         """Every (thing, arc) pair eligible to move this tick, sorted by
         (arc label, thing id).  A thing at an enable-gated stage is listed
         only while an enable is available for it."""
+        tick = self.tick
         dwell = self.config.stage_dwell
+        gated = self.gated
+        parked = self._parked
+        if blocked is None:
+            blocked = []  # parking must see blocked records the caller drops
         moves: list[tuple[Thing, object]] = []
-        budget = {ep: sum(1 for t in ticks if t < self.tick) for ep, ticks in self.pending_enables.items()}
+        budget = {ep: sum(1 for t in ticks if t < tick) for ep, ticks in self.pending_enables.items()}
         claimed: dict[Endpoint, int] = {}
-        for thing in sorted(self.things.values(), key=lambda t: t.id):
-            if thing.loc in self.gated:
-                # An enable both releases the thing and waives its dwell.
-                if claimed.get(thing.loc, 0) >= budget.get(thing.loc, 0):
-                    continue
-            elif self.tick < thing.arrival_tick + dwell:
+        for thing in self.things.values():
+            if thing.id in parked:
                 continue
+            loc = thing.loc
+            dwelling = tick < thing.arrival_tick + dwell
+            if loc in gated:
+                # An enable both releases the thing and waives its dwell.
+                if claimed.get(loc, 0) >= budget.get(loc, 0):
+                    continue
+            elif dwelling:
+                continue
+            n_blocked = len(blocked)
             arcs = self._arc_candidates(thing, blocked)
             if not arcs:
+                if not dwelling and len(blocked) == n_blocked:
+                    parked.add(thing.id)
                 continue
-            if thing.loc in self.gated:
-                claimed[thing.loc] = claimed.get(thing.loc, 0) + 1
+            if loc in gated:
+                claimed[loc] = claimed.get(loc, 0) + 1
             moves.extend((thing, arc) for arc in arcs)
         moves.sort(key=lambda pair: (pair[1].label, pair[0].id))
         return moves
@@ -243,14 +281,15 @@ class Simulation:
 
         # Dwell completions: assigns evaluate, then triggers enqueue.
         dwell = self.config.stage_dwell
-        completing = [
-            t for t in sorted(self.things.values(), key=lambda t: t.id)
-            if t.arrival_tick + dwell == self.tick
-        ]
+        completing = []
+        for thing_id in sorted(set(self._calendar.pop(self.tick, ()))):
+            thing = self.things.get(thing_id)
+            if thing is not None and thing.arrival_tick + dwell == self.tick:
+                completing.append(thing)
         new_firings: list[_PendingFiring] = []
         for thing in completing:
-            machine = self.model.find_machine(thing.loc.path)
-            if machine is not None and thing.loc.stage is Stage.PROCESS:
+            machine = self.model.find_machine(thing.loc.path) if thing.loc.stage is Stage.PROCESS else None
+            if machine is not None:
                 for name, expr in machine.assigns:
                     try:
                         value = exprs.evaluate(expr, thing.attrs)
@@ -308,6 +347,7 @@ class Simulation:
         self.pending_firings = still_pending
         for thing_id in sorted(consumed):
             thing = self.things.pop(thing_id)
+            self._parked.discard(thing_id)
             self._emit(TraceEvent(self.tick, "consume", thing.id, thing.kind, str(thing.loc), None))
 
         # Moves: first guard-passing arc per thing, canonical order overall.
@@ -334,6 +374,7 @@ class Simulation:
             thing.chain_family = arc.family
             thing.chain_index = arc.index
             thing.chain_len = arc.chain_len
+            self._schedule(thing)
             self._emit(TraceEvent(self.tick, "move", thing.id, thing.kind, str(arc.dst), arc.label))
 
         return self.trace[start:]
@@ -349,7 +390,10 @@ class Simulation:
             if gate is None or gate.permits(firing.label):
                 return True
         dwell = self.config.stage_dwell
+        parked = self._parked
         for thing in self.things.values():
+            if thing.id in parked:
+                continue
             if self.tick < thing.arrival_tick + dwell:
                 # Still dwelling: completion may fire triggers or, once
                 # assigns run, open a guarded arc.
@@ -377,6 +421,8 @@ class Simulation:
         clone.pending_enables = {ep: list(ts) for ep, ts in self.pending_enables.items()}
         clone.pending_firings = list(self.pending_firings)
         clone.gated = self.gated
+        clone._calendar = {tick: list(ids) for tick, ids in self._calendar.items()}
+        clone._parked = set(self._parked)
         clone.injections = self.injections
         clone._next_injection = self._next_injection
         clone.trace = list(self.trace)
@@ -537,11 +583,3 @@ def _literal_matches(type_: str, value: Value) -> bool:
     if type_ == "dec":
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     return isinstance(value, str)
-
-
-def trace_equal(a: Trace, b: Trace) -> bool:
-    return [e.to_json() for e in a] == [e.to_json() for e in b]
-
-
-def trace_to_lines(trace: Trace) -> str:
-    return "".join(json.dumps(e.to_json(), sort_keys=True, separators=(",", ":")) + "\n" for e in trace)

@@ -8,6 +8,7 @@ from fuzz import random_tvm_scenario
 from fmkit import ast
 from fmkit.behavior import (
     BehaviorError,
+    Occurrence,
     build_event,
     check,
     compile_program,
@@ -294,3 +295,66 @@ def test_zero_repetition_accepted_by_possible_repeat(tvm):
     verdict = check(trace, tvm.events, tvm_program(tvm))
     assert verdict.completed
     assert "more_prompt" not in [o.event for o in verdict.occurrences]
+
+
+def test_gate_permits_matches_allowed_labels(tvm):
+    gate = enforce(tvm, tvm_program(tvm))
+    automaton = gate.automaton
+    owners: dict[str, set[str]] = {}
+    for e in tvm.events:
+        for label in e.region.arc_labels:
+            owners.setdefault(label, set()).add(e.name)
+    labels = sorted({a.label for a in tvm.flows} | {t.label for t in tvm.triggers}) + ["no-such-arc"]
+    for state in range(automaton.n_states):
+        gate.state = state
+        allowed = set(automaton.allowed(state))
+        for label in labels:
+            assert gate.permits(label) == (label not in owners or bool(owners[label] & allowed))
+    gate.dead = True
+    assert [label for label in labels if gate.permits(label)] == [l for l in labels if l not in owners]
+
+
+def naive_occurrences(trace, events):
+    """Every event tried on every record: what the indexed scanner must find."""
+    progress: dict = {}
+    found = []
+    for record in trace:
+        if record.thing is None:
+            continue
+        for edef in events:
+            region = edef.region
+            if record.action == "move":
+                touched = record.arc in region.flow_labels
+            elif record.action == "trigger-fired":
+                touched = record.arc in region.arc_labels
+            elif record.action in ("spawn", "consume"):
+                touched = record.at in {str(ep) for ep in region.stages}
+            else:
+                touched = False
+            if not touched:
+                continue
+            key = (edef.name, record.thing)
+            start, seen = progress.get(key, (record.tick, frozenset()))
+            if record.action == "move":
+                seen = seen | {record.arc}
+            progress[key] = (start, seen)
+            if region.flow_labels and seen >= region.flow_labels:
+                found.append(Occurrence(edef.name, start, record.tick, record.thing))
+                del progress[key]
+    return found
+
+
+def test_indexed_scanner_matches_naive_scan(tvm):
+    # The corpus events plus overlapping ones and one holding a trigger arc.
+    events = list(tvm.events) + [
+        build_event(tvm, decl("wide", ["20", "21", "23", "24"])),
+        build_event(tvm, decl("info", ["9", "10"])),
+        build_event(tvm, decl("quote", ["16", "17", "18"])),
+    ]
+    total = 0
+    for seed in range(40):
+        trace = run(tvm, random_tvm_scenario(tvm, seed), SimConfig(max_ticks=120))
+        expected = naive_occurrences(trace, events)
+        assert detect_occurrences(trace, events) == expected, seed
+        total += len(expected)
+    assert total > 0

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import pathlib
 
+import pytest
 from conftest import golden_text
 
 from fmkit.cli import main
@@ -230,3 +231,34 @@ def test_usage_error_exits_two(capsys):
     code = main(["sim", str(CORPUS / "tvm.fm")])  # missing --scenario
     capsys.readouterr()
     assert code == 2
+
+
+GOOD_RECORD = {"tick": 1, "action": "move", "thing": 1, "kind": "cash", "at": "tvm/cash.receive", "arc": "23"}
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("tick", True),
+        ("tick", "1"),
+        ("thing", True),
+        ("thing", "x"),
+        ("kind", 7),
+        ("at", False),
+        ("arc", 23),
+        ("action", ["move"]),
+    ],
+    ids=["tick-bool", "tick-str", "thing-bool", "thing-str", "kind-int", "at-bool", "arc-int", "action-list"],
+)
+def test_conform_rejects_mistyped_field(capsys, tmp_path, field, value):
+    trace_path = tmp_path / "bad.jsonl"
+    trace_path.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(dict(GOOD_RECORD, **{field: value})) + "\n")
+    code, out, err = run_cli(
+        capsys,
+        "conform", str(CORPUS / "tvm.fm"),
+        "--behavior", "cash_purchase",
+        "--trace", str(trace_path),
+    )
+    assert code == 2
+    assert "line 2" in err and field in err
+    assert out == ""

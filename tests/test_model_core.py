@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from fmkit.canon import load_model
 from fmkit.model import (
     INTRA_EDGES,
+    Endpoint,
     ResolutionError,
     Stage,
     UnknownLabelError,
@@ -156,3 +158,15 @@ def test_shortest_chain_known_lengths():
     assert direct is not None and len(direct) - 1 == 1
     assert shortest_chain(Stage.PROCESS, Stage.CREATE, same_machine=True) is None
     assert shortest_chain(Stage.TRANSFER, Stage.CREATE, same_machine=False) is None
+
+
+def test_endpoint_cached_text_and_hash_keep_value_semantics():
+    ep = Endpoint(("tvm", "cash"), Stage.RECEIVE)
+    twin = Endpoint(("tvm", "cash"), Stage.RECEIVE)
+    assert str(ep) == "tvm/cash.receive" and str(ep) is str(ep)
+    assert hash(ep) == hash(twin) == hash((("tvm", "cash"), Stage.RECEIVE))
+    assert ep == twin and repr(ep) == repr(twin)
+    assert ep != Endpoint(("tvm", "cash"), Stage.PROCESS)
+    # A string's hash differs between processes, so a pickle carries no cache.
+    clone = pickle.loads(pickle.dumps(ep))
+    assert clone == ep and "_hash" not in vars(clone) and "_text" not in vars(clone)

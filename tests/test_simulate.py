@@ -330,3 +330,96 @@ def test_guard_eval_error_blocks_and_continues():
     blocked = [e for e in trace if e.action == "blocked"]
     assert blocked and blocked[0].arc == "bad"
     assert not any(e.action == "move" and e.arc == "bad" for e in trace)
+
+
+def test_thing_examined_while_dwelling_is_not_parked():
+    # The enable arrives while the thing still dwells at the gated stage, so
+    # it is examined early and its guard fails; the assign at the end of its
+    # dwell then opens the guard and it must still leave.
+    source = (
+        "thing w { x: int = 0 }\n"
+        "thing go\n"
+        "sphere s {\n"
+        "  machine held: w { create process release assign { x = 1 } }\n"
+        "  machine ctl: go { create process }\n"
+        "  flow s/held.create -> s/held.process #in\n"
+        "  flow s/held.process -> s/held.release when x > 0 #out\n"
+        "  flow s/ctl.create -> s/ctl.process #c\n"
+        "  trigger s/ctl.process => s/held.process #open\n"
+        "}\n"
+    )
+    model, diags = load_model(source)
+    assert not any(d.is_error for d in diags)
+    scenario = Scenario(
+        (
+            Injection(0, "go", Endpoint(("s", "ctl"), Stage.CREATE), ()),
+            Injection(2, "w", Endpoint(("s", "held"), Stage.CREATE), ()),
+        )
+    )
+    config = SimConfig(max_ticks=30, stage_dwell=2)
+    trace = run(model, scenario, config)
+    out_move = next(e for e in trace if e.action == "move" and e.arc == "out")
+    assert out_move.tick == 6
+    assert write_trace(trace) == run_oracle(model, scenario, max_ticks=30, dwell=2)
+
+
+def _state(sim):
+    return (
+        sim.tick,
+        write_trace(sim.trace),
+        [(t.id, str(t.loc), t.arrival_tick, sorted(t.attrs.items())) for t in sim.things.values()],
+        sorted(sim._parked),
+        sorted((tick, sorted(ids)) for tick, ids in sim._calendar.items()),
+        {str(ep): list(ts) for ep, ts in sim.pending_enables.items()},
+    )
+
+
+@pytest.mark.parametrize(
+    "model_name,scenario_name,fork_at,ticks",
+    [("tvm", "tvm_topup", 12, 200), ("tvm", "tvm_cancel", 20, 200), ("plant", "plant_water", 35, 60)],
+)
+def test_copy_mid_run_steps_to_the_same_end(model_name, scenario_name, fork_at, ticks):
+    model, _ = load_model(open(f"corpus/{model_name}.fm").read(), model_name)
+    scenario = load_corpus_scenario(model, scenario_name)
+    sim = Simulation(model, scenario, SimConfig(max_ticks=ticks))
+    while sim.tick < fork_at:
+        sim.step()
+    assert sim._parked and sim._calendar  # the fork carries both
+    before = _state(sim)
+    fork = sim.copy()
+    while fork.tick < ticks and fork.live():
+        fork.step()
+    assert _state(sim) == before
+    while sim.tick < ticks and sim.live():
+        sim.step()
+    assert write_trace(sim.trace) == write_trace(fork.trace)
+    whole = run(model, scenario, SimConfig(max_ticks=ticks))
+    assert write_trace(sim.trace) == write_trace(e for e in whole if e.action != "quiescent")
+
+
+def test_blocked_thing_is_not_parked():
+    # A guard that raises blocks the thing on every tick it is examined, for
+    # as long as another thing keeps the run alive.
+    source = (
+        "thing w { x: int = 1, y: int = 0 }\n"
+        "sphere s {\n"
+        "  machine a: w { create process release }\n"
+        "  machine b: w { create process release transfer }\n"
+        "  flow s/a.create -> s/a.process #in\n"
+        "  flow s/a.process -> s/a.release when x / y > 0 #bad\n"
+        "  flow s/b.create -> s/b.process #p\n"
+        "  flow s/b.process -> s/b.release #q\n"
+        "  flow s/b.release -> s/b.transfer #r\n"
+        "}\n"
+    )
+    model, diags = load_model(source)
+    assert not any(d.is_error for d in diags)
+    scenario = Scenario(
+        (
+            Injection(0, "w", Endpoint(("s", "a"), Stage.CREATE), ()),
+            Injection(0, "w", Endpoint(("s", "b"), Stage.CREATE), ()),
+        )
+    )
+    trace = run(model, scenario, SimConfig(max_ticks=20))
+    assert [e.tick for e in trace if e.action == "blocked"] == [2, 3]
+    assert write_trace(trace) == run_oracle(model, scenario, max_ticks=20)
