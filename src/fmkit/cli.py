@@ -93,16 +93,15 @@ def cmd_sim(args: argparse.Namespace) -> int:
     gate = bhv.enforce(model, program) if (program is not None and args.mode == "enforce") else None
     config = simulate.SimConfig(max_ticks=args.ticks, stage_dwell=args.dwell, gate=gate)
     trace = simulate.run(model, scenario, config)
-    text = export.write_trace(trace)
     if args.trace is not None:
         try:
             with open(args.trace, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines(export.trace_lines(trace))
         except OSError as exc:
             print(f"fmkit: cannot write {args.trace}: {exc.strerror}", file=sys.stderr)
             return USAGE
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(export.trace_lines(trace))
     if program is not None:
         verdict = bhv.check(trace, model.events, program)
         print(jsonl.dumps(verdict.to_json()))
@@ -161,6 +160,9 @@ def cmd_history(args: argparse.Namespace) -> int:
             log.append(record)
         except (json.JSONDecodeError, history.AppendError, history.HistoryError) as exc:
             print(f"fmkit: append rejected: {exc}", file=sys.stderr)
+            return FAIL
+        except RecursionError:
+            print("fmkit: append rejected: not valid JSON: nesting too deep", file=sys.stderr)
             return FAIL
         try:
             with open(args.log, "w", encoding="utf-8") as handle:

@@ -6,7 +6,7 @@ emitted sorted, so output is byte-stable across runs and platforms.
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import jsonl
 from .behavior import BehaviorAutomaton
@@ -109,29 +109,67 @@ class TraceParseError(Exception):
         self.line_no = line_no
 
 
+class _Quoted(dict):
+    """JSON text of each distinct string (and of None), encoded on first use."""
+
+    def __missing__(self, value: str | None) -> str:
+        text = self[value] = jsonl.dumps(value)
+        return text
+
+
+def trace_lines(trace: Iterable[TraceEvent]) -> Iterator[str]:
+    """The lines of write_trace, one per record, each ending in a newline.
+
+    The six keys are fixed, so each line comes from one template with the
+    keys in sorted order (action, arc, at, kind, thing, tick).  Strings go
+    through the record encoder (jsonl) once each, so the text is exactly
+    what jsonl.lines gives for the records' to_json() dicts."""
+    quoted = _Quoted()
+    for tick, action, thing, kind, at, arc in trace:
+        thing_text = "null" if thing is None else thing
+        yield (
+            f'{{"action":{quoted[action]},"arc":{quoted[arc]},"at":{quoted[at]},'
+            f'"kind":{quoted[kind]},"thing":{thing_text},"tick":{tick}}}\n'
+        )
+
+
 def write_trace(trace: Trace) -> str:
     """One compact JSON object per line; key order is fixed by sorting."""
-    return jsonl.lines(event.to_json() for event in trace)
+    return "".join(trace_lines(trace))
 
 
-_decode = json.JSONDecoder().decode
+_DECODER = json.JSONDecoder()
+_decode = _DECODER.decode
+_scan = _DECODER.scan_once
 
 
 def read_trace(text: str | Iterable[str]) -> Trace:
     """Inverse of write_trace; raises TraceParseError naming the bad line.
 
+    Each line is first scanned as one JSON value from its first character.
+    A line the scan does not consume whole (blank, padded with whitespace or
+    malformed) is skipped when blank and otherwise goes through the full
+    decoder, so every error message is the decoder's.
     Field types are checked exactly (``bool`` is not an ``int`` here):
     ``tick`` is an integer, ``thing`` an integer or null, and ``kind``,
     ``at`` and ``arc`` are strings or null."""
     lines = text.splitlines() if isinstance(text, str) else list(text)
     trace: Trace = []
+    append = trace.append
     for i, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
         try:
-            obj = _decode(line)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(i, f"not valid JSON: {exc.msg}") from exc
+            obj, end = _scan(line, 0)
+        except (StopIteration, json.JSONDecodeError, RecursionError):
+            end = -1
+        if end != len(line):
+            if not line.strip():
+                continue
+            try:
+                obj = _decode(line)
+            except json.JSONDecodeError as exc:
+                raise TraceParseError(i, f"not valid JSON: {exc.msg}") from exc
+            except RecursionError:
+                raise TraceParseError(i, "not valid JSON: nesting too deep") from None
         if type(obj) is not dict:
             raise TraceParseError(i, "expected a JSON object")
         try:
@@ -151,7 +189,7 @@ def read_trace(text: str | Iterable[str]) -> Trace:
             raise TraceParseError(i, "'at' must be a string or null")
         if arc is not None and type(arc) is not str:
             raise TraceParseError(i, "'arc' must be a string or null")
-        trace.append(TraceEvent(tick, action, thing, kind, at, arc))
+        append(TraceEvent(tick, action, thing, kind, at, arc))
     return trace
 
 

@@ -80,14 +80,23 @@ class ReplacementRecord:
         return obj
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ReplacementRecord":
-        required = ("slot", "unit", "action", "at", "performer", "contractor")
-        for field in required:
+    def from_json(cls, obj: object) -> "ReplacementRecord":
+        """Build a record from a decoded JSON value, checking field types
+        exactly: the six required fields are strings, ``note`` a string or
+        null."""
+        if type(obj) is not dict:
+            raise HistoryError("bad-record", "expected a JSON object")
+        for field in ("slot", "unit", "action", "at", "performer", "contractor"):
             if field not in obj:
                 raise HistoryError("bad-record", f"missing '{field}' field")
+            if type(obj[field]) is not str:
+                raise HistoryError("bad-record", f"'{field}' must be a string")
+        note = obj.get("note")
+        if note is not None and type(note) is not str:
+            raise HistoryError("bad-record", "'note' must be a string or null")
         return cls(
             obj["slot"], obj["unit"], obj["action"], obj["at"],
-            obj["performer"], obj["contractor"], obj.get("note"),
+            obj["performer"], obj["contractor"], note,
         )
 
 
@@ -192,20 +201,11 @@ class ReplacementLog:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise HistoryError("bad-record", f"line {i}: not valid JSON: {exc.msg}") from exc
+            except RecursionError:
+                raise HistoryError("bad-record", f"line {i}: not valid JSON: nesting too deep") from None
             try:
                 log.append(ReplacementRecord.from_json(obj))
             except HistoryError as exc:
                 raise HistoryError(exc.code, f"line {i}: {exc}") from exc
         return log
 
-
-def append(log: ReplacementLog, record: ReplacementRecord) -> ReplacementLog:
-    return log.append(record)
-
-
-def installed_at(log: ReplacementLog, slot: str, at: str | datetime) -> Optional[str]:
-    return log.installed_at(slot, at)
-
-
-def timeline(log: ReplacementLog, slot: str) -> list[ReplacementRecord]:
-    return log.timeline(slot)

@@ -120,10 +120,6 @@ class Endpoint:
         # String hashes differ between processes: never pickle the cache.
         return {"path": self.path, "stage": self.stage}
 
-    @property
-    def machine_path(self) -> tuple[str, ...]:
-        return self.path
-
 
 @dataclass
 class Machine:

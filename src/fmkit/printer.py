@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from .exprs import render as render_expr
 from .model import (
-    BehaviorDecl,
     Choice,
     Chrono,
     FlowArc,
@@ -199,7 +198,3 @@ def model_signature(model: Model) -> tuple:
     events = tuple(sorted((e.name, tuple(sorted(e.region.arc_labels))) for e in model.events))
     behaviors = tuple(sorted((b.name, render_chrono(b.program)) for b in model.behaviors))
     return (kinds, spheres, machines, flows, triggers, events, behaviors)
-
-
-def behavior_signature(behavior: BehaviorDecl) -> str:
-    return render_chrono(behavior.program)

@@ -34,12 +34,12 @@ A tick touches only the things that can change:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Protocol
+from typing import Iterable, NamedTuple, Optional, Protocol
 
 from . import exprs
 from .diagnostics import Diagnostic, SourceSpan, error
 from .lexer import Token, tokenize
-from .model import Endpoint, Model, Stage, TriggerArc, resolve_endpoint, ResolutionError
+from .model import STAGES_BY_NAME, Endpoint, Model, Stage, TriggerArc, resolve_endpoint, ResolutionError
 
 Value = exprs.Value
 
@@ -48,8 +48,11 @@ class SimError(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One trace record.  A named tuple: it is built once per record the
+    simulator emits or a trace file holds, and a tuple is the cheapest
+    immutable record to build; it also equals a plain tuple of its values."""
+
     tick: int
     action: str  # spawn | move | consume | trigger-fired | blocked | quiescent
     thing: Optional[int]
@@ -484,8 +487,6 @@ def parse_scenario(source: str, file: str = "<scenario>") -> tuple[Scenario, lis
             break
         if cur().type == ".":
             pos += 1
-            from .model import STAGES_BY_NAME
-
             if cur().text in STAGES_BY_NAME:
                 stage = STAGES_BY_NAME[cur().text]
                 pos += 1

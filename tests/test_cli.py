@@ -4,9 +4,11 @@ import json
 import pathlib
 
 import pytest
-from conftest import golden_text
+from conftest import golden_text, load_corpus_model, load_corpus_scenario
 
 from fmkit.cli import main
+from fmkit.export import write_trace
+from fmkit.simulate import SimConfig, run
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -262,3 +264,99 @@ def test_conform_rejects_mistyped_field(capsys, tmp_path, field, value):
     assert code == 2
     assert "line 2" in err and field in err
     assert out == ""
+
+
+def test_sim_streams_the_trace_write_trace_gives(capsys, tmp_path):
+    model = load_corpus_model("plant")
+    expected = write_trace(run(model, load_corpus_scenario(model, "plant_water"), SimConfig(max_ticks=60)))
+    argv = ["sim", str(CORPUS / "plant.fm"), "--scenario", str(CORPUS / "plant_water.fms"), "--ticks", "60"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == expected
+    trace_path = tmp_path / "out.jsonl"
+    code, out, err = run_cli(capsys, *argv, "--trace", str(trace_path))
+    assert code == 0 and out == ""
+    assert trace_path.read_bytes() == expected.encode("utf-8")
+
+
+DEEP = "[" * 100_000
+
+
+def test_conform_deeply_nested_line_exits_two(capsys, tmp_path):
+    trace_path = tmp_path / "deep.jsonl"
+    trace_path.write_text(json.dumps(GOOD_RECORD) + "\n" + DEEP + "\n")
+    code, out, err = run_cli(
+        capsys,
+        "conform", str(CORPUS / "tvm.fm"),
+        "--behavior", "cash_purchase",
+        "--trace", str(trace_path),
+    )
+    assert code == 2
+    assert "line 2: not valid JSON: nesting too deep" in err
+    assert out == ""
+
+
+def _ledger_with(tmp_path, line: str) -> pathlib.Path:
+    log_path = tmp_path / "log.fmh"
+    log_path.write_text((CORPUS / "pump_history.fmh").read_text() + line + "\n")
+    return log_path
+
+
+def test_history_deeply_nested_line_exits_two(capsys, tmp_path):
+    log_path = _ledger_with(tmp_path, DEEP)
+    code, out, err = run_cli(capsys, "history", str(log_path), "--slot", "P101", "--timeline")
+    assert code == 2
+    assert "line 6: not valid JSON: nesting too deep" in err
+    assert out == ""
+
+
+def test_history_append_deeply_nested_value_is_rejected(capsys, tmp_path):
+    log_path = _ledger_with(tmp_path, "")
+    before = log_path.read_text()
+    code, out, err = run_cli(capsys, "history", str(log_path), "--append", DEEP)
+    assert code == 1
+    assert "append rejected: not valid JSON: nesting too deep" in err
+    assert log_path.read_text() == before
+
+
+GOOD_LEDGER_RECORD = {
+    "slot": "P102", "unit": "pump-9", "action": "receive",
+    "at": "2024-01-01T00:00:00Z", "performer": "x", "contractor": "y",
+}
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("slot", 1),
+        ("unit", ["pump-9"]),
+        ("action", None),
+        ("at", 5),
+        ("performer", 1),
+        ("contractor", True),
+        ("note", 3),
+    ],
+    ids=["slot-int", "unit-list", "action-null", "at-int", "performer-int", "contractor-bool", "note-int"],
+)
+def test_history_rejects_mistyped_record_field(capsys, tmp_path, field, value):
+    log_path = _ledger_with(tmp_path, json.dumps(dict(GOOD_LEDGER_RECORD, **{field: value})))
+    code, out, err = run_cli(capsys, "history", str(log_path), "--slot", "P101", "--timeline")
+    assert code == 2
+    assert "line 6" in err and f"'{field}' must be a string" in err
+    assert out == ""
+
+
+def test_history_rejects_a_line_that_is_not_an_object(capsys, tmp_path):
+    log_path = _ledger_with(tmp_path, "1")
+    code, out, err = run_cli(capsys, "history", str(log_path), "--slot", "P101", "--timeline")
+    assert code == 2
+    assert "line 6" in err and "expected a JSON object" in err
+
+
+def test_history_append_non_object_is_rejected(capsys, tmp_path):
+    log_path = _ledger_with(tmp_path, "")
+    before = log_path.read_text()
+    code, out, err = run_cli(capsys, "history", str(log_path), "--append", "1")
+    assert code == 1
+    assert "append rejected: bad-record: expected a JSON object" in err
+    assert log_path.read_text() == before

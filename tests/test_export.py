@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import golden_text
 
+from fmkit import jsonl
 from fmkit.behavior import compile_program
 from fmkit.canon import load_model
 from fmkit.export import (
@@ -169,6 +172,83 @@ events = st.builds(
 def test_trace_round_trip_property(trace):
     trace.sort(key=lambda e: e.tick)
     assert read_trace(write_trace(trace)) == trace
+
+
+# The writer renders lines from a fixed template; the record encoder is the
+# reference it must match byte for byte.
+any_events = st.builds(
+    TraceEvent,
+    tick=st.integers(),
+    action=st.sampled_from(["spawn", "move", "consume", "trigger-fired", "blocked", "quiescent"]),
+    thing=st.one_of(st.none(), st.integers()),
+    kind=st.one_of(st.none(), st.text()),
+    at=st.one_of(st.none(), st.text()),
+    arc=st.one_of(st.none(), st.text()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(any_events, max_size=20))
+def test_write_trace_equals_record_encoder(trace):
+    text = write_trace(trace)
+    assert text == jsonl.lines(event.to_json() for event in trace)
+    assert read_trace(text) == trace
+
+
+def _loose_lines(trace, rnd):
+    """Each record as a json.dumps line with shuffled keys, optional spaces
+    after ':' and ',', raw or escaped non-ASCII, optional surrounding
+    whitespace, CRLF or LF endings and blank lines in between."""
+    out = []
+    for event in trace:
+        items = list(event.to_json().items())
+        rnd.shuffle(items)
+        separators = rnd.choice([(",", ":"), (", ", ": "), (",", ": ")])
+        line = json.dumps(dict(items), separators=separators, ensure_ascii=False)
+        if rnd.random() < 0.5 or len(line.splitlines()) != 1:
+            # str.splitlines also breaks at U+0085, U+2028 and other
+            # separators that a raw string may hold; escape those lines.
+            line = json.dumps(dict(items), separators=separators)
+        line = rnd.choice(["", " ", "\t"]) + line + rnd.choice(["", " ", "\t "])
+        out.append(line + rnd.choice(["\n", "\r\n"]))
+        if rnd.random() < 0.2:
+            out.append(rnd.choice(["\n", "  \r\n", "\t\n"]))
+    return "".join(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(any_events, max_size=12), st.randoms(use_true_random=False))
+def test_read_trace_accepts_what_json_loads_accepts(trace, rnd):
+    text = _loose_lines(trace, rnd)
+    expected = [TraceEvent(**json.loads(line)) for line in text.splitlines() if line.strip()]
+    assert expected == trace
+    assert read_trace(text) == expected
+
+
+@pytest.mark.parametrize(
+    "bad_line,message",
+    [
+        ('{"action":"move","arc":null,"at":"s/m.create', "Unterminated string"),
+        ('{"action":"move","arc":"\\q","at":null,"kind":null,"thing":1,"tick":0}', "Invalid \\escape"),
+        ('{"action":"move","arc":null,"at":null,"kind":null,"thing":1,"tick":0} x', "Extra data"),
+    ],
+    ids=["unterminated-string", "bad-escape", "extra-data"],
+)
+def test_read_trace_malformed_line_keeps_decoder_message(bad_line, message):
+    good = '{"action":"quiescent","arc":null,"at":null,"kind":null,"thing":null,"tick":0}'
+    with pytest.raises(TraceParseError) as exc:
+        read_trace(f"{good}\n\n{bad_line}\n{good}\n")
+    assert exc.value.line_no == 3
+    assert f"line 3: not valid JSON: {message}" in str(exc.value)
+
+
+def test_trace_event_is_a_named_tuple():
+    event = TraceEvent(1, "move", 2, "w", "s/m.release", "a")
+    assert repr(event) == "TraceEvent(tick=1, action='move', thing=2, kind='w', at='s/m.release', arc='a')"
+    assert event == (1, "move", 2, "w", "s/m.release", "a")
+    assert hash(event) == hash((1, "move", 2, "w", "s/m.release", "a"))
+    with pytest.raises(AttributeError):
+        event.tick = 5
 
 
 def test_dot_check_rejects_malformed():
