@@ -153,7 +153,7 @@ def read_trace(text: str | Iterable[str]) -> Trace:
     Field types are checked exactly (``bool`` is not an ``int`` here):
     ``tick`` is an integer, ``thing`` an integer or null, and ``kind``,
     ``at`` and ``arc`` are strings or null."""
-    lines = text.splitlines() if isinstance(text, str) else list(text)
+    lines = jsonl.split_lines(text) if isinstance(text, str) else list(text)
     trace: Trace = []
     append = trace.append
     for i, line in enumerate(lines, start=1):

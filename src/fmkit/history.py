@@ -8,6 +8,7 @@ UTC) rather than simulation ticks: replacement history spans calendar time.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Optional
@@ -100,90 +101,115 @@ class ReplacementRecord:
         )
 
 
-def _replay(records: list[ReplacementRecord]) -> None:
-    """Validate one slot's time-ordered record sequence.
+def _step(
+    state: dict[str, str], occupant: Optional[str], rec: ReplacementRecord
+) -> tuple[str, Optional[str]]:
+    """Check one record against a slot's replay state (unit -> received |
+    installed | removed, plus the occupant) without changing it; returns
+    the unit's next state and the slot's next occupant.
 
     Lifecycle per unit: receive -> install -> remove, with re-receive
     allowed after removal; at most one unit installed at any instant.
     """
-    state: dict[str, str] = {}  # unit -> received | installed | removed
-    occupant: Optional[str] = None
-    for rec in records:
-        st = state.get(rec.unit)
-        if rec.action == "receive":
-            if st in ("received", "installed"):
-                raise AppendError("E_ORDER", f"unit '{rec.unit}' received twice")
-            state[rec.unit] = "received"
-        elif rec.action == "install":
-            if st != "received":
-                raise AppendError("E_ORDER", f"unit '{rec.unit}' installed before being received")
-            if occupant is not None:
-                raise AppendError(
-                    "E_OCCUPIED", f"slot '{rec.slot}' already holds '{occupant}'"
-                )
-            state[rec.unit] = "installed"
-            occupant = rec.unit
-        else:  # remove
-            if st != "installed":
-                raise AppendError("E_ORDER", f"unit '{rec.unit}' removed before being installed")
-            state[rec.unit] = "removed"
-            occupant = None
+    st = state.get(rec.unit)
+    if rec.action == "receive":
+        if st in ("received", "installed"):
+            raise AppendError("E_ORDER", f"unit '{rec.unit}' received twice")
+        return "received", occupant
+    if rec.action == "install":
+        if st != "received":
+            raise AppendError("E_ORDER", f"unit '{rec.unit}' installed before being received")
+        if occupant is not None:
+            raise AppendError("E_OCCUPIED", f"slot '{rec.slot}' already holds '{occupant}'")
+        return "installed", rec.unit
+    if st != "installed":  # remove
+        raise AppendError("E_ORDER", f"unit '{rec.unit}' removed before being installed")
+    return "removed", None
+
+
+class _Slot:
+    """One slot's records in timeline order (parsed stamp, then append
+    order), their parsed stamps, and the replay state after the last one."""
+
+    __slots__ = ("records", "stamps", "state", "occupant")
+
+    def __init__(self) -> None:
+        self.records: list[ReplacementRecord] = []
+        self.stamps: list[datetime] = []
+        self.state: dict[str, str] = {}
+        self.occupant: Optional[str] = None
 
 
 class ReplacementLog:
-    """Append-only event log across all slots."""
+    """Append-only event log across all slots.
+
+    Each slot keeps its own sorted timeline and the replay state at its end,
+    so an append dated after the slot's last record is checked against that
+    state alone; an earlier-dated one replays only its own slot."""
 
     def __init__(self) -> None:
-        self._records: list[ReplacementRecord] = []
+        self._records: list[ReplacementRecord] = []  # append order
+        self._seen: set[ReplacementRecord] = set()
+        self._slots: dict[str, _Slot] = {}
 
     @property
     def records(self) -> tuple[ReplacementRecord, ...]:
         return tuple(self._records)
 
-    def _slot_records(self, slot: str, extra: Optional[ReplacementRecord] = None) -> list[ReplacementRecord]:
-        indexed = [(r.timestamp, i, r) for i, r in enumerate(self._records) if r.slot == slot]
-        if extra is not None:
-            indexed.append((extra.timestamp, len(self._records), extra))
-        indexed.sort(key=lambda t: (t[0], t[1]))
-        return [r for _, _, r in indexed]
-
     def append(self, record: ReplacementRecord) -> "ReplacementLog":
         """Accept the record iff the slot's timeline stays valid; rejection
         raises AppendError (E_DUP, E_ORDER, E_OCCUPIED) and leaves the log
         untouched."""
-        if record in self._records:
+        if record in self._seen:
             raise AppendError("E_DUP", "identical record already present")
-        _replay(self._slot_records(record.slot, extra=record))
+        when = parse_timestamp(record.at)
+        slot = self._slots.get(record.slot) or _Slot()
+        i = bisect_right(slot.stamps, when)  # ties keep append order
+        if i == len(slot.stamps):
+            # The stored prefix already replayed cleanly, so its end state
+            # is all the new last record has to be checked against.
+            unit_state, occupant = _step(slot.state, slot.occupant, record)
+            slot.state[record.unit] = unit_state
+        else:
+            state: dict[str, str] = {}
+            occupant = None
+            for rec in slot.records[:i] + [record] + slot.records[i:]:
+                state[rec.unit], occupant = _step(state, occupant, rec)
+            slot.state = state
+        slot.occupant = occupant
+        slot.records.insert(i, record)
+        slot.stamps.insert(i, when)
+        self._slots[record.slot] = slot
+        self._seen.add(record)
         self._records.append(record)
         return self
 
+    def _slot(self, slot: str) -> _Slot:
+        found = self._slots.get(slot)
+        if found is None:
+            raise UnknownSlotError(slot)
+        return found
+
     def slots(self) -> list[str]:
-        seen: list[str] = []
-        for r in self._records:
-            if r.slot not in seen:
-                seen.append(r.slot)
-        return sorted(seen)
+        return sorted(self._slots)
 
     def timeline(self, slot: str) -> list[ReplacementRecord]:
         """All of one slot's records in time order (ties keep append order)."""
-        records = self._slot_records(slot)
-        if not records:
-            raise UnknownSlotError(slot)
-        return records
+        return list(self._slot(slot).records)
 
     def installed_at(self, slot: str, at: str | datetime) -> Optional[str]:
         """The unit installed at the given instant, or None when the slot is
         empty then.  A removal at exactly the queried instant counts."""
         when = parse_timestamp(at) if isinstance(at, str) else at
-        occupant: Optional[str] = None
-        for rec in self.timeline(slot):
-            if rec.timestamp > when:
-                break
+        found = self._slot(slot)
+        records = found.records
+        for i in range(bisect_right(found.stamps, when) - 1, -1, -1):
+            rec = records[i]
             if rec.action == "install":
-                occupant = rec.unit
-            elif rec.action == "remove":
-                occupant = None
-        return occupant
+                return rec.unit
+            if rec.action == "remove":
+                return None
+        return None
 
     # Persistence (.fmh: one JSON object per line) ---------------------------
 
@@ -192,7 +218,7 @@ class ReplacementLog:
 
     @classmethod
     def from_lines(cls, text: str | Iterable[str]) -> "ReplacementLog":
-        lines = text.splitlines() if isinstance(text, str) else list(text)
+        lines = jsonl.split_lines(text) if isinstance(text, str) else list(text)
         log = cls()
         for i, line in enumerate(lines, start=1):
             if not line.strip():

@@ -4,6 +4,13 @@ Parsing is total: every failure becomes a diagnostic and the parser
 resynchronizes, so callers always get an AST (possibly partial) plus the
 diagnostic list.  A binding pass resolves names so duplicate-name and
 unresolved-reference problems surface here with precise spans.
+
+Nesting is bounded by MAX_NESTING: sphere, chronology, bracket and
+prefix-operator levels, and the height of every expression tree, operator
+chains included.  Past it the parser reports one ``nesting-too-deep``
+diagnostic and skips the expression, or else the enclosing top-level item,
+so no tree handed on is deeper than the limit and no later recursive pass
+can overflow the stack.
 """
 from __future__ import annotations
 
@@ -18,6 +25,28 @@ STAGE_KEYWORDS = set(STAGES_BY_NAME)
 ITEM_KEYWORDS = {"thing", "sphere", "event", "behavior"}
 SPHERE_ITEM_KEYWORDS = {"sphere", "machine", "flow", "trigger"}
 CHRONO_HEADS = {"seq", "choice", "par", "repeat", "interrupt"}
+MAX_NESTING = 200
+
+# Binding power of each binary operator.  'not' sits between 'and' and the
+# comparisons, and a comparison does not chain ('a < b < c' stops at the
+# second '<').  Unary minus binds tighter than '*'.
+_INFIX_PREC = {
+    "or": 1, "and": 2,
+    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6,
+}
+_NOT_PREC = 3
+_CMP_PREC = 4
+_ATOM_PREC = 7
+
+
+class _TooDeep(Exception):
+    """Nesting past MAX_NESTING; unwinds to the expression or top-level
+    item being parsed."""
+
+    def __init__(self, span: SourceSpan) -> None:
+        super().__init__()
+        self.span = span
 
 
 class _Parser:
@@ -26,6 +55,7 @@ class _Parser:
         self.pos = 0
         self.file = file
         self.diags: list[Diagnostic] = []
+        self.depth = 0  # sphere, chronology, bracket and prefix levels open
 
     # Token plumbing -------------------------------------------------------
 
@@ -56,34 +86,67 @@ class _Parser:
         while not self.at("EOF") and self.cur.type not in keywords and not self.at("}"):
             self.advance()
 
+    def nest(self, tok: Token) -> None:
+        """Open one nesting level at tok; the caller closes it with
+        ``self.depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _TooDeep(tok.span)
+
+    def too_deep(self, exc: _TooDeep) -> None:
+        self.diags.append(error("nesting-too-deep", f"nesting is deeper than {MAX_NESTING} levels", exc.span))
+
+    def skip_item(self, start: int) -> None:
+        """Skip the top-level item starting at token index start: up to the
+        '}' that closes its first '{' (or EOF)."""
+        self.pos = start
+        self.depth = 0
+        open_braces = 0
+        while not self.at("EOF"):
+            tok = self.advance()
+            if tok.type == "{":
+                open_braces += 1
+            elif tok.type == "}" and open_braces > 0:
+                open_braces -= 1
+                if open_braces == 0:
+                    return
+
     # Grammar --------------------------------------------------------------
 
     def parse_model(self) -> ast.ModelAst:
         out = ast.ModelAst(self.file)
         while not self.at("EOF"):
-            if self.at("thing"):
-                decl = self.parse_kind()
-                if decl:
-                    out.kinds.append(decl)
-            elif self.at("sphere"):
-                decl = self.parse_sphere()
-                if decl:
-                    out.spheres.append(decl)
-            elif self.at("event"):
-                decl = self.parse_event()
-                if decl:
-                    out.events.append(decl)
-            elif self.at("behavior"):
-                decl = self.parse_behavior()
-                if decl:
-                    out.behaviors.append(decl)
-            else:
-                self.error(
-                    f"expected thing, sphere, event, or behavior, found '{self.cur.text or self.cur.type}'"
-                )
-                self.advance()
-                self.synchronize(ITEM_KEYWORDS)
+            start = self.pos
+            try:
+                self.parse_item(out)
+            except _TooDeep as exc:
+                self.too_deep(exc)
+                self.skip_item(start)
         return out
+
+    def parse_item(self, out: ast.ModelAst) -> None:
+        if self.at("thing"):
+            decl = self.parse_kind()
+            if decl:
+                out.kinds.append(decl)
+        elif self.at("sphere"):
+            decl = self.parse_sphere()
+            if decl:
+                out.spheres.append(decl)
+        elif self.at("event"):
+            decl = self.parse_event()
+            if decl:
+                out.events.append(decl)
+        elif self.at("behavior"):
+            decl = self.parse_behavior()
+            if decl:
+                out.behaviors.append(decl)
+        else:
+            self.error(
+                f"expected thing, sphere, event, or behavior, found '{self.cur.text or self.cur.type}'"
+            )
+            self.advance()
+            self.synchronize(ITEM_KEYWORDS)
 
     def parse_kind(self) -> Optional[ast.KindDecl]:
         start = self.advance()  # 'thing'
@@ -138,6 +201,7 @@ class _Parser:
         if name_tok is None or self.expect("{") is None:
             self.synchronize(ITEM_KEYWORDS)
             return None
+        self.nest(start)
         sphere = ast.SphereDecl(name_tok.text, start.span)
         while not self.at("}", "EOF"):
             if self.at("sphere"):
@@ -159,6 +223,7 @@ class _Parser:
                 self.advance()
                 self.synchronize(SPHERE_ITEM_KEYWORDS)
         self.expect("}")
+        self.depth -= 1
         return sphere
 
     def parse_machine(self) -> Optional[ast.MachineDecl]:
@@ -312,6 +377,7 @@ class _Parser:
         head = self.advance()
         if self.expect("(") is None:
             return None
+        self.nest(head)
         children: list[Chrono] = []
         while not self.at(")", "EOF"):
             if self.at(","):
@@ -322,6 +388,7 @@ class _Parser:
                 break
             children.append(child)
         self.expect(")")
+        self.depth -= 1
         if head.type == "repeat":
             possible = False
             if self.at("possible"):
@@ -348,71 +415,95 @@ class _Parser:
     # Expressions ----------------------------------------------------------
 
     def parse_expr(self) -> exprs.Expr:
-        return self.parse_or()
+        start, depth = self.pos, self.depth
+        try:
+            return self.parse_binary(1)[0]
+        except _TooDeep as exc:
+            self.too_deep(exc)
+            self.skip_expr(start)
+            self.depth = depth
+            return exprs.Lit(False)
 
-    def parse_or(self) -> exprs.Expr:
-        left = self.parse_and()
-        while self.at("or"):
+    def skip_expr(self, start: int) -> None:
+        """Move past the expression starting at token index start without
+        building it: operands and operators in turn, brackets counted."""
+        self.pos = start
+        open_parens = 0
+        while True:
+            while self.at("not", "-", "("):
+                if self.advance().type == "(":
+                    open_parens += 1
+            if not self.at("INT", "DEC", "STRING", "true", "false", "IDENT"):
+                return
             self.advance()
-            left = exprs.Binary("or", left, self.parse_and())
-        return left
-
-    def parse_and(self) -> exprs.Expr:
-        left = self.parse_not()
-        while self.at("and"):
+            while open_parens and self.at(")"):
+                self.advance()
+                open_parens -= 1
+            if self.cur.type not in _INFIX_PREC:
+                return
             self.advance()
-            left = exprs.Binary("and", left, self.parse_not())
-        return left
 
-    def parse_not(self) -> exprs.Expr:
-        if self.at("not"):
-            self.advance()
-            return exprs.Unary("not", self.parse_not())
-        return self.parse_comparison()
+    def parse_binary(self, min_prec: int) -> tuple[exprs.Expr, int]:
+        """An expression whose operators all bind at least as tightly as
+        min_prec, by precedence climbing; returns it with its tree height.
+        Each chain is built in a loop, so the parser recurses only into
+        brackets, prefix operators and tighter right operands."""
+        if min_prec <= _NOT_PREC and self.at("not"):
+            tok = self.advance()
+            self.nest(tok)
+            operand, height = self.parse_binary(_NOT_PREC)
+            self.depth -= 1
+            height += 1
+            self.check_height(height, tok)
+            left, left_prec = exprs.Unary("not", operand), _NOT_PREC
+        else:
+            left, height = self.parse_factor()
+            left_prec = _ATOM_PREC
+        while True:
+            prec = _INFIX_PREC.get(self.cur.type, 0)
+            if prec < min_prec or (prec == _CMP_PREC and left_prec <= _CMP_PREC):
+                return left, height
+            tok = self.advance()
+            right, right_height = self.parse_binary(prec + 1)
+            height = max(height, right_height) + 1
+            self.check_height(height, tok)
+            left, left_prec = exprs.Binary(tok.type, left, right), prec
 
-    def parse_comparison(self) -> exprs.Expr:
-        left = self.parse_arith()
-        if self.at("==", "!=", "<", "<=", ">", ">="):
-            op = self.advance().type
-            return exprs.Binary(op, left, self.parse_arith())
-        return left
+    def check_height(self, height: int, tok: Token) -> None:
+        """Stop before building a tree taller than MAX_NESTING at operator tok."""
+        if height > MAX_NESTING:
+            raise _TooDeep(tok.span)
 
-    def parse_arith(self) -> exprs.Expr:
-        left = self.parse_term()
-        while self.at("+", "-"):
-            op = self.advance().type
-            left = exprs.Binary(op, left, self.parse_term())
-        return left
-
-    def parse_term(self) -> exprs.Expr:
-        left = self.parse_factor()
-        while self.at("*", "/"):
-            op = self.advance().type
-            left = exprs.Binary(op, left, self.parse_factor())
-        return left
-
-    def parse_factor(self) -> exprs.Expr:
+    def parse_factor(self) -> tuple[exprs.Expr, int]:
+        """A unary minus, literal, attribute or bracketed expression, with
+        its tree height."""
         if self.at("-"):
-            self.advance()
-            return exprs.Unary("-", self.parse_factor())
+            tok = self.advance()
+            self.nest(tok)
+            operand, height = self.parse_factor()
+            self.depth -= 1
+            self.check_height(height + 1, tok)
+            return exprs.Unary("-", operand), height + 1
         if self.at("INT", "DEC", "STRING"):
-            return exprs.Lit(self.advance().value)
+            return exprs.Lit(self.advance().value), 0
         if self.at("true"):
             self.advance()
-            return exprs.Lit(True)
+            return exprs.Lit(True), 0
         if self.at("false"):
             self.advance()
-            return exprs.Lit(False)
+            return exprs.Lit(False), 0
         if self.at("IDENT"):
-            return exprs.Attr(self.advance().text)
+            return exprs.Attr(self.advance().text), 0
         if self.at("("):
-            self.advance()
-            inner = self.parse_expr()
+            tok = self.advance()
+            self.nest(tok)
+            inner = self.parse_binary(1)
             self.expect(")")
+            self.depth -= 1
             return inner
         self.error(f"expected an expression, found '{self.cur.text or self.cur.type}'")
         self.advance()
-        return exprs.Lit(False)
+        return exprs.Lit(False), 0
 
 
 def parse(source: str, file: str = "<input>") -> tuple[ast.ModelAst, list[Diagnostic]]:

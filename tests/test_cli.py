@@ -360,3 +360,20 @@ def test_history_append_non_object_is_rejected(capsys, tmp_path):
     assert code == 1
     assert "append rejected: bad-record: expected a JSON object" in err
     assert log_path.read_text() == before
+
+
+def test_check_deep_nesting_exits_one_with_diagnostic(capsys, tmp_path):
+    model_path = tmp_path / "deep.fm"
+    model_path.write_text(
+        "thing t { n: int }\n"
+        "sphere s {\n"
+        "  machine m: t { create transfer }\n"
+        f"  flow s/m.create -> s/m.transfer when {'(' * 3000}n > 0{')' * 3000}\n"
+        "}\n"
+    )
+    code, out, err = run_cli(capsys, "check", str(model_path))
+    assert code == 1
+    assert out == ""
+    assert f"{model_path}:4:" in err
+    assert "error[nesting-too-deep]: nesting is deeper than 200 levels" in err
+    assert "Traceback" not in err and "RecursionError" not in err

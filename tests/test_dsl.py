@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fmkit.canon import CanonError, canonicalize, load_model
 from fmkit.model import Stage
-from fmkit.parser import parse
+from fmkit.parser import MAX_NESTING, parse
 from fmkit.printer import model_signature, print_model
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -154,3 +154,127 @@ def test_parse_never_raises(text):
     assert tree is not None
     for d in diags:
         assert d.span.start_line >= 1 and d.span.start_col >= 1
+
+
+# Nesting limit -------------------------------------------------------------
+#
+# Each shape below used to raise RecursionError somewhere between the parser
+# and the last recursive pass.  Past MAX_NESTING the parser reports one
+# nesting-too-deep diagnostic at the token that opens the level too many;
+# at the limit every pass still runs.
+
+
+def _deep_guard_model(guard: str) -> str:
+    return (
+        "thing t { n: int }\n"
+        "sphere s {\n"
+        "  machine m: t { create transfer }\n"
+        f"  flow s/m.create -> s/m.transfer when {guard} #a\n"
+        "}\n"
+    )
+
+
+def _deep_behavior_model(depth: int) -> str:
+    term = "e"
+    for _ in range(depth):
+        term = f"seq(e, {term})"
+    return (
+        "thing t\n"
+        "sphere s { machine m: t { create transfer } flow s/m.create -> s/m.transfer #a }\n"
+        "event e { region { #a } }\n"
+        f"behavior b {{ {term} }}\n"
+    )
+
+
+def _deep_sphere_model(depth: int) -> str:
+    path = "/".join(f"s{i}" for i in range(depth))
+    body = f"machine m: t {{ create transfer }}\nflow {path}/m.create -> {path}/m.transfer\n"
+    for i in reversed(range(depth)):
+        body = f"sphere s{i} {{\n{body}}}\n"
+    return "thing t\n" + body
+
+
+# shape -> (model at `depth`, levels the enclosing model adds, the token
+# that opens each level)
+DEEP_SHAPES = {
+    "seq": (_deep_behavior_model, 0, "seq"),
+    "spheres": (_deep_sphere_model, 0, "sphere"),
+    "parens": (lambda d: _deep_guard_model("(" * d + "n > 0" + ")" * d), 1, "("),
+    "not": (lambda d: _deep_guard_model("not " * d + "true"), 1, "not"),
+    "minus": (lambda d: _deep_guard_model("-" * d + "n > 0"), 1, "-"),
+    "flat-sum": (lambda d: _deep_guard_model(" + ".join(["n"] * d) + " > 0"), 0, "+"),
+}
+# Depths at which load_model raised RecursionError before the limit.
+FAILING_DEPTHS = {"seq": 2000, "spheres": 1500, "parens": 3000, "not": 3000, "minus": 3000, "flat-sum": 3000}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_deep_nesting_is_one_diagnostic_at_the_offending_token(shape):
+    make, _, opener = DEEP_SHAPES[shape]
+    source = make(FAILING_DEPTHS[shape])
+    model, diags = load_model(source, "deep.fm")
+    assert model is None
+    deep = [d for d in diags if d.code == "nesting-too-deep"]
+    assert len(deep) == 1
+    assert deep[0].message == f"nesting is deeper than {MAX_NESTING} levels"
+    span = deep[0].span
+    assert span.file == "deep.fm"
+    line = source.split("\n")[span.start_line - 1]
+    assert line[span.start_col - 1:].startswith(opener)
+    if shape != "spheres":
+        # Only a skipped sphere takes its labels with it.
+        assert diags == deep
+
+
+def test_deep_nesting_span_is_the_first_level_past_the_limit():
+    source = DEEP_SHAPES["parens"][0](3000)
+    (diag,) = load_model(source, "deep.fm")[1]
+    # The sphere opens one level, so the 200th bracket is one too many.
+    line = source.split("\n")[3]
+    assert (diag.span.start_line, diag.span.start_col) == (4, line.index("(") + MAX_NESTING)
+    sphere_source = _deep_sphere_model(1500)
+    (diag, *_) = load_model(sphere_source, "deep.fm")[1]
+    assert diag.span.start_line == 2 + MAX_NESTING  # 'thing t', then spheres s0..s200
+
+
+@pytest.mark.parametrize(
+    "guard,too_deep",
+    [
+        # Tree height counts every operator on the longest path.
+        ("not " + " + ".join(["n"] * 199) + " > 0", False),
+        ("not " + " + ".join(["n"] * 200) + " > 0", True),
+        ("-(" + " * ".join(["n"] * 199) + ") > 0", False),
+        ("-(" + " * ".join(["n"] * 200) + ") > 0", True),
+        ("(" * 150 + " + ".join(["n"] * 199) + ")" * 150 + " > 0", False),
+        (" + ".join(["(" + " + ".join(["n"] * 101) + ")"] * 100) + " > 0", False),
+        (" + ".join(["(" + " + ".join(["n"] * 101) + ")"] * 101) + " > 0", True),
+    ],
+    ids=["not-sum-200", "not-sum-201", "minus-product-200", "minus-product-201",
+         "bracketed-sum-200", "sum-of-sums-200", "sum-of-sums-201"],
+)
+def test_expression_height_counts_every_operator(guard, too_deep):
+    model, diags = load_model(_deep_guard_model(guard), "deep.fm")
+    assert [d.code for d in diags] == (["nesting-too-deep"] if too_deep else [])
+    assert (model is None) == too_deep
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_nesting_at_the_limit_runs_every_pass(shape):
+    from fmkit.behavior import compile_program
+    from fmkit.export import behavior_to_dot, model_to_dot
+    from fmkit.printer import render_chrono
+    from fmkit.validate import validate
+
+    make, enclosing, _ = DEEP_SHAPES[shape]
+    depth = MAX_NESTING - enclosing
+    model, diags = load_model(make(depth), "deep.fm")
+    assert model is not None, [d.render() for d in diags]
+    validate(model)
+    assert model_signature(canonicalize(parse(print_model(model))[0])) == model_signature(model)
+    model_to_dot(model)
+    model_to_dot(model, show_implicit=False)
+    for decl in model.behaviors:
+        render_chrono(decl.program)
+        behavior_to_dot(compile_program(decl.program))
+    _, too_deep = load_model(make(depth + 1), "deep.fm")
+    assert [d.code for d in too_deep][:1] == ["nesting-too-deep"]

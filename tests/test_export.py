@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -204,11 +205,7 @@ def _loose_lines(trace, rnd):
         items = list(event.to_json().items())
         rnd.shuffle(items)
         separators = rnd.choice([(",", ":"), (", ", ": "), (",", ": ")])
-        line = json.dumps(dict(items), separators=separators, ensure_ascii=False)
-        if rnd.random() < 0.5 or len(line.splitlines()) != 1:
-            # str.splitlines also breaks at U+0085, U+2028 and other
-            # separators that a raw string may hold; escape those lines.
-            line = json.dumps(dict(items), separators=separators)
+        line = json.dumps(dict(items), separators=separators, ensure_ascii=rnd.random() < 0.5)
         line = rnd.choice(["", " ", "\t"]) + line + rnd.choice(["", " ", "\t "])
         out.append(line + rnd.choice(["\n", "\r\n"]))
         if rnd.random() < 0.2:
@@ -220,7 +217,7 @@ def _loose_lines(trace, rnd):
 @given(st.lists(any_events, max_size=12), st.randoms(use_true_random=False))
 def test_read_trace_accepts_what_json_loads_accepts(trace, rnd):
     text = _loose_lines(trace, rnd)
-    expected = [TraceEvent(**json.loads(line)) for line in text.splitlines() if line.strip()]
+    expected = [TraceEvent(**json.loads(line)) for line in re.split("\r\n|\n", text) if line.strip()]
     assert expected == trace
     assert read_trace(text) == expected
 
@@ -240,6 +237,31 @@ def test_read_trace_malformed_line_keeps_decoder_message(bad_line, message):
         read_trace(f"{good}\n\n{bad_line}\n{good}\n")
     assert exc.value.line_no == 3
     assert f"line 3: not valid JSON: {message}" in str(exc.value)
+
+
+@pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"], ids=["nel", "ls", "ps"])
+def test_read_trace_keeps_raw_line_separator_inside_string(char):
+    # Valid JSON may hold these raw inside a string; only \n, \r\n and \r
+    # end a trace line.
+    trace = [
+        TraceEvent(0, "spawn", 1, f"k{char}", f"s/m{char}.create", None),
+        TraceEvent(1, "move", 1, "k", "s/m.process", f"a{char}b"),
+    ]
+    text = "\r\n".join(json.dumps(e.to_json(), ensure_ascii=False) for e in trace) + "\r\n"
+    assert text.count(char) == 3
+    assert read_trace(text) == trace
+
+
+@pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x0b", "\x0c"])
+def test_read_trace_raw_control_character_is_an_error_on_its_line(char):
+    # A raw control character inside a JSON string is the decoder's error,
+    # reported at the line that holds it rather than as a string cut short.
+    good = '{"action":"quiescent","arc":null,"at":null,"kind":null,"thing":null,"tick":0}'
+    bad = f'{{"action":"move","arc":"a{char}b","at":null,"kind":null,"thing":1,"tick":0}}'
+    with pytest.raises(TraceParseError) as exc:
+        read_trace(f"{good}\n\n{bad}\n{good}\n")
+    assert exc.value.line_no == 3
+    assert str(exc.value).startswith("line 3: not valid JSON: Invalid control character")
 
 
 def test_trace_event_is_a_named_tuple():

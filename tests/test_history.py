@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+from datetime import datetime, timedelta, timezone
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ledger_reference import ReferenceLog
+
+from fmkit import history, jsonl
 from fmkit.history import (
     AppendError,
     HistoryError,
@@ -204,3 +209,147 @@ def test_installed_at_matches_linear_scan(moves, probe_hour):
     if not log.records:
         return
     assert log.installed_at("S", when) == naive_installed_at(log.records, when)
+
+
+# Differential gate: the indexed ledger against the brute-force reference.
+
+LEDGER_SLOTS = ["P1", "P2", "V3"]
+LEDGER_UNITS = ["u1", "u2", "u3"]
+# The same instant written four ways; naive stamps are taken as UTC.
+STAMP_FORMS = [
+    "2024-01-01T00:{:02d}:00Z",
+    "2024-01-01T00:{:02d}:00+00:00",
+    "2024-01-01T01:{:02d}:00+01:00",
+    "2024-01-01T00:{:02d}:00",
+]
+LEDGER_START = parse_timestamp("2024-01-01T00:00:00Z")
+NEXT_ACTION = {None: "receive", "receive": "install", "install": "remove", "remove": "receive"}
+
+
+@st.composite
+def ledger_record(draw, ref, drawn):
+    """A record for the next append: an exact repeat of an earlier draw, a
+    fully random record (most break some lifecycle rule), or the unit's
+    next lifecycle step, dated at or just after the slot's last record
+    (in-order and tied appends) or anywhere (late-arriving records)."""
+    kind = draw(st.sampled_from(["repeat", "random", "next", "next"]))
+    if kind == "repeat" and drawn:
+        return draw(st.sampled_from(drawn))
+    slot = draw(st.sampled_from(LEDGER_SLOTS))
+    unit = draw(st.sampled_from(LEDGER_UNITS))
+    if kind == "random":
+        action = draw(st.sampled_from(["receive", "install", "remove"]))
+        minute = draw(st.integers(0, 59))
+    else:
+        timeline = ref.timeline(slot) if slot in ref.slots() else []
+        last = None
+        for r in timeline:
+            if r.unit == unit:
+                last = r.action
+        action = NEXT_ACTION[last]
+        end = int((timeline[-1].timestamp - LEDGER_START).total_seconds() // 60) if timeline else 0
+        minute = draw(st.integers(end, min(end + 3, 59)) | st.integers(0, 59))
+    return rec(
+        slot, unit, action, draw(st.sampled_from(STAMP_FORMS)).format(minute),
+        performer=draw(st.sampled_from(["al", "bo"])), note=draw(st.sampled_from([None, "spare"])),
+    )
+
+
+def append_outcome(log, record):
+    try:
+        log.append(record)
+    except AppendError as exc:
+        return exc.code, str(exc)
+    return "accepted"
+
+
+def assert_same_ledger(log, ref):
+    assert log.records == tuple(ref.records)
+    assert log.slots() == ref.slots()
+    assert log.to_lines() == ref.to_lines()
+    for slot in LEDGER_SLOTS:
+        if slot not in ref.slots():
+            with pytest.raises(UnknownSlotError):
+                log.timeline(slot)
+            with pytest.raises(UnknownSlotError):
+                log.installed_at(slot, "2024-01-01T00:00:00Z")
+            continue
+        timeline = ref.timeline(slot)
+        assert log.timeline(slot) == timeline
+        probes = [timeline[0].timestamp - timedelta(days=1)]
+        for r in timeline:
+            probes += [r.at, r.timestamp, r.timestamp - timedelta(seconds=30), r.timestamp + timedelta(seconds=30)]
+        for probe in probes:
+            assert log.installed_at(slot, probe) == ref.installed_at(slot, probe), (slot, probe)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ledger_matches_brute_force_reference(data):
+    log, ref = ReplacementLog(), ReferenceLog()
+    drawn: list[ReplacementRecord] = []
+    for _ in range(data.draw(st.integers(1, 30), label="appends")):
+        record = data.draw(ledger_record(ref, drawn))
+        drawn.append(record)
+        assert append_outcome(log, record) == append_outcome(ref, record)
+        assert_same_ledger(log, ref)
+
+
+def test_timeline_is_a_copy():
+    log = pump_log()
+    log.timeline("P101").clear()
+    assert len(log.timeline("P101")) == 5
+
+
+def test_in_order_load_parses_each_stamp_at_most_twice(monkeypatch):
+    # Loading N in-order records must parse each stamp a fixed number of
+    # times (once to validate the record, once to place it), however large
+    # its slot grows; the brute-force algorithm re-parses the whole slot on
+    # every append.
+    n, slots = 5000, 4
+    start = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    objects = []
+    for k in range(n):
+        slot, step = f"S{k % slots}", k // slots
+        objects.append(rec(
+            slot, f"{slot}-u{step // 3}", ("receive", "install", "remove")[step % 3],
+            (start + timedelta(minutes=k)).isoformat(),
+        ).to_json())
+    text = jsonl.lines(objects)
+    calls = 0
+    real = history.parse_timestamp
+
+    def counting(stamp):
+        nonlocal calls
+        calls += 1
+        return real(stamp)
+
+    monkeypatch.setattr(history, "parse_timestamp", counting)
+    log = ReplacementLog.from_lines(text)
+    assert len(log.records) == n
+    assert calls <= 2 * n
+
+
+@pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"], ids=["nel", "ls", "ps"])
+def test_from_lines_keeps_raw_line_separator_inside_string(char):
+    # Valid JSON may hold these raw inside a string; only \n, \r\n and \r
+    # end a ledger line.
+    first = jsonl.dumps(rec("P101", f"pump{char}1", "receive", "2021-03-01T08:00:00Z").to_json())
+    second = jsonl.dumps(rec("P101", f"pump{char}1", "install", "2021-03-02T08:00:00Z").to_json())
+    text = first.replace("\\u" + f"{ord(char):04x}", char) + "\r\n\n" + second + "\n"
+    assert char in text
+    log = ReplacementLog.from_lines(text)
+    assert [r.unit for r in log.records] == [f"pump{char}1"] * 2
+    assert log.installed_at("P101", "2022-01-01T00:00:00Z") == f"pump{char}1"
+
+
+@pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x0b", "\x0c"])
+def test_from_lines_raw_control_character_is_an_error_on_its_line(char):
+    # A raw control character inside a JSON string is the decoder's error,
+    # reported at the line that holds it rather than as a string cut short.
+    good = jsonl.dumps(rec("P101", "pump-1", "receive", "2021-03-01T08:00:00Z").to_json())
+    bad = jsonl.dumps(rec("P101", "pump-2", "receive", "2021-03-02T08:00:00Z").to_json())
+    bad = bad.replace('"pump-2"', f'"pump{char}2"')
+    with pytest.raises(HistoryError) as exc:
+        ReplacementLog.from_lines(f"{good}\n\n{bad}\n{good}\n")
+    assert str(exc.value).startswith("bad-record: line 3: not valid JSON: Invalid control character")
