@@ -10,6 +10,7 @@ the automaton: a trace conforms while no occurrence deviates from it
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from . import ast
@@ -214,8 +215,8 @@ class _NfaBuilder:
 
     def _shuffle(self, a: _Fragment, b: _Fragment) -> _Fragment:
         """Free interleaving of two fragments (both must complete)."""
-        da = self._determinize_fragment(a)
-        db = self._determinize_fragment(b)
+        rows_a, finals_a = _determinize(self.edges, a.start, a.finals)
+        rows_b, finals_b = _determinize(self.edges, b.start, b.finals)
         mapping: dict[tuple[int, int], int] = {}
 
         def get(pair: tuple[int, int]) -> int:
@@ -223,77 +224,93 @@ class _NfaBuilder:
                 mapping[pair] = self.node()
             return mapping[pair]
 
-        start = get((da["start"], db["start"]))
-        pairs = [(da["start"], db["start"])]
+        start = get((0, 0))
+        pairs = [(0, 0)]
         seen = {pairs[0]}
         while pairs:
             pa, pb = pairs.pop()
             src = get((pa, pb))
-            for (label, watcher), dst in sorted(da["trans"].get(pa, {}).items()):
+            for label, dst, watcher in rows_a[pa]:
                 nxt = (dst, pb)
                 self.edge(src, label, get(nxt), watcher)
                 if nxt not in seen:
                     seen.add(nxt)
                     pairs.append(nxt)
-            for (label, watcher), dst in sorted(db["trans"].get(pb, {}).items()):
+            for label, dst, watcher in rows_b[pb]:
                 nxt = (pa, dst)
                 self.edge(src, label, get(nxt), watcher)
                 if nxt not in seen:
                     seen.add(nxt)
                     pairs.append(nxt)
-        finals = frozenset(
-            get((x, y)) for (x, y) in seen if x in da["finals"] and y in db["finals"]
-        )
+        finals = frozenset(get((x, y)) for (x, y) in seen if x in finals_a and y in finals_b)
         nodes = frozenset(mapping.values())
         return _Fragment(start, finals, nodes)
 
-    def _determinize_fragment(self, frag: _Fragment) -> dict:
-        """Subset-construct one fragment in isolation (for shuffle products)."""
-        closure = _closures(self.edges, frag.nodes)
-        start_set = closure[frag.start]
-        states: dict[frozenset[int], int] = {start_set: 0}
-        trans: dict[int, dict[tuple[str, bool], int]] = {}
-        queue = [start_set]
-        counter = 1
-        while queue:
-            current = queue.pop(0)
-            sid = states[current]
-            by_label: dict[str, tuple[set[int], bool]] = {}
-            for (s, label, d, w) in self.edges:
-                if label is None or s not in current or s not in frag.nodes:
-                    continue
-                targets, watcher = by_label.get(label, (set(), False))
-                targets |= closure[d]
-                by_label[label] = (targets, watcher or w)
-            for label in sorted(by_label):
-                targets, watcher = by_label[label]
-                key = frozenset(targets)
-                if key not in states:
-                    states[key] = counter
-                    counter += 1
-                    queue.append(key)
-                trans.setdefault(sid, {})[(label, watcher)] = states[key]
-        finals = {sid for subset, sid in states.items() if subset & frag.finals}
-        return {"start": states[start_set], "trans": trans, "finals": finals}
 
+def _determinize(
+    edges: list, start: int, finals: frozenset[int]
+) -> tuple[list[list[tuple[str, int, bool]]], set[int]]:
+    """Subset construction (Rabin and Scott, 1959) of the NFA part reachable
+    from ``start``.  States are numbered breadth-first from the start
+    subset (state 0), a subset's successors in label order.  Returns, per state, its
+    ``(label, target, watcher)`` rows in label order, and the accepting
+    states.  A transition is a watcher one when any NFA edge behind it is.
 
-def _closures(edges: list, restrict: frozenset[int]) -> dict[int, frozenset[int]]:
-    eps: dict[int, set[int]] = {}
-    for (s, label, d, _) in edges:
-        if label is None and s in restrict and d in restrict:
-            eps.setdefault(s, set()).add(d)
-    out: dict[int, frozenset[int]] = {}
-    for node in restrict:
-        seen = {node}
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            for nxt in eps.get(cur, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        out[node] = frozenset(seen)
-    return out
+    Labelled edges are indexed by source once, so a subset costs the edges
+    out of its members, not every edge of the NFA.  A fragment being
+    shuffled needs no restriction to its nodes: its nodes are fresh, and
+    the edges that will join it to the rest are added after the shuffle.
+    """
+    eps: dict[int, list[int]] = {}
+    out: dict[int, list[tuple[str, int, bool]]] = {}
+    for (s, label, d, w) in edges:
+        if label is None:
+            eps.setdefault(s, []).append(d)
+        else:
+            out.setdefault(s, []).append((label, d, w))
+    closure: dict[int, frozenset[int]] = {}
+
+    def close(node: int) -> frozenset[int]:
+        found = closure.get(node)
+        if found is None:
+            seen = {node}
+            stack = [node]
+            while stack:
+                for nxt in eps.get(stack.pop(), ()):
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+            found = closure[node] = frozenset(seen)
+        return found
+
+    # Per NFA node: its labelled edges with each target's closure.
+    moves = {s: [(label, close(d), w) for (label, d, w) in row] for s, row in out.items()}
+    start_set = close(start)
+    states: dict[frozenset[int], int] = {start_set: 0}
+    order = [start_set]
+    rows: list[list[tuple[str, int, bool]]] = []
+    for subset in order:  # grows while it is walked: breadth-first
+        by_label: dict[str, list] = {}
+        for s in subset:
+            for label, targets, w in moves.get(s, ()):
+                entry = by_label.get(label)
+                if entry is None:
+                    by_label[label] = [set(targets), w]
+                else:
+                    entry[0] |= targets
+                    entry[1] = entry[1] or w
+        row = []
+        for label in sorted(by_label):
+            targets, watcher = by_label[label]
+            key = frozenset(targets)
+            sid = states.get(key)
+            if sid is None:
+                sid = states[key] = len(order)
+                order.append(key)
+            row.append((label, sid, watcher))
+        rows.append(row)
+    accepting = {sid for sid, subset in enumerate(order) if not finals.isdisjoint(subset)}
+    return rows, accepting
 
 
 @dataclass(frozen=True)
@@ -307,8 +324,17 @@ class BehaviorAutomaton:
     accepting: frozenset[int]
     watcher_edges: frozenset[tuple[int, str]]
 
+    @cached_property
+    def labels_at(self) -> dict[int, tuple[str, ...]]:
+        """The event labels each state allows, sorted; built on first use.
+        States with no way out are absent."""
+        table: dict[int, list[str]] = {}
+        for state, label in self.transitions:
+            table.setdefault(state, []).append(label)
+        return {state: tuple(sorted(labels)) for state, labels in table.items()}
+
     def allowed(self, state: int) -> list[str]:
-        return sorted(label for (s, label) in self.transitions if s == state)
+        return list(self.labels_at.get(state, ()))
 
     def step(self, state: int, label: str) -> Optional[int]:
         return self.transitions.get((state, label))
@@ -323,51 +349,21 @@ class BehaviorAutomaton:
             state = nxt
         return state in self.accepting
 
-    def matches_prefix(self, labels: Sequence[str]) -> bool:
-        state = self.start
-        for label in labels:
-            nxt = self.step(state, label)
-            if nxt is None:
-                return False
-            state = nxt
-        return True
-
 
 def compile_program(program: Chrono, event_names: Optional[Iterable[str]] = None) -> BehaviorAutomaton:
     """Compile a chronology tree to its deterministic automaton."""
     known = set(event_names) if event_names is not None else None
     builder = _NfaBuilder()
     frag = builder.build(program, known)
-    closure = _closures(builder.edges, frozenset(range(builder.next_node)))
-
-    start_set = closure[frag.start]
-    states: dict[frozenset[int], int] = {start_set: 0}
-    order: list[frozenset[int]] = [start_set]
+    rows, accepting = _determinize(builder.edges, frag.start, frag.finals)
     transitions: dict[tuple[int, str], int] = {}
     watcher_edges: set[tuple[int, str]] = set()
-    index = 0
-    while index < len(order):
-        subset = order[index]
-        sid = states[subset]
-        index += 1
-        by_label: dict[str, tuple[set[int], bool]] = {}
-        for (s, label, d, w) in builder.edges:
-            if label is None or s not in subset:
-                continue
-            targets, watcher = by_label.get(label, (set(), False))
-            targets |= closure[d]
-            by_label[label] = (targets, watcher or w)
-        for label in sorted(by_label):
-            targets, watcher = by_label[label]
-            key = frozenset(targets)
-            if key not in states:
-                states[key] = len(order)
-                order.append(key)
-            transitions[(sid, label)] = states[key]
+    for sid, row in enumerate(rows):
+        for label, dst, watcher in row:
+            transitions[(sid, label)] = dst
             if watcher:
                 watcher_edges.add((sid, label))
-    accepting = frozenset(states[subset] for subset in order if subset & frag.finals)
-    return BehaviorAutomaton(len(order), states[start_set], transitions, accepting, frozenset(watcher_edges))
+    return BehaviorAutomaton(len(rows), 0, transitions, frozenset(accepting), frozenset(watcher_edges))
 
 
 # Conformance ----------------------------------------------------------------
@@ -435,10 +431,7 @@ class EnforcementGate:
         for e in events:
             for label in e.region.arc_labels:
                 self._owners.setdefault(label, set()).add(e.name)
-        # The event labels each automaton state allows, built once.
-        self._allowed: dict[int, set[str]] = {}
-        for state, label in automaton.transitions:
-            self._allowed.setdefault(state, set()).add(label)
+        self._labels_at = automaton.labels_at
         self.occurrences: list[Occurrence] = []
 
     def permits(self, arc_label: str) -> bool:
@@ -447,7 +440,7 @@ class EnforcementGate:
             return True
         if self.dead:
             return False
-        return not owners.isdisjoint(self._allowed.get(self.state, ()))
+        return not owners.isdisjoint(self._labels_at.get(self.state, ()))
 
     def observe(self, event: TraceEvent) -> None:
         for occ in sorted(self.scanner.feed(event), key=lambda o: o.event):

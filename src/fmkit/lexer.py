@@ -1,7 +1,8 @@
 """Tokenizer for the .fm model language and .fms scenario files."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, SourceSpan, error
 
@@ -14,18 +15,43 @@ KEYWORDS = {
     "inject", "at", "tick",
 }
 
-# Longest symbols first so '->' wins over '-' and '==' over '='.
-SYMBOLS = ["->", "=>", "==", "!=", "<=", ">=", "{", "}", "(", ")", ",", ":",
-           "=", "<", ">", "+", "-", "*", "/", "."]
+# One alternative per token class, each a single capturing group, so
+# ``match.lastindex`` names the class.  Blanks before a token are skipped by
+# the same match; only '\n' ends a line.  A number is a run of decimal
+# digits (``\d`` is Unicode Nd, what ``int()`` reads).  ``\w`` is
+# ``str.isalnum()`` or '_', but an identifier must start with a letter or
+# '_', which no character class here can say: a word starting otherwise
+# (say '²') is checked by hand.  Longest symbols first so '->' wins over '-'.
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+    ([A-Za-z_]\w*)                              # 1 ASCII-initial word
+  | (//[^\n]*)                                  # 2 comment
+  | (->|=>|==|!=|<=|>=|[{}(),:=<>+\-*/.])       # 3 symbol
+  | (\n)                                        # 4 line end
+  | (\#[A-Za-z0-9_.]*)                          # 5 label
+  | (\d+\.\d+)                                  # 6 DEC
+  | (\d+)                                       # 7 INT
+  | ("(?:[^"\\\n]|\\["\\]?)*"?)                 # 8 string, maybe unterminated
+  | (\w+)                                       # 9 other word
+  | ([^ \t\r])                                  # 10 anything else
+)""", re.VERBOSE)
+_ESCAPE = re.compile(r'\\(["\\])')
 
-LABEL_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.")
 
+class Token(NamedTuple):
+    """One token on one line, columns 1-based and inclusive.  A tuple is the
+    cheapest record to build per token; the parser asks few of them for a
+    ``span``, which is built on demand."""
 
-@dataclass(frozen=True)
-class Token:
     type: str  # keyword/symbol literal, or IDENT, INT, DEC, STRING, LABEL, EOF
     text: str
-    span: SourceSpan
+    file: str
+    line: int
+    col: int
+    end_col: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.file, self.line, self.col, self.line, self.end_col)
 
     @property
     def value(self):
@@ -33,8 +59,6 @@ class Token:
             return int(self.text)
         if self.type == "DEC":
             return float(self.text)
-        if self.type == "STRING":
-            return self.text
         return self.text
 
 
@@ -42,97 +66,59 @@ def tokenize(source: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
     """Total tokenizer: bad characters become diagnostics, never exceptions."""
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    line, col, i = 1, 1, 0
-    n = len(source)
+    add = tokens.append
+    new = tuple.__new__  # skips NamedTuple's Python-level __new__
+    match = _TOKEN.match
+    keywords = KEYWORDS
+    line, line_start, pos = 1, 0, 0
 
-    def span(l0: int, c0: int) -> SourceSpan:
-        return SourceSpan(file, l0, c0, line, max(col - 1, c0))
+    def lex_error(message: str, col: int, end_col: int) -> None:
+        diags.append(error("lex-error", message, SourceSpan(file, line, col, line, end_col)))
 
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    while True:
+        m = match(source, pos)
+        if m is None:  # only blanks are left
+            break
+        kind = m.lastindex
+        text = m[kind]
+        pos = m.end()
+        end_col = pos - line_start
+        col = end_col - len(text) + 1
+        if kind == 1:
+            add(new(Token, (text if text in keywords else "IDENT", text, file, line, col, end_col)))
+        elif kind == 3:
+            add(new(Token, (text, text, file, line, col, end_col)))
+        elif kind == 4:
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        l0, c0 = line, col
-        if ch == "#":
-            i += 1
-            col += 1
-            start = i
-            while i < n and source[i] in LABEL_CHARS:
-                i += 1
-                col += 1
-            if i == start:
-                diags.append(error("lex-error", "expected a label after '#'", span(l0, c0)))
-                continue
-            tokens.append(Token("LABEL", source[start:i], span(l0, c0)))
-            continue
-        if ch == '"':
-            i += 1
-            col += 1
-            buf = []
-            closed = False
-            while i < n:
-                c = source[i]
-                if c == "\n":
-                    break
-                i += 1
-                col += 1
-                if c == '"':
-                    closed = True
-                    break
-                if c == "\\" and i < n and source[i] in '"\\':
-                    buf.append(source[i])
-                    i += 1
-                    col += 1
-                else:
-                    buf.append(c)
-            if not closed:
-                diags.append(error("lex-error", "unterminated string literal", span(l0, c0)))
-            tokens.append(Token("STRING", "".join(buf), span(l0, c0)))
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-                col += 1
-            if i + 1 < n and source[i] == "." and source[i + 1].isdigit():
-                i += 1
-                col += 1
-                while i < n and source[i].isdigit():
-                    i += 1
-                    col += 1
-                tokens.append(Token("DEC", source[start:i], span(l0, c0)))
+            line_start = pos
+        elif kind == 5:
+            if len(text) == 1:
+                lex_error("expected a label after '#'", col, end_col)
             else:
-                tokens.append(Token("INT", source[start:i], span(l0, c0)))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-                col += 1
-            text = source[start:i]
-            tokens.append(Token(text if text in KEYWORDS else "IDENT", text, span(l0, c0)))
-            continue
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                i += len(sym)
-                col += len(sym)
-                tokens.append(Token(sym, sym, span(l0, c0)))
-                break
-        else:
-            diags.append(error("lex-error", f"unexpected character {ch!r}", span(l0, c0)))
-            i += 1
-            col += 1
-    tokens.append(Token("EOF", "", SourceSpan(file, line, col, line, col)))
+                add(new(Token, ("LABEL", text[1:], file, line, col, end_col)))
+        elif kind == 6 or kind == 7:
+            add(new(Token, ("DEC" if kind == 6 else "INT", text, file, line, col, end_col)))
+        elif kind == 8:
+            body = text[1:]
+            # Closed when it ends in a '"' that no backslash escapes: the
+            # backslashes before that '"' pair off, so there is an even run.
+            escapes = len(body) - 1 - len(body[:-1].rstrip("\\"))
+            if body[-1:] == '"' and escapes % 2 == 0:
+                body = body[:-1]
+            else:
+                lex_error("unterminated string literal", col, end_col)
+            if "\\" in body:
+                body = _ESCAPE.sub(r"\1", body)
+            add(new(Token, ("STRING", body, file, line, col, end_col)))
+        elif kind == 9:
+            if text[0].isalpha():
+                add(new(Token, (text if text in keywords else "IDENT", text, file, line, col, end_col)))
+            else:  # rescan after the first character
+                lex_error(f"unexpected character {text[0]!r}", col, col)
+                pos -= len(text) - 1
+        elif kind == 10:
+            lex_error(f"unexpected character {text!r}", col, end_col)
+        # kind 2, a comment, yields nothing.
+    eof_col = len(source) - line_start + 1
+    tokens.append(Token("EOF", "", file, line, eof_col, eof_col))
     return tokens, diags

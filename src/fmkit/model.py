@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from typing import Iterator, Optional, Sequence, Union
 
 from .exprs import Expr
@@ -428,12 +429,14 @@ def subdiagram(model: Model, labels: Sequence[str]) -> Region:
     return Region(frozenset(arc_labels), frozenset(stages), frozenset(flow_labels))
 
 
-def shortest_chain(src_stage: Stage, dst_stage: Stage, same_machine: bool) -> Optional[list[tuple[int, Stage]]]:
+@cache
+def shortest_chain(src_stage: Stage, dst_stage: Stage, same_machine: bool) -> Optional[tuple[tuple[int, Stage], ...]]:
     """Unique shortest legal stage chain between two endpoints.
 
     Nodes are (machine-side, stage) with side 0 = source machine and side 1 =
     destination machine; for same-machine arcs only side 0 exists.  Returns
-    the node list including both ends, or None when no legal chain exists.
+    the node tuple including both ends, or None when no legal chain exists.
+    There are only 5 x 5 x 2 inputs, so each answer is computed once.
     Raises ModelError if several shortest chains tie (the legality table is
     built so that this cannot happen; a meta-test asserts it).
     """
@@ -474,4 +477,4 @@ def shortest_chain(src_stage: Stage, dst_stage: Stage, same_machine: bool) -> Op
         raise ModelError(
             f"ambiguous expansion {src_stage}->{dst_stage} (same_machine={same_machine})"
         )
-    return paths[0]
+    return tuple(paths[0])

@@ -273,24 +273,19 @@ class _Parser:
         if first is None:
             return None
         segments = [first.text]
-        last_span = first.span
         while self.at("/"):
             self.advance()
             seg = self.expect("IDENT", "a path segment")
             if seg is None:
                 return None
             segments.append(seg.text)
-            last_span = seg.span
         if self.expect(".", "'.' before the stage") is None:
             return None
         if self.cur.type not in STAGE_KEYWORDS:
             self.error(f"expected a stage name, found '{self.cur.text or self.cur.type}'")
             return None
         stage_tok = self.advance()
-        span = SourceSpan(
-            first.span.file, first.span.start_line, first.span.start_col,
-            stage_tok.span.end_line, stage_tok.span.end_col,
-        )
+        span = SourceSpan(first.file, first.line, first.col, stage_tok.line, stage_tok.end_col)
         return ast.EndpointRef(tuple(segments), STAGES_BY_NAME[stage_tok.text], span)
 
     def parse_arc(self) -> Optional[ast.ArcDecl]:

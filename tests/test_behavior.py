@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import automaton_reference
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_corpus_scenario
 from fuzz import random_tvm_scenario
@@ -166,9 +169,58 @@ def test_choice_exclusivity():
     automaton = compile_program(program, {"a", "b", "c", "d"})
     assert automaton.accepts(["a", "b"])
     assert automaton.accepts(["c", "d"])
-    # No accepted word mixes children of one choice.
-    assert not automaton.matches_prefix(["a", "d"])
-    assert not automaton.matches_prefix(["c", "b"])
+    # No accepted word mixes children of one choice: neither word is even a
+    # prefix, the automaton has no step for its second event.
+    for first, second in (("a", "d"), ("c", "b")):
+        state = automaton.step(automaton.start, first)
+        assert state is not None and automaton.step(state, second) is None
+
+
+# The subset construction against the scan-all-edges reference compiler.
+
+EVENT_NAMES = ("a", "b", "c", "d")
+MAX_LEAVES = 8  # a par of n events has 2**n states
+
+
+@st.composite
+def chrono_trees(draw, depth: int = 4):
+    """Random chronology trees of every node kind, at most ``depth`` deep;
+    a budget of about MAX_LEAVES event references keeps par products small."""
+    budget = [MAX_LEAVES]
+
+    def node(level: int):
+        kind = "ref" if level == depth or budget[0] <= 1 else draw(
+            st.sampled_from(("ref", "seq", "choice", "par", "repeat", "interrupt"))
+        )
+        if kind == "ref":
+            budget[0] -= 1
+            return Ref(draw(st.sampled_from(EVENT_NAMES)))
+        if kind == "repeat":
+            return Repeat(node(level + 1), draw(st.booleans()))
+        if kind == "interrupt":
+            return Interrupt(node(level + 1), node(level + 1), node(level + 1))
+        children = tuple(node(level + 1) for _ in range(draw(st.integers(2, 3))))
+        return {"seq": Seq, "choice": Choice, "par": Par}[kind](children)
+
+    return node(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chrono_trees())
+def test_compile_matches_scan_all_edges_reference(program):
+    automaton = compile_program(program, EVENT_NAMES)
+    assert automaton == automaton_reference.compile_program(program, EVENT_NAMES)
+    for state in range(automaton.n_states):
+        expected = sorted(label for (s, label) in automaton.transitions if s == state)
+        assert automaton.allowed(state) == expected
+
+
+def test_static_par_of_five_seqs_pins_states_and_transitions():
+    program = Par(tuple(Seq(tuple(Ref(f"e{b}{k}") for k in range(3))) for b in range(5)))
+    automaton = compile_program(program)
+    assert automaton.n_states == 4 ** 5 == 1024
+    assert len(automaton.transitions) == 3840
+    assert automaton == automaton_reference.compile_program(program)
 
 
 # Conformance ------------------------------------------------------------------

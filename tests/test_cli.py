@@ -377,3 +377,48 @@ def test_check_deep_nesting_exits_one_with_diagnostic(capsys, tmp_path):
     assert f"{model_path}:4:" in err
     assert "error[nesting-too-deep]: nesting is deeper than 200 levels" in err
     assert "Traceback" not in err and "RecursionError" not in err
+
+
+# Superscripts and other digits that are not decimal used to start a number
+# that int() or float() then refused, ending in a ValueError traceback.
+
+SMALL_MODEL = (
+    "thing t { n: int = 0 }\n"
+    "sphere s {\n"
+    "  machine m: t { create transfer }\n"
+    "  flow s/m.create -> s/m.transferGUARD #f\n"
+    "}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source,where",
+    [
+        ("thing t { a: int = ² }\n", ":1:20:"),
+        ("thing t { a: dec = 1.² }\n", ":1:22:"),
+        (SMALL_MODEL.replace("GUARD", " when n > ²"), ":4:44:"),
+    ],
+    ids=["int-default", "dec-default", "guard"],
+)
+def test_check_non_decimal_digit_is_a_lex_error(capsys, tmp_path, source, where):
+    model_path = tmp_path / "m.fm"
+    model_path.write_text(source, encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(model_path))
+    assert code == 1
+    assert out == ""
+    assert f"{model_path}{where} error[lex-error]: unexpected character '²'" in err
+    assert "Traceback" not in err and "ValueError" not in err
+
+
+def test_sim_non_decimal_tick_is_a_lex_error(capsys, tmp_path):
+    # Scenario problems are usage errors: sim exits 2 for them, as for any
+    # other bad scenario.
+    model_path = tmp_path / "m.fm"
+    model_path.write_text(SMALL_MODEL.replace("GUARD", ""), encoding="utf-8")
+    scenario = tmp_path / "s.fms"
+    scenario.write_text("inject t at s/m.create tick ²\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "sim", str(model_path), "--scenario", str(scenario))
+    assert code == 2
+    assert out == ""
+    assert f"{scenario}:1:29: error[lex-error]: unexpected character '²'" in err
+    assert "Traceback" not in err and "ValueError" not in err
