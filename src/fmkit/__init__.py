@@ -10,9 +10,9 @@ from .model import (
     resolve_endpoint,
     subdiagram,
 )
-from .parser import parse
+from .parser import parse, parse_scenario
 from .printer import model_signature, print_model
-from .simulate import Scenario, SimConfig, Simulation, eval_guard, parse_scenario, run
+from .simulate import Scenario, SimConfig, Simulation, eval_guard, run
 from .validate import validate
 
 __version__ = "0.1.0"

@@ -1,12 +1,12 @@
-"""Syntax tree produced by the parser, before canonicalization."""
+"""Syntax trees produced by the parser: models before canonicalization, and scenarios."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .diagnostics import SourceSpan
-from .exprs import Expr
-from .model import Chrono, Stage
+from .exprs import Expr, Value
+from .model import Chrono, Endpoint, Stage
 
 
 @dataclass(frozen=True)
@@ -93,3 +93,17 @@ class ModelAst:
             if k.name == name:
                 return k
         return None
+
+
+@dataclass(frozen=True)
+class Injection:
+    tick: int
+    kind: str
+    target: Endpoint
+    attrs: tuple[tuple[str, Value], ...]
+    span: Optional[SourceSpan] = field(default=None, compare=False)  # the 'inject' token
+
+
+@dataclass(frozen=True)
+class Scenario:
+    injections: tuple[Injection, ...] = ()

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from . import ast
 from .model import (
     Choice,
     Chrono,
@@ -24,8 +23,6 @@ from .model import (
     Ref,
     Repeat,
     Seq,
-    subdiagram,
-    UnknownLabelError,
 )
 from .simulate import TraceEvent
 
@@ -34,17 +31,6 @@ class BehaviorError(Exception):
     def __init__(self, code: str, message: str) -> None:
         super().__init__(message)
         self.code = code
-
-
-def build_event(model: Model, decl: ast.EventDecl) -> EventDef:
-    """Resolve an event declaration's region labels into an EventDef."""
-    try:
-        region = subdiagram(model, decl.labels)
-    except UnknownLabelError as exc:
-        raise BehaviorError("unknown-label", str(exc)) from exc
-    if region.is_empty:
-        raise BehaviorError("empty-region", f"event '{decl.name}' has an empty region")
-    return EventDef(decl.name, region)
 
 
 @dataclass(frozen=True)

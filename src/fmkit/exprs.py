@@ -63,6 +63,12 @@ class Binary:
 Expr = Union[Lit, Attr, Unary, Binary]
 
 
+def assignable(value_type: str, target_type: str) -> bool:
+    """Whether a value of value_type may be stored in an attribute of
+    target_type: the same type, or an int into a dec."""
+    return value_type == target_type or (value_type == "int" and target_type == "dec")
+
+
 def typecheck(expr: Expr, attr_types: Mapping[str, str]) -> str:
     """Return the expression's type, or raise TypeError_ naming the problem."""
     if isinstance(expr, Lit):
@@ -162,7 +168,13 @@ def render(expr: Expr, parent_prec: int = 0) -> str:
         if isinstance(v, str):
             escaped = v.replace("\\", "\\\\").replace('"', '\\"')
             return f'"{escaped}"'
-        return repr(v)
+        text = repr(v)
+        if isinstance(v, float) and "e" in text:  # positional, as the lexer reads it
+            from decimal import Decimal
+
+            text = f"{Decimal(text):f}"
+            return text if "." in text else text + ".0"
+        return text
     if isinstance(expr, Attr):
         return expr.name
     if isinstance(expr, Unary):

@@ -177,10 +177,6 @@ class FlowArc:
     def is_chain_head(self) -> bool:
         return self.index == 0
 
-    @property
-    def is_chain_tail(self) -> bool:
-        return self.index == self.chain_len - 1
-
 
 @dataclass
 class TriggerArc:

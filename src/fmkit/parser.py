@@ -1,4 +1,4 @@
-"""Recursive-descent parser for .fm sources.
+"""Recursive-descent parser for .fm models and .fms scenarios.
 
 Parsing is total: every failure becomes a diagnostic and the parser
 resynchronizes, so callers always get an AST (possibly partial) plus the
@@ -14,17 +14,19 @@ can overflow the stack.
 """
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from . import ast, exprs
 from .diagnostics import Diagnostic, SourceSpan, error
 from .lexer import Token, tokenize
-from .model import Chrono, Choice, Interrupt, Par, Ref, Repeat, Seq, Stage, STAGES_BY_NAME
+from .model import Chrono, Choice, Endpoint, Interrupt, Par, Ref, Repeat, Seq, Stage, STAGES_BY_NAME
 
 STAGE_KEYWORDS = set(STAGES_BY_NAME)
 ITEM_KEYWORDS = {"thing", "sphere", "event", "behavior"}
 SPHERE_ITEM_KEYWORDS = {"sphere", "machine", "flow", "trigger"}
 CHRONO_HEADS = {"seq", "choice", "par", "repeat", "interrupt"}
+LITERAL_TOKENS = frozenset({"INT", "DEC", "STRING", "true", "false"})
 MAX_NESTING = 200
 
 # Binding power of each binary operator.  'not' sits between 'and' and the
@@ -179,21 +181,31 @@ class _Parser:
             self.expect("}")
         return ast.KindDecl(name_tok.text, tuple(attrs), start.span, name_tok.span)
 
-    def parse_literal(self):
-        if self.at("INT", "DEC", "STRING"):
-            return self.advance().value
-        if self.at("true"):
+    def parse_literal(self) -> Optional[exprs.Value]:
+        """``[-] INT | [-] DEC | STRING | true | false``, or None after an error.
+        A number int() cannot read or float() rounds to infinity is an error."""
+        tok = self.cur
+        if tok.type == "-":
             self.advance()
-            return True
-        if self.at("false"):
-            self.advance()
-            return False
-        if self.at("-"):
-            self.advance()
-            tok = self.expect("INT", "a number")
-            return -tok.value if tok else 0
-        self.error("expected a literal value")
-        return 0
+            if not self.at("INT", "DEC"):
+                self.error(f"expected a number, found '{self.cur.text or self.cur.type}'")
+                return None
+            value = self.parse_literal()
+            return None if value is None else -value
+        if tok.type not in LITERAL_TOKENS:
+            self.error("expected a literal value")
+            return None
+        self.advance()
+        if tok.type in ("true", "false"):
+            return tok.type == "true"
+        try:
+            value = tok.value
+        except ValueError:  # more digits than int() reads
+            value = math.inf
+        if value == math.inf:
+            self.error("number is out of range", tok.span)
+            return None
+        return value
 
     def parse_sphere(self) -> Optional[ast.SphereDecl]:
         start = self.advance()  # 'sphere'
@@ -407,6 +419,52 @@ class _Parser:
             return Choice(tuple(children))
         return Par(tuple(children))
 
+    def parse_scenario(self) -> ast.Scenario:
+        """``inject IDENT at <endpoint> tick INT [{ IDENT = literal, ... }]``
+        lines; after an error, skip to the next 'inject'."""
+        injections: list[ast.Injection] = []
+        while not self.at("EOF"):
+            if self.at("inject"):
+                injection = self.parse_injection()
+                if injection is not None:
+                    injections.append(injection)
+                    continue
+            else:
+                self.error(f"expected 'inject', found '{self.cur.text or self.cur.type}'")
+            while not self.at("inject", "EOF"):
+                self.advance()
+        return ast.Scenario(tuple(injections))
+
+    def parse_injection(self) -> Optional[ast.Injection]:
+        start = self.advance()  # 'inject'
+        kind_tok = self.expect("IDENT", "a thing-kind name")
+        if kind_tok is None or self.expect("at") is None:
+            return None
+        target = self.parse_endpoint()
+        if target is None or self.expect("tick") is None:
+            return None
+        tick = self.parse_literal() if self.at("INT") else self.expect("INT", "a tick number")
+        if tick is None:
+            return None
+        attrs: list[tuple[str, exprs.Value]] = []
+        if self.at("{"):
+            self.advance()
+            while not self.at("}", "EOF"):
+                if self.at(","):
+                    self.advance()
+                    continue
+                attr_tok = self.expect("IDENT", "an attribute name")
+                if attr_tok is None or self.expect("=") is None:
+                    return None
+                value = self.parse_literal()
+                if value is None:
+                    return None
+                attrs.append((attr_tok.text, value))
+            if self.expect("}") is None:
+                return None
+        endpoint = Endpoint(target.segments, target.stage)
+        return ast.Injection(tick, kind_tok.text, endpoint, tuple(attrs), start.span)
+
     # Expressions ----------------------------------------------------------
 
     def parse_expr(self) -> exprs.Expr:
@@ -479,14 +537,9 @@ class _Parser:
             self.depth -= 1
             self.check_height(height + 1, tok)
             return exprs.Unary("-", operand), height + 1
-        if self.at("INT", "DEC", "STRING"):
-            return exprs.Lit(self.advance().value), 0
-        if self.at("true"):
-            self.advance()
-            return exprs.Lit(True), 0
-        if self.at("false"):
-            self.advance()
-            return exprs.Lit(False), 0
+        if self.cur.type in LITERAL_TOKENS:
+            value = self.parse_literal()
+            return exprs.Lit(False if value is None else value), 0
         if self.at("IDENT"):
             return exprs.Attr(self.advance().text), 0
         if self.at("("):
@@ -509,6 +562,13 @@ def parse(source: str, file: str = "<input>") -> tuple[ast.ModelAst, list[Diagno
     all_diags = diags + parser.diags
     all_diags.extend(_bind(tree))
     return tree, all_diags
+
+
+def parse_scenario(source: str, file: str = "<scenario>") -> tuple[ast.Scenario, list[Diagnostic]]:
+    """Parse a .fms source into a Scenario plus diagnostics (never raises)."""
+    tokens, diags = tokenize(source, file)
+    parser = _Parser(tokens, file)
+    return parser.parse_scenario(), diags + parser.diags
 
 
 # Binding ------------------------------------------------------------------

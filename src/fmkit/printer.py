@@ -6,7 +6,7 @@ canonicalization print with the ``implicit`` marker.
 """
 from __future__ import annotations
 
-from .exprs import render as render_expr
+from .exprs import Lit, render as render_expr
 from .model import (
     Choice,
     Chrono,
@@ -40,15 +40,6 @@ def render_chrono(node: Chrono) -> str:
     raise TypeError(f"not a chronology node: {node!r}")
 
 
-def _render_literal(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    return repr(value)
-
-
 def _flow_line(arc: FlowArc) -> str:
     parts = [f"flow {arc.authored_src or arc.src} -> {arc.authored_dst or arc.dst}"]
     if arc.guard is not None:
@@ -78,7 +69,7 @@ def print_model(model: Model) -> str:
     for kind in model.kinds.values():
         if kind.attrs:
             inner = ", ".join(
-                f"{a.name}: {a.type}" + (f" = {_render_literal(a.default)}" if a.default is not None else "")
+                f"{a.name}: {a.type}" + (f" = {render_expr(Lit(a.default))}" if a.default is not None else "")
                 for a in kind.attrs
             )
             lines.append(f"thing {kind.name} {{ {inner} }}")

@@ -37,9 +37,10 @@ from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Optional, Protocol
 
 from . import exprs
+from .ast import Injection, Scenario  # noqa: F401  (Injection re-exported)
 from .diagnostics import Diagnostic, SourceSpan, error
-from .lexer import Token, tokenize
-from .model import STAGES_BY_NAME, Endpoint, Model, Stage, TriggerArc, resolve_endpoint, ResolutionError
+from .model import Endpoint, Model, Stage, TriggerArc, resolve_endpoint, ResolutionError
+from .parser import parse_scenario  # noqa: F401  (re-exported)
 
 Value = exprs.Value
 
@@ -72,19 +73,6 @@ class TraceEvent(NamedTuple):
 
 
 Trace = list  # of TraceEvent
-
-
-@dataclass(frozen=True)
-class Injection:
-    tick: int
-    kind: str
-    target: Endpoint
-    attrs: tuple[tuple[str, Value], ...]
-
-
-@dataclass(frozen=True)
-class Scenario:
-    injections: tuple[Injection, ...] = ()
 
 
 class Gate(Protocol):
@@ -444,105 +432,15 @@ def run(model: Model, scenario: Scenario, config: Optional[SimConfig] = None) ->
     return sim.trace
 
 
-# Scenario files (.fms) ------------------------------------------------------
-
-
-def parse_scenario(source: str, file: str = "<scenario>") -> tuple[Scenario, list[Diagnostic]]:
-    """Parse ``inject <kind> at <endpoint> tick <n> { attr = literal, ... }``
-    lines.  Total: problems come back as diagnostics."""
-    tokens, diags = tokenize(source, file)
-    injections: list[Injection] = []
-    pos = 0
-
-    def cur() -> Token:
-        return tokens[pos]
-
-    def fail(message: str) -> None:
-        diags.append(error("syntax-error", message, cur().span))
-
-    while cur().type != "EOF":
-        if cur().type != "inject":
-            fail(f"expected 'inject', found '{cur().text or cur().type}'")
-            while cur().type not in ("inject", "EOF"):
-                pos += 1
-            continue
-        pos += 1
-        if cur().type != "IDENT":
-            fail("expected a thing-kind name")
-            continue
-        kind = cur().text
-        pos += 1
-        if cur().type != "at":
-            fail("expected 'at'")
-            continue
-        pos += 1
-        segments: list[str] = []
-        stage: Optional[Stage] = None
-        while cur().type == "IDENT":
-            segments.append(cur().text)
-            pos += 1
-            if cur().type == "/":
-                pos += 1
-                continue
-            break
-        if cur().type == ".":
-            pos += 1
-            if cur().text in STAGES_BY_NAME:
-                stage = STAGES_BY_NAME[cur().text]
-                pos += 1
-        if not segments or stage is None:
-            fail("expected an endpoint like sphere/machine.create")
-            continue
-        if cur().type != "tick":
-            fail("expected 'tick'")
-            continue
-        pos += 1
-        if cur().type != "INT":
-            fail("expected a tick number")
-            continue
-        tick = int(cur().text)
-        pos += 1
-        attrs: list[tuple[str, Value]] = []
-        if cur().type == "{":
-            pos += 1
-            while cur().type not in ("}", "EOF"):
-                if cur().type == ",":
-                    pos += 1
-                    continue
-                if cur().type != "IDENT":
-                    fail("expected an attribute name")
-                    break
-                name = cur().text
-                pos += 1
-                if cur().type != "=":
-                    fail("expected '='")
-                    break
-                pos += 1
-                tok = cur()
-                if tok.type in ("INT", "DEC", "STRING"):
-                    attrs.append((name, tok.value))
-                    pos += 1
-                elif tok.type in ("true", "false"):
-                    attrs.append((name, tok.type == "true"))
-                    pos += 1
-                elif tok.type == "-" and tokens[pos + 1].type in ("INT", "DEC"):
-                    pos += 2
-                    attrs.append((name, -tokens[pos - 1].value))
-                else:
-                    fail("expected a literal value")
-                    break
-            if cur().type == "}":
-                pos += 1
-        injections.append(Injection(tick, kind, Endpoint(tuple(segments), stage), tuple(attrs)))
-    return Scenario(tuple(injections)), diags
+# Scenario checks -----------------------------------------------------------
 
 
 def check_scenario(model: Model, scenario: Scenario) -> list[Diagnostic]:
     """Injections must target create stages of existing machines with the
     right kind, and must cover every attribute lacking a default."""
-    span = SourceSpan("<scenario>", 1, 1, 1, 1)
     diags: list[Diagnostic] = []
     for inj in scenario.injections:
+        span = inj.span or SourceSpan("<scenario>", 1, 1, 1, 1)  # built in code, not parsed
         if inj.tick < 0:
             diags.append(error("E_SCENARIO", f"injection tick {inj.tick} is negative", span))
         try:
@@ -571,16 +469,6 @@ def check_scenario(model: Model, scenario: Scenario) -> list[Diagnostic]:
             spec = kind.attr(name)
             if spec is None:
                 diags.append(error("E_SCENARIO", f"'{inj.kind}' has no attribute '{name}'", span))
-            elif not _literal_matches(spec.type, value):
+            elif not exprs.assignable(exprs.Lit(value).type, spec.type):
                 diags.append(error("E_SCENARIO", f"attribute '{name}' expects {spec.type}", span))
     return diags
-
-
-def _literal_matches(type_: str, value: Value) -> bool:
-    if type_ == "bool":
-        return isinstance(value, bool)
-    if type_ == "int":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if type_ == "dec":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    return isinstance(value, str)

@@ -73,7 +73,8 @@ def check_legality(model: Model) -> list[Diagnostic]:
 
 def check_structure(model: Model) -> list[Diagnostic]:
     """Name uniqueness, endpoint resolution, label uniqueness, expression
-    typing, spawn coverage, and isolation warnings."""
+    typing, assignability of defaults, assigns and spawn attributes, spawn
+    coverage, and isolation warnings."""
     diags: list[Diagnostic] = []
 
     seen_roots: set[str] = set()
@@ -108,7 +109,9 @@ def check_structure(model: Model) -> list[Diagnostic]:
         touched.add(ep.path)
         return True
 
-    def typecheck(expr: exprs.Expr, kind_name: str, what: str, want_bool: bool) -> None:
+    def typecheck(expr: exprs.Expr, kind_name: str, what: str, want: str | None) -> None:
+        """Type expr over kind_name's attributes; a value of it must be
+        assignable to want, if given."""
         kind = model.kinds.get(kind_name)
         if kind is None:
             return
@@ -117,8 +120,13 @@ def check_structure(model: Model) -> list[Diagnostic]:
         except exprs.TypeError_ as exc:
             diags.append(error("E_GUARD", f"{what}: {exc}", _SPAN))
             return
-        if want_bool and t != "bool":
-            diags.append(error("E_GUARD", f"{what}: expected bool, got {t}", _SPAN))
+        if want is not None and not exprs.assignable(t, want):
+            diags.append(error("E_GUARD", f"{what}: expected {want}, got {t}", _SPAN))
+
+    for kind in model.kinds.values():
+        for attr in kind.attrs:
+            if attr.default is not None:
+                typecheck(exprs.Lit(attr.default), kind.name, f"default of '{kind.name}.{attr.name}'", attr.type)
 
     for arc in model.flows:
         if arc.label in labels:
@@ -128,7 +136,7 @@ def check_structure(model: Model) -> list[Diagnostic]:
         check_ep(arc.dst, arc.label)
         if arc.guard is not None and ok_src:
             src_kind = _machine_kind(model, arc.src)
-            typecheck(arc.guard, src_kind, f"guard on arc '{arc.label}'", want_bool=True)
+            typecheck(arc.guard, src_kind, f"guard on arc '{arc.label}'", "bool")
 
     for trig in model.triggers:
         if trig.label in labels:
@@ -138,28 +146,31 @@ def check_structure(model: Model) -> list[Diagnostic]:
         ok_dst = check_ep(trig.dst, trig.label)
         src_kind = _machine_kind(model, trig.src) if ok_src else None
         if trig.guard is not None and src_kind is not None:
-            typecheck(trig.guard, src_kind, f"guard on trigger '{trig.label}'", want_bool=True)
-        if src_kind is not None:
-            for name, expr in trig.spawn_attrs:
-                typecheck(expr, src_kind, f"spawn attribute '{name}' on trigger '{trig.label}'", want_bool=False)
+            typecheck(trig.guard, src_kind, f"guard on trigger '{trig.label}'", "bool")
+        target_kind = None
         if ok_dst and trig.dst.stage is Stage.CREATE:
             target_kind = model.kinds.get(_machine_kind(model, trig.dst) or "")
-            if target_kind is not None:
-                spawned = {name for name, _ in trig.spawn_attrs}
-                for attr in target_kind.attrs:
-                    if attr.name not in spawned and attr.default is None:
-                        diags.append(
-                            error(
-                                "E_SPAWN",
-                                f"trigger '{trig.label}' spawns {target_kind.name} without required attribute '{attr.name}'",
-                                _SPAN,
-                            )
-                        )
-                unknown = spawned - {a.name for a in target_kind.attrs}
-                for name in sorted(unknown):
+        if src_kind is not None:
+            target_types = target_kind.attr_types() if target_kind is not None else {}
+            for name, expr in trig.spawn_attrs:
+                what = f"spawn attribute '{name}' on trigger '{trig.label}'"
+                typecheck(expr, src_kind, what, target_types.get(name))
+        if target_kind is not None:
+            spawned = {name for name, _ in trig.spawn_attrs}
+            for attr in target_kind.attrs:
+                if attr.name not in spawned and attr.default is None:
                     diags.append(
-                        error("E_SPAWN", f"trigger '{trig.label}': {target_kind.name} has no attribute '{name}'", _SPAN)
+                        error(
+                            "E_SPAWN",
+                            f"trigger '{trig.label}' spawns {target_kind.name} without required attribute '{attr.name}'",
+                            _SPAN,
+                        )
                     )
+            unknown = spawned - {a.name for a in target_kind.attrs}
+            for name in sorted(unknown):
+                diags.append(
+                    error("E_SPAWN", f"trigger '{trig.label}': {target_kind.name} has no attribute '{name}'", _SPAN)
+                )
 
     for path, machine in model.machines():
         kind = model.kinds.get(machine.kind)
@@ -171,7 +182,7 @@ def check_structure(model: Model) -> list[Diagnostic]:
                         error("E_GUARD", f"assign on {'/'.join(path)}: '{machine.kind}' has no attribute '{name}'", _SPAN)
                     )
                 else:
-                    typecheck(expr, machine.kind, f"assign '{name}' on {'/'.join(path)}", want_bool=False)
+                    typecheck(expr, machine.kind, f"assign '{name}' on {'/'.join(path)}", names[name])
         if path not in touched:
             diags.append(warning("W_ISOLATED", f"machine {'/'.join(path)} has no arcs", _SPAN))
 

@@ -8,7 +8,8 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from fmkit.canon import load_model
-from fmkit.simulate import check_scenario, parse_scenario
+from fmkit.parser import parse_scenario
+from fmkit.simulate import check_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"

@@ -14,7 +14,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from oracle import run_oracle  # noqa: E402
 
 from fmkit.canon import load_model  # noqa: E402
-from fmkit.simulate import parse_scenario  # noqa: E402
+from fmkit.parser import parse_scenario  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"

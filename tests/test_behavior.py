@@ -5,29 +5,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_corpus_scenario
+from conftest import CORPUS, load_corpus_scenario
 from fuzz import random_tvm_scenario
 
-from fmkit import ast
 from fmkit.behavior import (
     BehaviorError,
     Occurrence,
-    build_event,
     check,
     compile_program,
     detect_occurrences,
     enforce,
 )
-from fmkit.diagnostics import SourceSpan
+from fmkit.canon import CanonError, canonicalize, load_model
 from fmkit.export import read_trace, write_trace
-from fmkit.model import Choice, Interrupt, Par, Ref, Repeat, Seq
+from fmkit.model import Choice, EventDef, Interrupt, Par, Ref, Repeat, Seq, subdiagram
+from fmkit.parser import parse
 from fmkit.simulate import SimConfig, run
 
-SPAN = SourceSpan("<test>", 1, 1, 1, 1)
+
+def tvm_with_event(name, labels):
+    """tvm.fm with one more event declared over the given arc labels."""
+    region = " ".join(f"#{label}" for label in labels)
+    return (CORPUS / "tvm.fm").read_text() + f"\nevent {name} {{ region {{ {region} }} }}\n"
 
 
-def decl(name, labels):
-    return ast.EventDecl(name, tuple(labels), SPAN)
+def load_event(name, labels):
+    model, diags = load_model(tvm_with_event(name, labels), "tvm.fm")
+    assert model is not None, [d.render() for d in diags]
+    return model.event(name)
 
 
 def tvm_program(tvm):
@@ -42,25 +47,31 @@ def run_scenario(tvm, name, gate=None, ticks=200):
 # Events ---------------------------------------------------------------------
 
 
-def test_build_event_cash_region(tvm):
-    event = build_event(tvm, decl("cash_in", ["23"]))
+def test_build_event_cash_region():
+    event = load_event("cash_again", ["23"])
     assert event.region.flow_labels == {"23", "23.1", "23.2"}
 
 
-def test_build_event_empty_region(tvm):
-    with pytest.raises(BehaviorError) as exc:
-        build_event(tvm, decl("nothing", []))
-    assert exc.value.code == "empty-region"
+def test_build_event_empty_region():
+    model, diags = load_model(tvm_with_event("nothing", []), "tvm.fm")
+    assert model is None
+    assert [d.code for d in diags] == ["empty-region"]
 
 
-def test_build_event_unknown_label(tvm):
-    with pytest.raises(BehaviorError) as exc:
-        build_event(tvm, decl("ghost", ["999"]))
-    assert exc.value.code == "unknown-label"
+def test_build_event_unknown_label():
+    # The binder reports a label no arc declares before canonicalization
+    # runs; canonicalizing the unbound tree reports it as unknown-label.
+    source = tvm_with_event("ghost", ["999"])
+    model, diags = load_model(source, "tvm.fm")
+    assert model is None
+    assert [d.code for d in diags] == ["unresolved-reference"]
+    with pytest.raises(CanonError) as exc:
+        canonicalize(parse(source, "tvm.fm")[0])
+    assert exc.value.diagnostic.code == "unknown-label"
 
 
-def test_build_event_ticket_region(tvm):
-    event = build_event(tvm, decl("ticket_out", ["27", "28"]))
+def test_build_event_ticket_region():
+    event = load_event("ticket_again", ["27", "28"])
     assert "27" in event.region.arc_labels  # the trigger
     assert event.region.flow_labels == {"28", "28.1", "28.2", "28.3"}
 
@@ -399,9 +410,9 @@ def naive_occurrences(trace, events):
 def test_indexed_scanner_matches_naive_scan(tvm):
     # The corpus events plus overlapping ones and one holding a trigger arc.
     events = list(tvm.events) + [
-        build_event(tvm, decl("wide", ["20", "21", "23", "24"])),
-        build_event(tvm, decl("info", ["9", "10"])),
-        build_event(tvm, decl("quote", ["16", "17", "18"])),
+        EventDef("wide", subdiagram(tvm, ["20", "21", "23", "24"])),
+        EventDef("info", subdiagram(tvm, ["9", "10"])),
+        EventDef("quote", subdiagram(tvm, ["16", "17", "18"])),
     ]
     total = 0
     for seed in range(40):

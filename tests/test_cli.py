@@ -422,3 +422,73 @@ def test_sim_non_decimal_tick_is_a_lex_error(capsys, tmp_path):
     assert out == ""
     assert f"{scenario}:1:29: error[lex-error]: unexpected character '²'" in err
     assert "Traceback" not in err and "ValueError" not in err
+
+
+# Each scenario finding points at the 'inject' of its line; the third line
+# below is indented by two blanks.
+SCENARIO_FINDINGS = {
+    "unresolved-target": ("inject cash at passenger/till.create tick 0 { amount = 5, fare = 5 }",
+                          "injection target passenger/till.create: "),
+    "not-create": ("inject cash at tvm/cash.receive tick 0 { amount = 5, fare = 5 }",
+                   "injection target tvm/cash.receive is not a create stage"),
+    "wrong-kind": ("inject ticket at passenger/cash.create tick 0",
+                   "injection of 'ticket' into a machine of kind 'cash'"),
+    "unknown-kind": ("inject ghost at passenger/cash.create tick 0", "unknown thing kind 'ghost'"),
+    "missing-attr": ("inject cash at passenger/cash.create tick 0 { amount = 5 }",
+                     "injection of 'cash' lacks required attribute 'fare'"),
+    "unknown-attr": ("inject cash at passenger/cash.create tick 0 { amount = 5, fare = 5, tip = 1 }",
+                     "'cash' has no attribute 'tip'"),
+    "mistyped-attr": ('inject cash at passenger/cash.create tick 0 { amount = "5", fare = 5 }',
+                      "attribute 'amount' expects int"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_FINDINGS))
+def test_sim_scenario_finding_points_at_its_line(capsys, tmp_path, case):
+    line, message = SCENARIO_FINDINGS[case]
+    scenario = tmp_path / "s.fms"
+    scenario.write_text(f"inject start_request at passenger/start.create tick 0\n// next\n  {line}\n")
+    code, out, err = run_cli(capsys, "sim", str(CORPUS / "tvm.fm"), "--scenario", str(scenario))
+    assert code == 2
+    assert out == ""
+    assert f"{scenario}:3:3: error[E_SCENARIO]: {message}" in err
+
+
+# A value whose type its attribute cannot hold used to pass validation and
+# end the simulation in a TypeError at a guard 'x > 0'.
+MISTYPED_FLOWS = "  flow s/m.create -> s/m.process\n  flow s/m.process -> s/m.release when x > 0\n"
+MISTYPED = {
+    "default": ('thing w { x: int = "oops" }\n'
+                "sphere s {\n"
+                "  machine m: w { create process release }\n" + MISTYPED_FLOWS + "}\n",
+                "default of 'w.x': expected int, got str"),
+    "assign": ("thing w { x: int = 1 }\n"
+               "sphere s {\n"
+               '  machine m: w { create process release assign { x = "s" } }\n' + MISTYPED_FLOWS + "}\n",
+               "assign 'x' on s/m: expected int, got str"),
+    "spawn": ("thing w\n"
+              "thing v { x: int }\n"
+              "sphere s {\n"
+              "  machine a: w { create process }\n"
+              "  machine m: v { create process release }\n"
+              "  flow s/a.create -> s/a.process\n"
+              '  trigger s/a.process => s/m.create spawn { x = "s" } #go\n' + MISTYPED_FLOWS + "}\n",
+              "spawn attribute 'x' on trigger 'go': expected int, got str"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED))
+def test_mistyped_value_is_a_diagnostic_not_a_traceback(capsys, tmp_path, case):
+    source, message = MISTYPED[case]
+    model_path = tmp_path / "m.fm"
+    model_path.write_text(source, encoding="utf-8")
+    scenario = tmp_path / "s.fms"
+    entry = "s/a" if case == "spawn" else "s/m"
+    scenario.write_text(f"inject w at {entry}.create tick 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(model_path))
+    assert code == 1
+    assert json.loads(out)["diagnostics"][0]["message"] == message
+    code, out, err = run_cli(capsys, "sim", str(model_path), "--scenario", str(scenario))
+    assert code == 1
+    assert out == ""
+    assert f"error[E_GUARD]: {message}" in err

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmkit.canon import CanonError, canonicalize, load_model
+from fmkit.exprs import Lit, render
+from fmkit.lexer import tokenize
 from fmkit.model import Stage
 from fmkit.parser import MAX_NESTING, parse
 from fmkit.printer import model_signature, print_model
@@ -154,6 +156,78 @@ def test_parse_never_raises(text):
     assert tree is not None
     for d in diags:
         assert d.span.start_line >= 1 and d.span.start_col >= 1
+
+
+# Literals ------------------------------------------------------------------
+#
+# One literal grammar serves model defaults, guards and scenarios, and
+# exprs.render is the one renderer; what it prints must lex back.
+
+
+def test_negative_decimal_default_round_trips():
+    source = "thing t { a: dec = -1.5, b: int = -3, c: dec = - 2.25 }"
+    model, diags = load_model(source)
+    assert diags == []
+    assert [a.default for a in model.kinds["t"].attrs] == [-1.5, -3, -2.25]
+    text = print_model(model)
+    assert "a: dec = -1.5, b: int = -3, c: dec = -2.25" in text
+    assert model_signature(canonicalize(parse(text)[0])) == model_signature(model)
+
+
+@pytest.mark.parametrize("source,message", [
+    ("thing t { a: dec = -x }", "expected a number, found 'x'"),
+    ('thing t { a: str = -"s" }', "expected a number, found 's'"),
+    ("thing t { a: dec = }", "expected a literal value"),
+])
+def test_bad_default_is_a_syntax_error(source, message):
+    _, diags = parse(source)
+    assert (diags[0].code, diags[0].message) == ("syntax-error", message)
+
+
+@pytest.mark.parametrize("value,text", [
+    (0.00001, "0.00001"), (1e16, "10000000000000000.0"), (-1.5e-7, "-0.00000015"),
+    (2.5, "2.5"), (100.0, "100.0"), (7, "7"), (-3, "-3"),
+])
+def test_decimals_render_in_positional_form(value, text):
+    assert render(Lit(value)) == text
+
+
+def test_small_guard_constant_and_large_default_print_and_parse_back():
+    source = (
+        "thing t { x: dec = 10000000000000000.0 }\n"
+        "sphere s {\n"
+        "  machine m: t { create process release }\n"
+        "  flow s/m.create -> s/m.process #a\n"
+        "  flow s/m.process -> s/m.release when x > 0.00001 #b\n"
+        "}\n"
+    )
+    model, diags = load_model(source)
+    assert diags == []
+    text = print_model(model)
+    assert "x: dec = 10000000000000000.0" in text and "when x > 0.00001" in text
+    again, diags = load_model(text)
+    assert diags == []
+    assert model_signature(again) == model_signature(model)
+
+
+@pytest.mark.parametrize("literal,col", [("9" * 400 + ".0", 20), ("9" * 5000, 20), ("-" + "9" * 400 + ".0", 21)])
+def test_out_of_range_number_is_a_syntax_error_at_its_token(literal, col):
+    guard = "sphere s { machine m: t { create process release } flow s/m.process -> s/m.release when a < %s }"
+    for source in (f"thing t {{ a: dec = {literal} }}", "thing t { a: dec = 0 } " + guard % literal):
+        _, diags = parse(source, "m.fm")
+        assert [(d.code, d.message) for d in diags] == [("syntax-error", "number is out of range")]
+    _, diags = parse(f"thing t {{ a: dec = {literal} }}", "m.fm")
+    assert (diags[0].span.start_line, diags[0].span.start_col) == (1, col)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+def test_rendered_decimal_lexes_back_to_the_same_float(value):
+    text = render(Lit(value))
+    tokens, diags = tokenize(text, "f.fm")
+    assert diags == []
+    assert [t.type for t in tokens] == ["DEC", "EOF"]
+    assert tokens[0].value == value
 
 
 # Nesting limit -------------------------------------------------------------

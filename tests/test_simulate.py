@@ -8,6 +8,7 @@ from oracle import run_oracle
 
 from fmkit import exprs
 from fmkit.canon import load_model
+from fmkit.diagnostics import SourceSpan
 from fmkit.export import write_trace
 from fmkit.model import Endpoint, Stage
 from fmkit.simulate import (
@@ -307,6 +308,19 @@ def test_scenario_requires_attrs(tvm):
     scenario = Scenario((Injection(0, "cash", Endpoint(("passenger", "cash"), Stage.CREATE), ()),))
     diags = check_scenario(tvm, scenario)
     assert any("lacks required attribute" in d.message for d in diags)
+
+
+def test_negative_tick_finding_has_the_injection_span(tvm):
+    # A parsed tick is never negative; only an injection built in code has
+    # one, and without a span its finding falls back to <scenario>:1:1.
+    span = SourceSpan("s.fms", 4, 2, 4, 7)
+    target = Endpoint(("passenger", "start"), Stage.CREATE)
+    scenario = Scenario((Injection(-1, "start_request", target, (), span), Injection(-2, "start_request", target, ())))
+    diags = check_scenario(tvm, scenario)
+    assert [(d.code, d.message, d.span) for d in diags] == [
+        ("E_SCENARIO", "injection tick -1 is negative", span),
+        ("E_SCENARIO", "injection tick -2 is negative", SourceSpan("<scenario>", 1, 1, 1, 1)),
+    ]
 
 
 def test_scenario_parse_reports_bad_lines():
