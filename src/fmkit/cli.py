@@ -9,13 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import behavior as bhv
-from . import export, history, jsonl, simulate
-from .canon import load_model
-from .model import Model
-from .validate import validate as validate_model
+from . import jsonl
+
+if TYPE_CHECKING:
+    from .model import Model
 
 OK, FAIL, USAGE = 0, 1, 2
 
@@ -30,6 +29,7 @@ def _read(path: str) -> Optional[str]:
 
 
 def _load(path: str) -> tuple[Optional[Model], int]:
+    from .canon import load_model
     source = _read(path)
     if source is None:
         return None, USAGE
@@ -42,6 +42,7 @@ def _load(path: str) -> tuple[Optional[Model], int]:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .validate import validate as validate_model
     model, status = _load(args.file)
     if model is None:
         return status
@@ -53,6 +54,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _validated_model(path: str) -> tuple[Optional[Model], int]:
+    from .validate import validate as validate_model
     model, status = _load(path)
     if model is None:
         return None, status
@@ -73,6 +75,7 @@ def _behavior_program(model: Model, name: str):
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
+    from . import export, simulate
     model, status = _validated_model(args.file)
     if model is None:
         return status
@@ -87,6 +90,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
         return USAGE
     program = None
     if args.behavior is not None:
+        from . import behavior as bhv
         program = _behavior_program(model, args.behavior)
         if program is None:
             return USAGE
@@ -111,6 +115,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_dot(args: argparse.Namespace) -> int:
+    from . import export
     model, status = _validated_model(args.file)
     if model is None:
         return status
@@ -118,6 +123,7 @@ def cmd_dot(args: argparse.Namespace) -> int:
         program = _behavior_program(model, args.behavior)
         if program is None:
             return USAGE
+        from . import behavior as bhv
         automaton = bhv.compile_program(program, {e.name for e in model.events})
         sys.stdout.write(export.behavior_to_dot(automaton))
     else:
@@ -126,6 +132,7 @@ def cmd_dot(args: argparse.Namespace) -> int:
 
 
 def cmd_conform(args: argparse.Namespace) -> int:
+    from . import behavior as bhv, export
     model, status = _validated_model(args.file)
     if model is None:
         return status
@@ -146,6 +153,7 @@ def cmd_conform(args: argparse.Namespace) -> int:
 
 
 def cmd_history(args: argparse.Namespace) -> int:
+    from . import history
     text = _read(args.log)
     if text is None:
         return USAGE
@@ -185,9 +193,6 @@ def cmd_history(args: argparse.Namespace) -> int:
         unit = log.installed_at(args.slot, args.at)
         print(unit if unit is not None else "none")
         return OK
-    except history.UnknownSlotError as exc:
-        print(f"fmkit: {exc}", file=sys.stderr)
-        return USAGE
     except history.HistoryError as exc:
         print(f"fmkit: {exc}", file=sys.stderr)
         return USAGE

@@ -6,12 +6,14 @@ emitted sorted, so output is byte-stable across runs and platforms.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import jsonl
-from .behavior import BehaviorAutomaton
 from .model import Model, Sphere
 from .simulate import Trace, TraceEvent
+
+if TYPE_CHECKING:
+    from .behavior import BehaviorAutomaton
 
 
 def _q(text: str) -> str:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Optional
 
@@ -44,40 +43,58 @@ def parse_timestamp(text: str) -> datetime:
     return stamp.astimezone(timezone.utc)
 
 
-@dataclass(frozen=True)
 class ReplacementRecord:
-    slot: str
-    unit: str
-    action: str
-    at: str
-    performer: str
-    contractor: str
-    note: Optional[str] = None
+    """One ledger line: immutable, equal and hashed field by field."""
 
-    def __post_init__(self) -> None:
-        if not self.slot:
+    __slots__ = ("slot", "unit", "action", "at", "performer", "contractor", "note")
+
+    def __init__(self, slot: str, unit: str, action: str, at: str, performer: str, contractor: str,
+                 note: Optional[str] = None) -> None:
+        if not slot:
             raise HistoryError("bad-record", "slot must be non-empty")
-        if not self.unit:
+        if not unit:
             raise HistoryError("bad-record", "unit serial must be non-empty")
-        if self.action not in ACTIONS:
-            raise HistoryError("bad-record", f"unknown action '{self.action}'")
-        parse_timestamp(self.at)
+        if action not in ACTIONS:
+            raise HistoryError("bad-record", f"unknown action '{action}'")
+        parse_timestamp(at)
+        set_field = object.__setattr__  # self.__setattr__ refuses every assignment
+        set_field(self, "slot", slot)
+        set_field(self, "unit", unit)
+        set_field(self, "action", action)
+        set_field(self, "at", at)
+        set_field(self, "performer", performer)
+        set_field(self, "contractor", contractor)
+        set_field(self, "note", note)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def _fields(self) -> tuple:
+        return (self.slot, self.unit, self.action, self.at, self.performer, self.contractor, self.note)
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.slot, self.unit, self.action, self.at, self.performer, self.contractor, self.note))
+
+    def __repr__(self) -> str:
+        return f"ReplacementRecord({', '.join(f'{n}={v!r}' for n, v in zip(self.__slots__, self._fields()))})"
+
+    def __reduce__(self):
+        return ReplacementRecord, self._fields()
 
     @property
     def timestamp(self) -> datetime:
         return parse_timestamp(self.at)
 
     def to_json(self) -> dict:
-        obj = {
-            "slot": self.slot,
-            "unit": self.unit,
-            "action": self.action,
-            "at": self.at,
-            "performer": self.performer,
-            "contractor": self.contractor,
-        }
-        if self.note is not None:
-            obj["note"] = self.note
+        obj = dict(zip(self.__slots__, self._fields()))
+        if self.note is None:
+            del obj["note"]
         return obj
 
     @classmethod

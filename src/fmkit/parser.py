@@ -40,6 +40,7 @@ _INFIX_PREC = {
 _NOT_PREC = 3
 _CMP_PREC = 4
 _ATOM_PREC = 7
+_BRACKETS = {"{": 1, "(": 1, "}": -1, ")": -1}
 
 
 class _TooDeep(Exception):
@@ -177,6 +178,10 @@ class _Parser:
                 if self.at("="):
                     self.advance()
                     default = self.parse_literal()
+                    if default is None:  # skip to the ',' or '}' that ends this attribute
+                        depth = 0
+                        while not self.at("EOF") and (depth or not self.at(",", "}")):
+                            depth = max(0, depth + _BRACKETS.get(self.advance().type, 0))
                 attrs.append(ast.AttrDecl(attr_tok.text, type_tok.text, default, attr_tok.span))
             self.expect("}")
         return ast.KindDecl(name_tok.text, tuple(attrs), start.span, name_tok.span)

@@ -184,6 +184,23 @@ def test_bad_default_is_a_syntax_error(source, message):
     assert (diags[0].code, diags[0].message) == ("syntax-error", message)
 
 
+@pytest.mark.parametrize("source", [
+    'thing t { a: str = -"s" }',
+    "thing t { a: int = f(1, 2) }",
+    "thing t { a: int = { x, y } }",
+])
+def test_bad_default_gives_one_diagnostic(source):
+    _, diags = parse(source)
+    assert len(diags) == 1, [d.render() for d in diags]
+
+
+def test_attribute_after_bad_default_is_still_declared():
+    model, diags = parse('thing t { a: str = -"s", b: int = 2 } thing u { c: bool }')
+    assert [d.message for d in diags] == ["expected a number, found 's'"]
+    assert [(a.name, a.default) for a in model.kinds[0].attrs] == [("a", None), ("b", 2)]
+    assert [k.name for k in model.kinds] == ["t", "u"]
+
+
 @pytest.mark.parametrize("value,text", [
     (0.00001, "0.00001"), (1e16, "10000000000000000.0"), (-1.5e-7, "-0.00000015"),
     (2.5, "2.5"), (100.0, "100.0"), (7, "7"), (-3, "-3"),

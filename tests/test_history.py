@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -143,6 +144,51 @@ def test_note_optional_and_preserved():
 def test_bad_timestamp_rejected():
     with pytest.raises(HistoryError):
         rec("P101", "pump-1", "receive", "not-a-time")
+
+
+@pytest.mark.parametrize("fields,code,message", [
+    (("", "pump-1", "receive", "2021-03-01T08:00:00Z"), "bad-record", "slot must be non-empty"),
+    (("P101", "", "receive", "2021-03-01T08:00:00Z"), "bad-record", "unit serial must be non-empty"),
+    (("P101", "pump-1", "fit", "2021-03-01T08:00:00Z"), "bad-record", "unknown action 'fit'"),
+    (("P101", "pump-1", "receive", "not-a-time"), "bad-timestamp", "unparseable timestamp 'not-a-time'"),
+])
+def test_record_checked_at_construction(fields, code, message):
+    with pytest.raises(HistoryError) as exc:
+        ReplacementRecord(*fields, "al", "acme")
+    assert (exc.value.code, str(exc.value)) == (code, f"{code}: {message}")
+
+
+def test_record_equality_hash_and_repr_are_field_wise():
+    first = rec("P101", "pump-1", "install", "2021-03-02T09:30:00Z", note="n")
+    same = ReplacementRecord(
+        slot="P101", unit="pump-1", action="install", at="2021-03-02T09:30:00Z",
+        performer="al", contractor="acme", note="n",
+    )
+    assert first == same and hash(first) == hash(same)
+    assert first != rec("P101", "pump-1", "install", "2021-03-02T09:30:00Z")
+    assert len({first, same}) == 1
+    as_tuple = ("P101", "pump-1", "install", "2021-03-02T09:30:00Z", "al", "acme", "n")
+    assert first != as_tuple and as_tuple != first
+    assert repr(first) == (
+        "ReplacementRecord(slot='P101', unit='pump-1', action='install', "
+        "at='2021-03-02T09:30:00Z', performer='al', contractor='acme', note='n')"
+    )
+    assert rec("P101", "pump-1", "receive", "2021-03-01T08:00:00Z").note is None
+
+
+def test_record_fields_cannot_change():
+    record = rec("P101", "pump-1", "install", "2021-03-02T09:30:00Z")
+    with pytest.raises(AttributeError):
+        record.unit = "pump-2"
+    with pytest.raises(AttributeError):
+        del record.slot
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert record.to_json() == {
+        "slot": "P101", "unit": "pump-1", "action": "install", "at": "2021-03-02T09:30:00Z",
+        "performer": "al", "contractor": "acme",
+    }
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_append_timestamped_between_existing_records():
