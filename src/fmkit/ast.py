@@ -88,12 +88,6 @@ class ModelAst:
     events: list[EventDecl] = field(default_factory=list)
     behaviors: list[BehaviorDeclAst] = field(default_factory=list)
 
-    def kind(self, name: str) -> Optional[KindDecl]:
-        for k in self.kinds:
-            if k.name == name:
-                return k
-        return None
-
 
 @dataclass(frozen=True)
 class Injection:

@@ -51,6 +51,7 @@ def canonicalize(tree: ast.ModelAst) -> Model:
     }
 
     machines_by_path: dict[tuple[str, ...], Machine] = {}
+    arcs: list[ast.ArcDecl] = []
 
     def build_sphere(decl: ast.SphereDecl, prefix: tuple[str, ...]) -> Sphere:
         path = prefix + (decl.name,)
@@ -61,35 +62,24 @@ def canonicalize(tree: ast.ModelAst) -> Model:
             machine = Machine(m.name, m.kind, declared, implicit, tuple((n, e) for n, e, _ in m.assigns))
             sphere.machines.append(machine)
             machines_by_path[path + (m.name,)] = machine
+        arcs.extend(decl.arcs)
         for child in decl.children:
             sphere.children.append(build_sphere(child, path))
         return sphere
 
     roots = [build_sphere(s, ()) for s in tree.spheres]
 
-    arcs: list[tuple[ast.ArcDecl, tuple[str, ...], tuple[str, ...]]] = []
-
-    def collect(decl: ast.SphereDecl) -> None:
-        for arc in decl.arcs:
-            arcs.append((arc, arc.src.segments, arc.dst.segments))
-        for child in decl.children:
-            collect(child)
-
-    for s in tree.spheres:
-        collect(s)
-
     flows: list[FlowArc] = []
     triggers: list[TriggerArc] = []
     auto_counter = 0
-    implicit_added: dict[tuple[str, ...], set[Stage]] = {}
 
     def note_stage(path: tuple[str, ...], stage: Stage) -> None:
         machine = machines_by_path[path]
         if not machine.has_stage(stage):
-            implicit_added.setdefault(path, set()).add(stage)
             machine.implicit = tuple(machine.implicit) + (stage,)
 
-    for arc, src_path, dst_path in arcs:
+    for arc in arcs:
+        src_path, dst_path = arc.src.segments, arc.dst.segments
         label = arc.label
         if label is None:
             auto_counter += 1

@@ -263,13 +263,17 @@ class Model:
     behaviors: list[BehaviorDecl]
     canonical: bool = False
 
-    # Lookup maps built once at construction time.
+    # Lookup maps built by reindex; every name lookup reads one of them.
+    _machines: dict[tuple[str, ...], Machine] = field(default_factory=dict, repr=False)
     _flows_by_label: dict[str, FlowArc] = field(default_factory=dict, repr=False)
     _triggers_by_label: dict[str, TriggerArc] = field(default_factory=dict, repr=False)
     _flows_by_src: dict[Endpoint, list[FlowArc]] = field(default_factory=dict, repr=False)
     _triggers_by_src: dict[Endpoint, list[TriggerArc]] = field(default_factory=dict, repr=False)
 
     def reindex(self) -> None:
+        self._machines = {
+            path + (m.name,): m for path, sphere in self.spheres() for m in sphere.machines
+        }
         self._flows_by_label = {a.label: a for a in self.flows}
         self._triggers_by_label = {t.label: t for t in self.triggers}
         self._flows_by_src = {}
@@ -320,26 +324,11 @@ class Model:
             yield from walk(root, ())
 
     def machines(self) -> Iterator[tuple[tuple[str, ...], Machine]]:
-        """Yields (path-including-machine-name, machine) pairs."""
-        for path, sphere in self.spheres():
-            for m in sphere.machines:
-                yield path + (m.name,), m
+        """Yields (path-including-machine-name, machine) pairs, depth first."""
+        return iter(self._machines.items())
 
     def find_machine(self, path: tuple[str, ...]) -> Optional[Machine]:
-        if len(path) < 2:
-            return None
-        sphere: Optional[Sphere] = None
-        for root in self.roots:
-            if root.name == path[0]:
-                sphere = root
-                break
-        if sphere is None:
-            return None
-        for seg in path[1:-1]:
-            sphere = sphere.child(seg)
-            if sphere is None:
-                return None
-        return sphere.machine(path[-1])
+        return self._machines.get(path)
 
     def gated_endpoints(self) -> frozenset[Endpoint]:
         """Stages whose outbound movement waits on an enable from a trigger."""

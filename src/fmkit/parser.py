@@ -595,8 +595,10 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
                 diags.append(error("duplicate-name", f"attribute '{attr.name}' is already declared", attr.span))
             seen_attrs.add(attr.name)
 
-    # Index machines by full path while checking sibling uniqueness.
+    # Index machines by full path while checking sibling uniqueness, and
+    # gather arcs in source order: a sphere's own, then each child's.
     machines: dict[tuple[str, ...], ast.MachineDecl] = {}
+    arcs: list[ast.ArcDecl] = []
 
     def walk(sphere: ast.SphereDecl, prefix: tuple[str, ...]) -> None:
         path = prefix + (sphere.name,)
@@ -617,6 +619,7 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
                 if stage in stage_seen:
                     diags.append(error("duplicate-name", f"stage '{stage}' is already declared on '{m.name}'", m.span))
                 stage_seen.add(stage)
+        arcs.extend(sphere.arcs)
         for child in sphere.children:
             walk(child, path)
 
@@ -654,13 +657,6 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
             check_expr_refs(expr.right, names, span, role)
 
     labels: set[str] = set()
-    arcs: list[ast.ArcDecl] = []
-    for sphere in tree.spheres:
-        stack = [sphere]
-        while stack:
-            s = stack.pop()
-            arcs.extend(s.arcs)
-            stack.extend(s.children)
     for arc in arcs:
         src_m = check_endpoint(arc.src)
         dst_m = check_endpoint(arc.dst)

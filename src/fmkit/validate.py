@@ -1,4 +1,11 @@
-"""Static semantic checks over a canonical model."""
+"""Static semantic checks over a model built by ``canonicalize``.
+
+Names are bound once, by the parser: a model that ``load_model`` returns
+has unique names and labels, and every kind, machine, stage and attribute
+it names resolves.  Validation checks only what binding cannot know: the
+stage-transition table, expression types, spawn coverage, reachability
+and isolated machines.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -72,51 +79,17 @@ def check_legality(model: Model) -> list[Diagnostic]:
 
 
 def check_structure(model: Model) -> list[Diagnostic]:
-    """Name uniqueness, endpoint resolution, label uniqueness, expression
-    typing, assignability of defaults, assigns and spawn attributes, spawn
-    coverage, and isolation warnings."""
+    """What name binding cannot know: expression typing, assignability of
+    defaults, assigns and spawn attributes, spawn coverage, and isolation
+    warnings.  Every name in a model that ``canonicalize`` built already
+    resolves, so there is nothing left to look up and fail."""
     diags: list[Diagnostic] = []
-
-    seen_roots: set[str] = set()
-    for root in model.roots:
-        if root.name in seen_roots:
-            diags.append(error("E_DUPNAME", f"duplicate top-level sphere '{root.name}'", _SPAN))
-        seen_roots.add(root.name)
-    for path, sphere in model.spheres():
-        seen: set[str] = set()
-        for child in sphere.children:
-            if child.name in seen:
-                diags.append(error("E_DUPNAME", f"duplicate name '{child.name}' in sphere {'/'.join(path)}", _SPAN))
-            seen.add(child.name)
-        for m in sphere.machines:
-            if m.name in seen:
-                diags.append(error("E_DUPNAME", f"duplicate name '{m.name}' in sphere {'/'.join(path)}", _SPAN))
-            seen.add(m.name)
-            if m.kind not in model.kinds:
-                diags.append(error("E_UNRESOLVED", f"machine {'/'.join(path + (m.name,))} has unknown kind '{m.kind}'", _SPAN))
-
-    labels: set[str] = set()
-    touched: set[tuple[str, ...]] = set()
-
-    def check_ep(ep: Endpoint, label: str) -> bool:
-        machine = model.find_machine(ep.path)
-        if machine is None:
-            diags.append(error("E_UNRESOLVED", f"arc '{label}': no machine at {'/'.join(ep.path)}", _SPAN))
-            return False
-        if not machine.has_stage(ep.stage):
-            diags.append(error("E_UNRESOLVED", f"arc '{label}': {ep} names an undeclared stage", _SPAN))
-            return False
-        touched.add(ep.path)
-        return True
 
     def typecheck(expr: exprs.Expr, kind_name: str, what: str, want: str | None) -> None:
         """Type expr over kind_name's attributes; a value of it must be
         assignable to want, if given."""
-        kind = model.kinds.get(kind_name)
-        if kind is None:
-            return
         try:
-            t = exprs.typecheck(expr, kind.attr_types())
+            t = exprs.typecheck(expr, model.kinds[kind_name].attr_types())
         except exprs.TypeError_ as exc:
             diags.append(error("E_GUARD", f"{what}: {exc}", _SPAN))
             return
@@ -128,33 +101,21 @@ def check_structure(model: Model) -> list[Diagnostic]:
             if attr.default is not None:
                 typecheck(exprs.Lit(attr.default), kind.name, f"default of '{kind.name}.{attr.name}'", attr.type)
 
+    touched: set[tuple[str, ...]] = set()
     for arc in model.flows:
-        if arc.label in labels:
-            diags.append(error("E_DUPLABEL", f"duplicate arc label '{arc.label}'", _SPAN))
-        labels.add(arc.label)
-        ok_src = check_ep(arc.src, arc.label)
-        check_ep(arc.dst, arc.label)
-        if arc.guard is not None and ok_src:
-            src_kind = _machine_kind(model, arc.src)
-            typecheck(arc.guard, src_kind, f"guard on arc '{arc.label}'", "bool")
+        touched.update((arc.src.path, arc.dst.path))
+        if arc.guard is not None:
+            typecheck(arc.guard, _machine_kind(model, arc.src), f"guard on arc '{arc.label}'", "bool")
 
     for trig in model.triggers:
-        if trig.label in labels:
-            diags.append(error("E_DUPLABEL", f"duplicate arc label '{trig.label}'", _SPAN))
-        labels.add(trig.label)
-        ok_src = check_ep(trig.src, trig.label)
-        ok_dst = check_ep(trig.dst, trig.label)
-        src_kind = _machine_kind(model, trig.src) if ok_src else None
-        if trig.guard is not None and src_kind is not None:
+        touched.update((trig.src.path, trig.dst.path))
+        src_kind = _machine_kind(model, trig.src)
+        if trig.guard is not None:
             typecheck(trig.guard, src_kind, f"guard on trigger '{trig.label}'", "bool")
-        target_kind = None
-        if ok_dst and trig.dst.stage is Stage.CREATE:
-            target_kind = model.kinds.get(_machine_kind(model, trig.dst) or "")
-        if src_kind is not None:
-            target_types = target_kind.attr_types() if target_kind is not None else {}
-            for name, expr in trig.spawn_attrs:
-                what = f"spawn attribute '{name}' on trigger '{trig.label}'"
-                typecheck(expr, src_kind, what, target_types.get(name))
+        target_kind = model.kinds[_machine_kind(model, trig.dst)] if trig.dst.stage is Stage.CREATE else None
+        target_types = target_kind.attr_types() if target_kind is not None else {}
+        for name, expr in trig.spawn_attrs:
+            typecheck(expr, src_kind, f"spawn attribute '{name}' on trigger '{trig.label}'", target_types.get(name))
         if target_kind is not None:
             spawned = {name for name, _ in trig.spawn_attrs}
             for attr in target_kind.attrs:
@@ -166,23 +127,11 @@ def check_structure(model: Model) -> list[Diagnostic]:
                             _SPAN,
                         )
                     )
-            unknown = spawned - {a.name for a in target_kind.attrs}
-            for name in sorted(unknown):
-                diags.append(
-                    error("E_SPAWN", f"trigger '{trig.label}': {target_kind.name} has no attribute '{name}'", _SPAN)
-                )
 
     for path, machine in model.machines():
-        kind = model.kinds.get(machine.kind)
-        if kind is not None:
-            names = kind.attr_types()
-            for name, expr in machine.assigns:
-                if name not in names:
-                    diags.append(
-                        error("E_GUARD", f"assign on {'/'.join(path)}: '{machine.kind}' has no attribute '{name}'", _SPAN)
-                    )
-                else:
-                    typecheck(expr, machine.kind, f"assign '{name}' on {'/'.join(path)}", names[name])
+        names = model.kinds[machine.kind].attr_types()
+        for name, expr in machine.assigns:
+            typecheck(expr, machine.kind, f"assign '{name}' on {'/'.join(path)}", names[name])
         if path not in touched:
             diags.append(warning("W_ISOLATED", f"machine {'/'.join(path)} has no arcs", _SPAN))
 

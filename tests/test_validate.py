@@ -79,13 +79,6 @@ def test_unusual_trigger_target_warns():
     assert not any(d.is_error for d in diags)
 
 
-def test_duplicate_sibling_names_flagged():
-    model, _ = load_model("thing w sphere s { machine pump: w { create } }")
-    sphere = model.roots[0]
-    sphere.machines.append(sphere.machines[0])
-    assert "E_DUPNAME" in codes(check_structure(model))
-
-
 def test_isolated_machine_warns():
     model, _ = load_model("thing w sphere s { machine m: w { create process } }")
     diags = check_structure(model)
