@@ -122,6 +122,15 @@ def detect_occurrences(trace: Iterable[TraceEvent], events: Sequence[EventDef]) 
 
 # Automaton ------------------------------------------------------------------
 
+# The most states a behaviour's automaton, or one built on the way, may
+# have: subset construction is exponential in the worst case (a program of
+# nine events needs 833,863 states and 33 s).  The limit is hit in ~1 s.
+MAX_STATES = 1 << 16
+
+
+def _too_large() -> BehaviorError:
+    return BehaviorError("behavior-too-large", f"the behavior's automaton needs more than {MAX_STATES} states")
+
 
 @dataclass
 class _Fragment:
@@ -207,6 +216,8 @@ class _NfaBuilder:
 
         def get(pair: tuple[int, int]) -> int:
             if pair not in mapping:
+                if len(mapping) == MAX_STATES:
+                    raise _too_large()
                 mapping[pair] = self.node()
             return mapping[pair]
 
@@ -246,6 +257,7 @@ def _determinize(
     out of its members, not every edge of the NFA.  A fragment being
     shuffled needs no restriction to its nodes: its nodes are fresh, and
     the edges that will join it to the rest are added after the shuffle.
+    Raises BehaviorError past MAX_STATES states.
     """
     eps: dict[int, list[int]] = {}
     out: dict[int, list[tuple[str, int, bool]]] = {}
@@ -291,6 +303,8 @@ def _determinize(
             key = frozenset(targets)
             sid = states.get(key)
             if sid is None:
+                if len(order) == MAX_STATES:
+                    raise _too_large()
                 sid = states[key] = len(order)
                 order.append(key)
             row.append((label, sid, watcher))

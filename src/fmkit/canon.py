@@ -131,7 +131,7 @@ def canonicalize(tree: ast.ModelAst) -> Model:
         flows=flows,
         triggers=triggers,
         events=[],
-        behaviors=[BehaviorDecl(b.name, b.program) for b in tree.behaviors],
+        behaviors=[BehaviorDecl(b.name, b.program, b.span) for b in tree.behaviors],
         canonical=True,
     )
     model.reindex()

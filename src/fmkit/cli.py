@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Optional
 from . import jsonl
 
 if TYPE_CHECKING:
+    from .behavior import BehaviorAutomaton
     from .model import Model
 
 OK, FAIL, USAGE = 0, 1, 2
@@ -66,12 +67,19 @@ def _validated_model(path: str) -> tuple[Optional[Model], int]:
     return model, OK
 
 
-def _behavior_program(model: Model, name: str):
+def _behavior_automaton(model: Model, name: str) -> tuple[Optional[BehaviorAutomaton], int]:
+    """Compile the named behaviour; past the state limit, one diagnostic."""
+    from . import behavior as bhv
+    from .diagnostics import error
     decl = model.behavior(name)
     if decl is None:
         print(f"fmkit: model declares no behavior '{name}'", file=sys.stderr)
-        return None
-    return decl.program
+        return None, USAGE
+    try:
+        return bhv.compile_program(decl.program, {e.name for e in model.events}), OK
+    except bhv.BehaviorError as exc:
+        print(error(exc.code, f"behavior '{name}': {exc}", decl.span).render(), file=sys.stderr)
+        return None, FAIL
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
@@ -88,13 +96,13 @@ def cmd_sim(args: argparse.Namespace) -> int:
         for d in diags:
             print(d.render(), file=sys.stderr)
         return USAGE
-    program = None
+    automaton = None
     if args.behavior is not None:
         from . import behavior as bhv
-        program = _behavior_program(model, args.behavior)
-        if program is None:
-            return USAGE
-    gate = bhv.enforce(model, program) if (program is not None and args.mode == "enforce") else None
+        automaton, status = _behavior_automaton(model, args.behavior)
+        if automaton is None:
+            return status
+    gate = bhv.enforce(model, automaton) if (automaton is not None and args.mode == "enforce") else None
     config = simulate.SimConfig(max_ticks=args.ticks, stage_dwell=args.dwell, gate=gate)
     trace = simulate.run(model, scenario, config)
     if args.trace is not None:
@@ -106,8 +114,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
             return USAGE
     else:
         sys.stdout.writelines(export.trace_lines(trace))
-    if program is not None:
-        verdict = bhv.check(trace, model.events, program)
+    if automaton is not None:
+        verdict = bhv.check(trace, model.events, automaton)
         print(jsonl.dumps(verdict.to_json()))
         if args.mode == "observe" and not verdict.conforms:
             return FAIL
@@ -120,11 +128,9 @@ def cmd_dot(args: argparse.Namespace) -> int:
     if model is None:
         return status
     if args.behavior is not None:
-        program = _behavior_program(model, args.behavior)
-        if program is None:
-            return USAGE
-        from . import behavior as bhv
-        automaton = bhv.compile_program(program, {e.name for e in model.events})
+        automaton, status = _behavior_automaton(model, args.behavior)
+        if automaton is None:
+            return status
         sys.stdout.write(export.behavior_to_dot(automaton))
     else:
         sys.stdout.write(export.model_to_dot(model, show_implicit=args.show_implicit))
@@ -136,9 +142,9 @@ def cmd_conform(args: argparse.Namespace) -> int:
     model, status = _validated_model(args.file)
     if model is None:
         return status
-    program = _behavior_program(model, args.behavior)
-    if program is None:
-        return USAGE
+    automaton, status = _behavior_automaton(model, args.behavior)
+    if automaton is None:
+        return status
     text = _read(args.trace)
     if text is None:
         return USAGE
@@ -147,7 +153,7 @@ def cmd_conform(args: argparse.Namespace) -> int:
     except export.TraceParseError as exc:
         print(f"fmkit: {args.trace}: {exc}", file=sys.stderr)
         return USAGE
-    verdict = bhv.check(trace, model.events, program)
+    verdict = bhv.check(trace, model.events, automaton)
     print(jsonl.dumps(verdict.to_json()))
     return OK if verdict.conforms else FAIL
 

@@ -13,6 +13,7 @@ from enum import Enum
 from functools import cache
 from typing import Iterator, Optional, Sequence, Union
 
+from .diagnostics import SourceSpan
 from .exprs import Expr
 
 
@@ -143,18 +144,6 @@ class Sphere:
     children: list["Sphere"] = field(default_factory=list)
     machines: list[Machine] = field(default_factory=list)
 
-    def child(self, name: str) -> Optional["Sphere"]:
-        for c in self.children:
-            if c.name == name:
-                return c
-        return None
-
-    def machine(self, name: str) -> Optional[Machine]:
-        for m in self.machines:
-            if m.name == name:
-                return m
-        return None
-
 
 @dataclass
 class FlowArc:
@@ -251,6 +240,7 @@ Chrono = Union[Ref, Seq, Choice, Par, Repeat, Interrupt]
 class BehaviorDecl:
     name: str
     program: Chrono
+    span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
 @dataclass
@@ -269,8 +259,17 @@ class Model:
     _triggers_by_label: dict[str, TriggerArc] = field(default_factory=dict, repr=False)
     _flows_by_src: dict[Endpoint, list[FlowArc]] = field(default_factory=dict, repr=False)
     _triggers_by_src: dict[Endpoint, list[TriggerArc]] = field(default_factory=dict, repr=False)
+    _index: Optional["ModelIndex"] = field(default=None, repr=False, compare=False)
+
+    @property
+    def index(self) -> "ModelIndex":
+        """The simulator's site table: built on first use, dropped by reindex."""
+        if self._index is None:
+            self._index = ModelIndex(self)
+        return self._index
 
     def reindex(self) -> None:
+        self._index = None
         self._machines = {
             path + (m.name,): m for path, sphere in self.spheres() for m in sphere.machines
         }
@@ -330,11 +329,71 @@ class Model:
     def find_machine(self, path: tuple[str, ...]) -> Optional[Machine]:
         return self._machines.get(path)
 
-    def gated_endpoints(self) -> frozenset[Endpoint]:
-        """Stages whose outbound movement waits on an enable from a trigger."""
-        return frozenset(
-            t.dst for t in self.triggers if t.dst.stage is not Stage.CREATE
-        )
+
+class Hop:
+    """A flow arc with its destination site and its chain's next hop."""
+
+    __slots__ = ("arc", "label", "guard", "dst", "next")
+
+    def __init__(self, arc: FlowArc) -> None:
+        self.arc, self.label, self.guard = arc, arc.label, arc.guard
+
+
+class Site:
+    """An endpoint as the simulator reads it (see ``ModelIndex.site``)."""
+
+    __slots__ = ("ep", "text", "gated", "heads", "triggers", "assigns", "leaves")
+
+
+class ModelIndex:
+    """One ``Site`` per endpoint and one ``Hop`` per flow arc, plus each
+    kind's ``dec`` attribute names: what a simulator step reads."""
+
+    def __init__(self, model: Model) -> None:
+        self.model = model
+        self.dec = {k.name: frozenset(a.name for a in k.attrs if a.type == "dec") for k in model.kinds.values()}
+        self._gated = {t.dst for t in model.triggers if t.dst.stage is not Stage.CREATE}
+        self._hops = {a.label: Hop(a) for a in model.flows}
+        self.sites: dict[Endpoint, Site] = {}
+        for hop in self._hops.values():
+            arc = hop.arc
+            hop.dst = self.site(arc.dst)
+            hop.next = self._hops.get(f"{arc.family}.{arc.index + 1}") if arc.index + 1 < arc.chain_len else None
+
+    def site(self, ep: Endpoint) -> Site:
+        """The text of ``ep``, whether it waits on an enable (a trigger into a
+        stage other than create targets it), its chain-head hops and triggers
+        in label order, its machine's assigns (process only), any arc out."""
+        site = self.sites.get(ep)
+        if site is None:
+            model = self.model
+            site = self.sites[ep] = Site()
+            flows = model.flows_from(ep)
+            machine = model.find_machine(ep.path) if ep.stage is Stage.PROCESS else None
+            site.ep, site.text, site.gated = ep, str(ep), ep in self._gated
+            site.heads = tuple(self._hops[a.label] for a in flows if a.is_chain_head)
+            site.triggers = tuple(model.triggers_from(ep))
+            site.assigns = machine.assigns if machine is not None else ()
+            site.leaves = bool(flows or site.triggers)
+        return site
+
+
+def resolve_path(model: Model, path: tuple[str, ...], stage_text: str, text: str) -> Machine:
+    """The machine at ``path`` if it has the stage ``stage_text``, from the
+    path table; a miss walks the sphere tree to name the failing segment."""
+    machine = model.find_machine(path)
+    if machine is None:
+        spheres = model.roots
+        for seg in path[:-1]:
+            sphere = next((s for s in spheres if s.name == seg), None)
+            if sphere is None:
+                raise ResolutionError("unknown-sphere", seg, text)
+            spheres = sphere.children
+        raise ResolutionError("unknown-machine", path[-1], text)
+    stage = STAGES_BY_NAME.get(stage_text)
+    if stage is None or not machine.has_stage(stage):
+        raise ResolutionError("stage-not-declared", stage_text, text)
+    return machine
 
 
 def resolve_endpoint(model: Model, text: str) -> Endpoint:
@@ -346,28 +405,9 @@ def resolve_endpoint(model: Model, text: str) -> Endpoint:
     head, dot, stage_text = text.rpartition(".")
     if not dot or not head:
         raise ResolutionError("stage-not-declared", text, text)
-    segments = head.split("/")
-    if len(segments) < 2:
-        raise ResolutionError("unknown-machine", head, text)
-    sphere: Optional[Sphere] = None
-    for root in model.roots:
-        if root.name == segments[0]:
-            sphere = root
-            break
-    if sphere is None:
-        raise ResolutionError("unknown-sphere", segments[0], text)
-    for seg in segments[1:-1]:
-        nxt = sphere.child(seg)
-        if nxt is None:
-            raise ResolutionError("unknown-sphere", seg, text)
-        sphere = nxt
-    machine = sphere.machine(segments[-1])
-    if machine is None:
-        raise ResolutionError("unknown-machine", segments[-1], text)
-    stage = STAGES_BY_NAME.get(stage_text)
-    if stage is None or not machine.has_stage(stage):
-        raise ResolutionError("stage-not-declared", stage_text, text)
-    return Endpoint(tuple(segments), stage)
+    path = tuple(head.split("/"))
+    resolve_path(model, path, stage_text, text)
+    return Endpoint(path, STAGES_BY_NAME[stage_text])
 
 
 def expand_label(model: Model, label: str) -> list[str]:

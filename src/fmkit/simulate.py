@@ -30,16 +30,22 @@ A tick touches only the things that can change:
   then, because its completion may still assign attributes.
 * ``self.things`` is iterated in dict order, which is id order: ids are
   monotone and a consumed thing is never re-inserted.
+* Sites.  Each thing carries the ``Site`` of its location from
+  ``Model.index`` (set on spawn and on move) and the next ``Hop`` of the
+  chain it is on.  A step reads its text, gated flag, chain-head hops,
+  triggers and assigns from the site, and a move follows the hop to its
+  destination site, so no endpoint is hashed or rendered per record.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Optional, Protocol
+from operator import attrgetter
+from typing import NamedTuple, Optional, Protocol
 
 from . import exprs
 from .ast import Injection, Scenario  # noqa: F401  (Injection re-exported)
 from .diagnostics import Diagnostic, SourceSpan, error
-from .model import Endpoint, Model, Stage, TriggerArc, resolve_endpoint, ResolutionError
+from .model import Endpoint, Hop, Model, ResolutionError, Site, Stage, TriggerArc, resolve_path
 from .parser import parse_scenario  # noqa: F401  (re-exported)
 
 Value = exprs.Value
@@ -104,23 +110,9 @@ class Thing:
     loc: Endpoint
     born_tick: int
     arrival_tick: int
-    # Chain bookkeeping: the family and index of the last flow arc taken.
-    chain_family: Optional[str] = None
-    chain_index: int = 0
-    chain_len: int = 0
-
-    @property
-    def mid_chain(self) -> bool:
-        return self.chain_family is not None and self.chain_index + 1 < self.chain_len
-
-
-@dataclass
-class _PendingFiring:
-    enqueued: int
-    label: str
-    trigger: TriggerArc
-    source_id: int
-    spawn_values: dict[str, Value]
+    # The site of ``loc``, and the next hop of its chain (None at the end).
+    site: Optional[Site] = None
+    next: Optional[Hop] = None
 
 
 def eval_guard(guard: exprs.Expr, thing: Thing) -> bool:
@@ -130,18 +122,30 @@ def eval_guard(guard: exprs.Expr, thing: Thing) -> bool:
     return bool(exprs.evaluate(guard, thing.attrs))
 
 
+def _coerce(value: Value, name: str, dec: frozenset[str]) -> Value:
+    """An int stored in a ``dec`` attribute becomes a float (a bool stays)."""
+    return float(value) if type(value) is int and name in dec else value
+
+
+# A trigger that fired at a dwell's end and waits for the firing phase:
+# (label, source thing id, trigger, spawn values), queued in that order.
+_Firing = tuple[str, int, TriggerArc, dict[str, Value]]
+_new = tuple.__new__  # skips NamedTuple's Python-level __new__
+_by_label = attrgetter("label")
+
+
 class Simulation:
     """One run's worth of mutable state over an immutable model."""
 
     def __init__(self, model: Model, scenario: Scenario, config: SimConfig) -> None:
         self.model = model
+        self.index = model.index
         self.config = config
         self.tick = 0
         self.things: dict[int, Thing] = {}
         self.next_id = 1
         self.pending_enables: dict[Endpoint, list[int]] = {}
-        self.pending_firings: list[_PendingFiring] = []
-        self.gated = model.gated_endpoints()
+        self.pending_firings: list[_Firing] = []
         self._calendar: dict[int, list[int]] = {}  # completion tick -> thing ids
         self._parked: set[int] = set()
         self.injections = sorted(
@@ -149,7 +153,8 @@ class Simulation:
         )  # stable: ties keep declaration order
         self._next_injection = 0
         self.trace: Trace = []
-        self._emit_batch(self._apply_injections())
+        for event in self._apply_injections():
+            self._emit(event)
 
     # Event plumbing -------------------------------------------------------
 
@@ -158,14 +163,11 @@ class Simulation:
         if self.config.gate is not None:
             self.config.gate.observe(event)
 
-    def _emit_batch(self, events: Iterable[TraceEvent]) -> None:
-        for e in events:
-            self._emit(e)
-
     # Spawning -------------------------------------------------------------
 
     def _spawn(self, kind_name: str, target: Endpoint, values: dict[str, Value]) -> tuple[Thing, TraceEvent]:
         kind = self.model.kinds[kind_name]
+        dec = self.index.dec[kind_name]
         attrs: dict[str, Value] = {}
         for spec in kind.attrs:
             if spec.name in values:
@@ -174,14 +176,13 @@ class Simulation:
                 v = spec.default
             else:
                 raise SimError(f"spawn of {kind_name} lacks attribute '{spec.name}'")
-            if spec.type == "dec" and isinstance(v, int) and not isinstance(v, bool):
-                v = float(v)
-            attrs[spec.name] = v
-        thing = Thing(self.next_id, kind_name, attrs, target, self.tick, self.tick)
+            attrs[spec.name] = _coerce(v, spec.name, dec)
+        site = self.index.site(target)
+        thing = Thing(self.next_id, kind_name, attrs, target, self.tick, self.tick, site)
         self.next_id += 1
         self.things[thing.id] = thing
-        self._schedule(thing)
-        return thing, TraceEvent(self.tick, "spawn", thing.id, kind_name, str(target), None)
+        self._calendar.setdefault(self.tick + self.config.stage_dwell, []).append(thing.id)
+        return thing, _new(TraceEvent, (self.tick, "spawn", thing.id, kind_name, site.text, None))
 
     def _apply_injections(self) -> list[TraceEvent]:
         events: list[TraceEvent] = []
@@ -194,71 +195,62 @@ class Simulation:
             events.append(event)
         return events
 
-    def _schedule(self, thing: Thing) -> None:
-        """Enter a thing that has just arrived in its completion bucket."""
-        self._calendar.setdefault(thing.arrival_tick + self.config.stage_dwell, []).append(thing.id)
-
     # Move candidates ------------------------------------------------------
 
-    def _arc_candidates(self, thing: Thing, blocked: Optional[list[TraceEvent]]):
-        """Flow arcs this thing could take right now, in canonical order,
-        before dwell/enable eligibility is applied."""
-        if thing.mid_chain:
-            label = f"{thing.chain_family}.{thing.chain_index + 1}"
-            arc = self.model.flow(label)
-            return [arc] if arc is not None else []
+    def _open_heads(self, thing: Thing, blocked: Optional[list[TraceEvent]]) -> list[Hop]:
+        """The chain-head hops at the thing's site whose guards pass, in
+        label order; a guard that raises adds a ``blocked`` record."""
         out = []
-        for arc in self.model.flows_from(thing.loc):
-            if not arc.is_chain_head:
-                continue
-            if arc.guard is not None:
+        for hop in thing.site.heads:
+            if hop.guard is not None:
                 try:
-                    if not eval_guard(arc.guard, thing):
+                    if not eval_guard(hop.guard, thing):
                         continue
                 except exprs.EvalError:
                     if blocked is not None:
-                        blocked.append(
-                            TraceEvent(self.tick, "blocked", thing.id, thing.kind, str(thing.loc), arc.label)
-                        )
+                        record = (self.tick, "blocked", thing.id, thing.kind, thing.site.text, hop.label)
+                        blocked.append(_new(TraceEvent, record))
                     continue
-            out.append(arc)
+            out.append(hop)
         return out
 
-    def enabled_moves(self, blocked: Optional[list[TraceEvent]] = None) -> list[tuple[Thing, object]]:
-        """Every (thing, arc) pair eligible to move this tick, sorted by
-        (arc label, thing id).  A thing at an enable-gated stage is listed
-        only while an enable is available for it."""
+    def enabled_moves(self, blocked: Optional[list[TraceEvent]] = None) -> list[tuple[Thing, Hop]]:
+        """Every (thing, hop) pair eligible to move this tick, sorted by
+        (arc label, thing id): things are visited in id order, grouped by
+        hop, and the hops sorted by label.  A thing at an enable-gated stage
+        is listed only while an enable is available for it."""
         tick = self.tick
         dwell = self.config.stage_dwell
-        gated = self.gated
         parked = self._parked
         if blocked is None:
             blocked = []  # parking must see blocked records the caller drops
-        moves: list[tuple[Thing, object]] = []
+        by_hop: dict[Hop, list[Thing]] = {}
         budget = {ep: sum(1 for t in ticks if t < tick) for ep, ticks in self.pending_enables.items()}
         claimed: dict[Endpoint, int] = {}
         for thing in self.things.values():
             if thing.id in parked:
                 continue
-            loc = thing.loc
+            site = thing.site
             dwelling = tick < thing.arrival_tick + dwell
-            if loc in gated:
+            if site.gated:
                 # An enable both releases the thing and waives its dwell.
-                if claimed.get(loc, 0) >= budget.get(loc, 0):
+                if claimed.get(site.ep, 0) >= budget.get(site.ep, 0):
                     continue
             elif dwelling:
                 continue
-            n_blocked = len(blocked)
-            arcs = self._arc_candidates(thing, blocked)
-            if not arcs:
-                if not dwelling and len(blocked) == n_blocked:
-                    parked.add(thing.id)
-                continue
-            if loc in gated:
-                claimed[loc] = claimed.get(loc, 0) + 1
-            moves.extend((thing, arc) for arc in arcs)
-        moves.sort(key=lambda pair: (pair[1].label, pair[0].id))
-        return moves
+            hops = (thing.next,) if thing.next is not None else ()
+            if not hops:
+                n_blocked = len(blocked)
+                hops = self._open_heads(thing, blocked)
+                if not hops:
+                    if not dwelling and len(blocked) == n_blocked:
+                        parked.add(thing.id)
+                    continue
+            if site.gated:
+                claimed[site.ep] = claimed.get(site.ep, 0) + 1
+            for hop in hops:
+                by_hop.setdefault(hop, []).append(thing)
+        return [(thing, hop) for hop in sorted(by_hop, key=_by_label) for thing in by_hop[hop]]
 
     # Stepping -------------------------------------------------------------
 
@@ -266,107 +258,95 @@ class Simulation:
         """Advance one tick; returns the trace events it produced."""
         start = len(self.trace)
         self.tick += 1
+        tick = self.tick
         gate = self.config.gate
+        emit = self.trace.append if gate is None else self._emit
 
-        self._emit_batch(self._apply_injections())
+        for event in self._apply_injections():
+            emit(event)
 
         # Dwell completions: assigns evaluate, then triggers enqueue.
         dwell = self.config.stage_dwell
         completing = []
-        for thing_id in sorted(set(self._calendar.pop(self.tick, ()))):
+        for thing_id in sorted(set(self._calendar.pop(tick, ()))):
             thing = self.things.get(thing_id)
-            if thing is not None and thing.arrival_tick + dwell == self.tick:
+            if thing is not None and thing.arrival_tick + dwell == tick:
                 completing.append(thing)
-        new_firings: list[_PendingFiring] = []
+        new_firings: list[_Firing] = []
         for thing in completing:
-            machine = self.model.find_machine(thing.loc.path) if thing.loc.stage is Stage.PROCESS else None
-            if machine is not None:
-                for name, expr in machine.assigns:
-                    try:
-                        value = exprs.evaluate(expr, thing.attrs)
-                    except exprs.EvalError:
-                        self._emit(TraceEvent(self.tick, "blocked", thing.id, thing.kind, str(thing.loc), None))
+            site = thing.site
+            for name, expr in site.assigns:
+                try:
+                    value = exprs.evaluate(expr, thing.attrs)
+                except exprs.EvalError:
+                    emit(_new(TraceEvent, (tick, "blocked", thing.id, thing.kind, site.text, None)))
+                    continue
+                thing.attrs[name] = _coerce(value, name, self.index.dec[thing.kind])
+            for trig in site.triggers:
+                try:
+                    if trig.guard is not None and not eval_guard(trig.guard, thing):
                         continue
-                    spec = self.model.kinds[thing.kind].attr(name)
-                    if spec is not None and spec.type == "dec" and isinstance(value, int):
-                        value = float(value)
-                    thing.attrs[name] = value
-            for trig in self.model.triggers_from(thing.loc):
-                if trig.guard is not None:
-                    try:
-                        if not eval_guard(trig.guard, thing):
-                            continue
-                    except exprs.EvalError:
-                        self._emit(TraceEvent(self.tick, "blocked", thing.id, thing.kind, str(thing.loc), trig.label))
-                        continue
-                values: dict[str, Value] = {}
-                failed = False
-                for name, expr in trig.spawn_attrs:
-                    try:
-                        values[name] = exprs.evaluate(expr, thing.attrs)
-                    except exprs.EvalError:
-                        self._emit(TraceEvent(self.tick, "blocked", thing.id, thing.kind, str(thing.loc), trig.label))
-                        failed = True
-                        break
-                if not failed:
-                    new_firings.append(_PendingFiring(self.tick, trig.label, trig, thing.id, values))
-        new_firings.sort(key=lambda f: (f.label, f.source_id))
+                    values = {name: exprs.evaluate(expr, thing.attrs) for name, expr in trig.spawn_attrs}
+                except exprs.EvalError:
+                    emit(_new(TraceEvent, (tick, "blocked", thing.id, thing.kind, site.text, trig.label)))
+                    continue
+                new_firings.append((trig.label, thing.id, trig, values))
+        new_firings.sort(key=lambda f: f[:2])
         self.pending_firings.extend(new_firings)
 
         # Firing phase: spawn, enable, consume.  Firings a gate denies stay
         # queued and retry on later ticks.
         consumed: set[int] = set()
-        still_pending: list[_PendingFiring] = []
+        still_pending: list[_Firing] = []
         for firing in self.pending_firings:
-            if gate is not None and not gate.permits(firing.label):
+            label, source_id, trig, values = firing
+            if gate is not None and not gate.permits(label):
                 still_pending.append(firing)
                 continue
-            trig = firing.trigger
-            source = self.things.get(firing.source_id)
+            source = self.things.get(source_id)
             source_kind = source.kind if source is not None else None
-            self._emit(
-                TraceEvent(self.tick, "trigger-fired", firing.source_id, source_kind, str(trig.dst), firing.label)
-            )
+            emit(_new(TraceEvent, (tick, "trigger-fired", source_id, source_kind, str(trig.dst), label)))
             if trig.dst.stage is Stage.CREATE:
                 target_kind = self.model.find_machine(trig.dst.path).kind
-                _, event = self._spawn(target_kind, trig.dst, firing.spawn_values)
-                self._emit(event)
+                _, event = self._spawn(target_kind, trig.dst, values)
+                emit(event)
             else:
-                self.pending_enables.setdefault(trig.dst, []).append(self.tick)
+                self.pending_enables.setdefault(trig.dst, []).append(tick)
             if trig.consuming and source is not None and source.loc == trig.src:
                 consumed.add(source.id)
         self.pending_firings = still_pending
         for thing_id in sorted(consumed):
             thing = self.things.pop(thing_id)
             self._parked.discard(thing_id)
-            self._emit(TraceEvent(self.tick, "consume", thing.id, thing.kind, str(thing.loc), None))
+            emit(_new(TraceEvent, (tick, "consume", thing.id, thing.kind, thing.site.text, None)))
 
         # Moves: first guard-passing arc per thing, canonical order overall.
         blocked: list[TraceEvent] = []
         candidates = self.enabled_moves(blocked)
-        self._emit_batch(blocked)
+        for event in blocked:
+            emit(event)
         moved: set[int] = set()
-        for thing, arc in candidates:
-            if thing.id in moved or thing.id not in self.things:
+        for thing, hop in candidates:
+            if thing.id in moved:
                 continue
-            if gate is not None and not gate.permits(arc.label):
+            if gate is not None and not gate.permits(hop.label):
                 continue
-            if thing.loc in self.gated:
-                ticks = self.pending_enables.get(thing.loc, [])
-                idx = next((i for i, t in enumerate(ticks) if t < self.tick), None)
+            site = thing.site
+            if site.gated:
+                ticks = self.pending_enables.get(site.ep, [])
+                idx = next((i for i, t in enumerate(ticks) if t < tick), None)
                 if idx is None:
                     continue
                 ticks.pop(idx)
                 if not ticks:
-                    del self.pending_enables[thing.loc]
+                    del self.pending_enables[site.ep]
             moved.add(thing.id)
-            thing.loc = arc.dst
-            thing.arrival_tick = self.tick
-            thing.chain_family = arc.family
-            thing.chain_index = arc.index
-            thing.chain_len = arc.chain_len
-            self._schedule(thing)
-            self._emit(TraceEvent(self.tick, "move", thing.id, thing.kind, str(arc.dst), arc.label))
+            dst = hop.dst
+            thing.loc, thing.site, thing.next = dst.ep, dst, hop.next
+            thing.arrival_tick = tick
+            emit(_new(TraceEvent, (tick, "move", thing.id, thing.kind, dst.text, hop.label)))
+        if moved:
+            self._calendar.setdefault(tick + dwell, []).extend(moved)
 
         return self.trace[start:]
 
@@ -378,26 +358,26 @@ class Simulation:
             return True
         gate = self.config.gate
         for firing in self.pending_firings:
-            if gate is None or gate.permits(firing.label):
+            if gate is None or gate.permits(firing[0]):
                 return True
         dwell = self.config.stage_dwell
         parked = self._parked
         for thing in self.things.values():
             if thing.id in parked:
                 continue
+            site = thing.site
             if self.tick < thing.arrival_tick + dwell:
-                # Still dwelling: completion may fire triggers or, once
-                # assigns run, open a guarded arc.
-                if thing.mid_chain or self.model.flows_from(thing.loc) or self.model.triggers_from(thing.loc):
+                # Still dwelling: completion may fire triggers or open a
+                # guarded arc (a mid-chain thing's next hop leaves too).
+                if site.leaves:
                     return True
                 continue
-            arcs = self._arc_candidates(thing, None)
-            if not arcs:
+            hops = [thing.next] if thing.next is not None else self._open_heads(thing, None)
+            if not hops:
                 continue
-            if thing.loc in self.gated:
-                if not any(t <= self.tick for t in self.pending_enables.get(thing.loc, [])):
-                    continue
-            if gate is None or any(gate.permits(a.label) for a in arcs):
+            if site.gated and not any(t <= self.tick for t in self.pending_enables.get(site.ep, [])):
+                continue
+            if gate is None or any(gate.permits(hop.label) for hop in hops):
                 return True
         return False
 
@@ -405,13 +385,13 @@ class Simulation:
         """Cheap fork for what-if exploration; the gate is not forked."""
         clone = object.__new__(Simulation)
         clone.model = self.model
+        clone.index = self.index
         clone.config = replace(self.config)
         clone.tick = self.tick
         clone.things = {i: replace(t, attrs=dict(t.attrs)) for i, t in self.things.items()}
         clone.next_id = self.next_id
         clone.pending_enables = {ep: list(ts) for ep, ts in self.pending_enables.items()}
         clone.pending_firings = list(self.pending_firings)
-        clone.gated = self.gated
         clone._calendar = {tick: list(ids) for tick, ids in self._calendar.items()}
         clone._parked = set(self._parked)
         clone.injections = self.injections
@@ -443,15 +423,15 @@ def check_scenario(model: Model, scenario: Scenario) -> list[Diagnostic]:
         span = inj.span or SourceSpan("<scenario>", 1, 1, 1, 1)  # built in code, not parsed
         if inj.tick < 0:
             diags.append(error("E_SCENARIO", f"injection tick {inj.tick} is negative", span))
+        target = inj.target
         try:
-            ep = resolve_endpoint(model, str(inj.target))
+            machine = resolve_path(model, target.path, target.stage.value, str(target))
         except ResolutionError as exc:
-            diags.append(error("E_SCENARIO", f"injection target {inj.target}: {exc}", span))
+            diags.append(error("E_SCENARIO", f"injection target {target}: {exc}", span))
             continue
-        if ep.stage is not Stage.CREATE:
-            diags.append(error("E_SCENARIO", f"injection target {ep} is not a create stage", span))
-        machine = model.find_machine(ep.path)
-        if machine is not None and machine.kind != inj.kind:
+        if target.stage is not Stage.CREATE:
+            diags.append(error("E_SCENARIO", f"injection target {target} is not a create stage", span))
+        if machine.kind != inj.kind:
             diags.append(
                 error("E_SCENARIO", f"injection of '{inj.kind}' into a machine of kind '{machine.kind}'", span)
             )

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 from conftest import golden_text, load_corpus_model, load_corpus_scenario
 
+from fmkit import behavior
 from fmkit.cli import main
 from fmkit.export import write_trace
 from fmkit.simulate import SimConfig, run
@@ -135,6 +136,25 @@ def test_dot_behavior(capsys):
 def test_dot_unknown_behavior_exits_two(capsys):
     code, out, err = run_cli(capsys, "dot", str(CORPUS / "tvm.fm"), "--behavior", "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["conform", "dot", "sim-enforce", "sim-observe"])
+def test_behavior_past_the_state_limit_is_one_diagnostic(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.setattr(behavior, "MAX_STATES", 4)
+    model = str(CORPUS / "tvm.fm")
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(golden_text("tvm_exact"))
+    sim = ["sim", model, "--scenario", str(CORPUS / "tvm_exact.fms"), "--behavior", "cash_purchase"]
+    argv = {
+        "conform": ["conform", model, "--behavior", "cash_purchase", "--trace", str(trace)],
+        "dot": ["dot", model, "--behavior", "cash_purchase"],
+        "sim-enforce": sim + ["--mode", "enforce"],
+        "sim-observe": sim,
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    line = (CORPUS / "tvm.fm").read_text().splitlines().index("behavior cash_purchase {") + 1
+    message = "behavior 'cash_purchase': the behavior's automaton needs more than 4 states"
+    assert (code, out, err) == (1, "", f"{model}:{line}:1: error[behavior-too-large]: {message}\n")
 
 
 def test_conform_golden_trace(capsys, tmp_path):

@@ -56,6 +56,26 @@ def test_resolve_unknown_machine(tvm):
     assert exc.value.segment == "coin_hopper"
 
 
+@pytest.mark.parametrize(
+    "text,code,segment",
+    [
+        ("tvm", "stage-not-declared", "tvm"),
+        (".create", "stage-not-declared", ".create"),
+        ("tvm.create", "unknown-machine", "tvm"),
+        ("tvm/.create", "unknown-machine", ""),
+        ("tvm//cash.create", "unknown-sphere", ""),
+        ("tvm/card_net.receive", "unknown-machine", "card_net"),
+        ("tvm/card_net/nope.receive", "unknown-machine", "nope"),
+        ("tvm/vault/pay_req.receive", "unknown-sphere", "vault"),
+        ("tvm/card_net/pay_req.create", "stage-not-declared", "create"),
+    ],
+)
+def test_resolve_names_the_first_failing_segment(tvm, text, code, segment):
+    with pytest.raises(ResolutionError) as exc:
+        resolve_endpoint(tvm, text)
+    assert (exc.value.code, exc.value.segment, str(exc.value)) == (code, segment, f"{code}: '{segment}' in '{text}'")
+
+
 def test_subdiagram_cash_in_region(tvm):
     # The single authored cash arc expands to three canonical steps.
     region = subdiagram(tvm, ["23"])

@@ -10,7 +10,7 @@ from fmkit import exprs
 from fmkit.canon import load_model
 from fmkit.diagnostics import SourceSpan
 from fmkit.export import write_trace
-from fmkit.model import Endpoint, Stage
+from fmkit.model import Endpoint, FlowArc, Stage
 from fmkit.simulate import (
     Injection,
     Scenario,
@@ -285,6 +285,54 @@ def test_simulation_copy_is_independent(tvm):
     while sim.tick < 200 and sim.live():
         sim.step()
     assert write_trace(sim.trace) == tail
+    # Forks taken while things are mid-chain (plant) and while one waits at
+    # an enable-gated stage (tvm_cancel at tick 42) carry both; neither run
+    # changes the other.
+    for model_name, scenario_name, fork_at in (("plant", "plant_water", 10), ("tvm", "tvm_cancel", 42)):
+        model, _ = load_model(open(f"corpus/{model_name}.fm").read(), model_name)
+        sim = Simulation(model, load_corpus_scenario(model, scenario_name), SimConfig(max_ticks=200))
+        while sim.tick < fork_at:
+            sim.step()
+        assert any(t.next is not None for t in sim.things.values())
+        waiting = [t for t in sim.things.values() if t.site.gated and t.arrival_tick < sim.tick]
+        assert waiting or model_name == "plant"
+        before = _state(sim)
+        fork = sim.copy()
+        assert _state(fork) == before
+        while fork.tick < 200 and fork.live():
+            fork.step()
+        assert _state(sim) == before
+        after = _state(fork)
+        while sim.tick < 200 and sim.live():
+            sim.step()
+        assert _state(fork) == after
+        assert write_trace(sim.trace) == write_trace(fork.trace)
+
+
+def test_reindex_drops_the_site_table():
+    source = (
+        "thing w\n"
+        "sphere s {\n"
+        "  machine m: w { create release transfer receive }\n"
+        "  flow s/m.create -> s/m.release #a\n"
+        "  flow s/m.release -> s/m.transfer #b\n"
+        "}\n"
+    )
+    model, diags = load_model(source)
+    assert not diags
+    scenario = Scenario((Injection(0, "w", Endpoint(("s", "m"), Stage.CREATE), ()),))
+
+    def moves():
+        return [e.arc for e in run(model, scenario, SimConfig(max_ticks=10)) if e.action == "move"]
+
+    assert moves() == ["a", "b"]
+    index = model.index
+    assert model.index is index  # built once, then cached
+    transfer, receive = Endpoint(("s", "m"), Stage.TRANSFER), Endpoint(("s", "m"), Stage.RECEIVE)
+    model.flows.append(FlowArc(transfer, receive, "c", family="c"))
+    model.reindex()
+    assert model.index is not index
+    assert moves() == ["a", "b", "c"]
 
 
 def test_scenario_file_round_trip(tvm):
@@ -321,6 +369,29 @@ def test_negative_tick_finding_has_the_injection_span(tvm):
         ("E_SCENARIO", "injection tick -1 is negative", span),
         ("E_SCENARIO", "injection tick -2 is negative", SourceSpan("<scenario>", 1, 1, 1, 1)),
     ]
+
+
+# One finding per ResolutionError code.  The target resolves through the
+# model's path table; the message names the first segment that failed.
+RESOLUTION_FINDINGS = {
+    "unknown-sphere": ("kiosk/cash.create", "unknown-sphere: 'kiosk' in 'kiosk/cash.create'"),
+    "unknown-sphere-nested": ("tvm/vault/pay_req.create", "unknown-sphere: 'vault' in 'tvm/vault/pay_req.create'"),
+    "unknown-machine": ("passenger/till.create", "unknown-machine: 'till' in 'passenger/till.create'"),
+    "unknown-machine-is-a-sphere": ("tvm/card_net.create", "unknown-machine: 'card_net' in 'tvm/card_net.create'"),
+    "stage-not-declared": (
+        "tvm/card_net/pay_req.create", "stage-not-declared: 'create' in 'tvm/card_net/pay_req.create'"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESOLUTION_FINDINGS))
+def test_scenario_target_resolution_finding(tvm, case):
+    target, reason = RESOLUTION_FINDINGS[case]
+    text = f"inject start_request at passenger/start.create tick 0\n  inject pay_request at {target} tick 1\n"
+    scenario, diags = parse_scenario(text, "s.fms")
+    assert diags == []
+    found = [(d.code, d.message, d.span.file, d.span.start_line, d.span.start_col) for d in check_scenario(tvm, scenario)]
+    assert found == [("E_SCENARIO", f"injection target {target}: {reason}", "s.fms", 2, 3)]
 
 
 def test_scenario_parse_reports_bad_lines():
@@ -381,7 +452,10 @@ def _state(sim):
     return (
         sim.tick,
         write_trace(sim.trace),
-        [(t.id, str(t.loc), t.arrival_tick, sorted(t.attrs.items())) for t in sim.things.values()],
+        [
+            (t.id, str(t.loc), t.site.text, t.next and t.next.label, t.arrival_tick, sorted(t.attrs.items()))
+            for t in sim.things.values()
+        ],
         sorted(sim._parked),
         sorted((tick, sorted(ids)) for tick, ids in sim._calendar.items()),
         {str(ep): list(ts) for ep, ts in sim.pending_enables.items()},
