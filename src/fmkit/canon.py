@@ -73,11 +73,6 @@ def canonicalize(tree: ast.ModelAst) -> Model:
     triggers: list[TriggerArc] = []
     auto_counter = 0
 
-    def note_stage(path: tuple[str, ...], stage: Stage) -> None:
-        machine = machines_by_path[path]
-        if not machine.has_stage(stage):
-            machine.implicit = tuple(machine.implicit) + (stage,)
-
     for arc in arcs:
         src_path, dst_path = arc.src.segments, arc.dst.segments
         label = arc.label
@@ -99,17 +94,18 @@ def canonicalize(tree: ast.ModelAst) -> Model:
                 error("no-legal-expansion", f"no legal chain from {arc.src} to {arc.dst}", arc.span)
             )
         chain_len = len(nodes) - 1
+        # The chain's ends are the authored endpoints; each inner node is
+        # one endpoint shared by the two steps that meet there.
+        eps = [src, *(Endpoint(dst_path if side else src_path, stage) for side, stage in nodes[1:-1]), dst]
+        for ep in eps:
+            machine = machines_by_path[ep.path]
+            if not machine.has_stage(ep.stage):
+                machine.implicit = tuple(machine.implicit) + (ep.stage,)
         for i in range(chain_len):
-            side_a, stage_a = nodes[i]
-            side_b, stage_b = nodes[i + 1]
-            ep_a = Endpoint(src_path if side_a == 0 else dst_path, stage_a)
-            ep_b = Endpoint(src_path if side_b == 0 else dst_path, stage_b)
-            note_stage(ep_a.path, stage_a)
-            note_stage(ep_b.path, stage_b)
             flows.append(
                 FlowArc(
-                    ep_a,
-                    ep_b,
+                    eps[i],
+                    eps[i + 1],
                     label if i == 0 else f"{label}.{i}",
                     arc.guard if i == 0 else None,
                     family=label,
@@ -122,8 +118,7 @@ def canonicalize(tree: ast.ModelAst) -> Model:
 
     # Keep implicit stage order stable for printing and signatures.
     for machine in machines_by_path.values():
-        ordered = tuple(s for s in STAGE_ORDER if s in machine.implicit and s not in machine.declared)
-        machine.implicit = ordered
+        machine.implicit = tuple(s for s in STAGE_ORDER if s in machine.implicit and s not in machine.declared)
 
     model = Model(
         kinds=kinds,

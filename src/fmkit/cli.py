@@ -84,6 +84,10 @@ def _behavior_automaton(model: Model, name: str) -> tuple[Optional[BehaviorAutom
 
 def cmd_sim(args: argparse.Namespace) -> int:
     from . import export, simulate
+    for flag, value, least in (("--ticks", args.ticks, 0), ("--dwell", args.dwell, 1)):
+        if value < least:
+            print(f"fmkit: sim {flag} must be >= {least}, got {value}", file=sys.stderr)
+            return USAGE
     model, status = _validated_model(args.file)
     if model is None:
         return status

@@ -6,6 +6,7 @@ emitted sorted, so output is byte-stable across runs and platforms.
 from __future__ import annotations
 
 import json
+import re
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import jsonl
@@ -197,6 +198,22 @@ def read_trace(text: str | Iterable[str]) -> Trace:
 
 # DOT mini-grammar ------------------------------------------------------------
 
+# One alternative per token class, each a single capturing group, so
+# ``match.lastindex`` names the class (None at the end: only blanks were
+# left); blanks before a token are skipped by the same match.  A backslash
+# escapes any character in a quoted string; an ID starts with a ``\w``
+# character (``str.isalnum()`` or '_') and runs on through '.'.
+_DOT_TOKEN = re.compile(r"""[ \t\r\n]*(?:
+    "((?:[^"\\]|\\.)*)"         # 1 closed quoted string
+  | (->|[{}\[\];,=])            # 2 symbol
+  | (\w[\w.]*)                  # 3 ID
+  | (")                         # 4 a quote that never closes
+  | ([^ \t\r\n])                # 5 anything else
+  | \Z
+)""", re.VERBOSE | re.DOTALL)
+_DOT_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_DOT_SYMBOLS = {s: (s, s) for s in ("->", "{", "}", "[", "]", ";", ",", "=")}
+
 
 def dot_check(text: str) -> list[str]:
     """Validate DOT output against a small structural grammar; returns a
@@ -205,122 +222,109 @@ def dot_check(text: str) -> list[str]:
     tokens = _dot_tokenize(text, problems)
     if problems:
         return problems
-    pos = 0
+    tokens.append(("EOF", ""))  # nothing consumes it, so no index runs past
 
-    def cur() -> str:
-        return tokens[pos][0] if pos < len(tokens) else "EOF"
+    def expected(type_: str, pos: int) -> None:
+        found_type, found_text = tokens[pos]
+        problems.append(f"expected {type_}, found {found_text or found_type}")
 
-    def cur_text() -> str:
-        return tokens[pos][1] if pos < len(tokens) else ""
-
-    def eat(type_: str) -> bool:
-        nonlocal pos
-        if cur() == type_:
-            pos += 1
-            return True
-        problems.append(f"expected {type_}, found {cur_text() or cur()}")
-        return False
-
-    def parse_attrs() -> None:
-        nonlocal pos
-        if cur() != "[":
-            return
+    def parse_attrs(pos: int) -> int:  # [ ID [= ID] [,] ... ] from the '['
         pos += 1
-        while cur() not in ("]", "EOF"):
-            if not eat("ID"):
-                return
-            if cur() == "=":
+        while True:
+            type_ = tokens[pos][0]
+            if type_ == "]":
+                return pos + 1
+            if type_ != "ID":
+                expected("]" if type_ == "EOF" else "ID", pos)
+                return pos
+            pos += 1
+            if tokens[pos][0] == "=":
                 pos += 1
-                if cur() != "ID":
+                if tokens[pos][0] != "ID":
                     problems.append("expected a value after '='")
-                    return
+                    return pos
                 pos += 1
-            if cur() == ",":
+            if tokens[pos][0] == ",":
                 pos += 1
-        eat("]")
 
-    def parse_body() -> None:
-        nonlocal pos
-        while cur() not in ("}", "EOF"):
-            if cur() == "ID" and cur_text() == "subgraph":
-                pos += 1
-                if cur() == "ID":
+    def parse_body(pos: int) -> int:  # statements up to a '}' or EOF
+        while True:
+            type_, value = tokens[pos]
+            if type_ == "}" or type_ == "EOF":
+                return pos
+            if type_ != "ID":
+                expected("ID", pos)
+                return pos
+            pos += 1
+            if value == "subgraph":
+                if tokens[pos][0] == "ID":
                     pos += 1
-                if eat("{"):
-                    parse_body()
-                    eat("}")
+                pos = parse_block(pos)
                 continue
-            if not eat("ID"):
-                return
-            if cur() == "=":  # graph-level attribute like rankdir=LR
+            type_ = tokens[pos][0]
+            if type_ == "=":  # graph-level attribute like rankdir=LR
                 pos += 1
-                if cur() != "ID":
+                if tokens[pos][0] != "ID":
                     problems.append("expected a value after '='")
-                    return
+                    return pos
                 pos += 1
             else:
-                while cur() == "->":
+                while type_ == "->":
                     pos += 1
-                    if not eat("ID"):
-                        return
-                parse_attrs()
-            if not eat(";"):
-                return
+                    if tokens[pos][0] != "ID":
+                        expected("ID", pos)
+                        return pos
+                    pos += 1
+                    type_ = tokens[pos][0]
+                if type_ == "[":
+                    pos = parse_attrs(pos)
+            if tokens[pos][0] != ";":
+                expected(";", pos)
+                return pos
+            pos += 1
 
-    if cur() == "ID" and cur_text() == "digraph":
-        pos += 1
-    else:
+    def parse_block(pos: int) -> int:
+        """``{ body }`` from pos; a problem in the body does not stop it."""
+        if tokens[pos][0] != "{":
+            expected("{", pos)
+            return pos
+        pos = parse_body(pos + 1)
+        if tokens[pos][0] != "}":
+            expected("}", pos)
+            return pos
+        return pos + 1
+
+    if tokens[0] != ("ID", "digraph"):
         problems.append("document must start with 'digraph'")
         return problems
-    if cur() == "ID":
-        pos += 1
-    if eat("{"):
-        parse_body()
-        eat("}")
-    if not problems and pos != len(tokens):
+    pos = 2 if tokens[1][0] == "ID" else 1
+    pos = parse_block(pos)
+    if not problems and tokens[pos][0] != "EOF":
         problems.append("trailing content after closing brace")
     return problems
 
 
 def _dot_tokenize(text: str, problems: list[str]) -> list[tuple[str, str]]:
+    """The (type, text) tokens of text; at the first bad character or
+    unclosed quote, a problem and the tokens before it."""
     tokens: list[tuple[str, str]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                problems.append("unterminated quoted string")
-                return tokens
-            tokens.append(("ID", "".join(buf)))
-            i = j + 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(("->", "->"))
-            i += 2
-            continue
-        if ch in "{}[];,=":
-            tokens.append((ch, ch))
-            i += 1
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_."):
-                j += 1
-            tokens.append(("ID", text[i:j]))
-            i = j
-            continue
-        problems.append(f"unexpected character {ch!r} in DOT output")
-        return tokens
+    add = tokens.append
+    symbols = _DOT_SYMBOLS
+    for m in _DOT_TOKEN.finditer(text):
+        kind = m.lastindex
+        if kind == 2:
+            add(symbols[m[2]])
+        elif kind == 1:
+            body = m[1]
+            add(("ID", _DOT_ESCAPE.sub(r"\1", body) if "\\" in body else body))
+        elif kind == 3:
+            add(("ID", m[3]))
+        elif kind == 4:
+            problems.append("unterminated quoted string")
+            break
+        elif kind == 5:
+            problems.append(f"unexpected character {m[5]!r} in DOT output")
+            break
+        else:
+            break
     return tokens

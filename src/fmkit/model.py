@@ -259,6 +259,9 @@ class Model:
     _triggers_by_label: dict[str, TriggerArc] = field(default_factory=dict, repr=False)
     _flows_by_src: dict[Endpoint, list[FlowArc]] = field(default_factory=dict, repr=False)
     _triggers_by_src: dict[Endpoint, list[TriggerArc]] = field(default_factory=dict, repr=False)
+    # Chain families: each flow label's text before one of its '.'s, mapped
+    # to the flow labels that extend it there, in flow order.
+    _families: dict[str, list[str]] = field(default_factory=dict, repr=False)
     _index: Optional["ModelIndex"] = field(default=None, repr=False, compare=False)
 
     @property
@@ -274,6 +277,12 @@ class Model:
             path + (m.name,): m for path, sphere in self.spheres() for m in sphere.machines
         }
         self._flows_by_label = {a.label: a for a in self.flows}
+        self._families = {}
+        for label in self._flows_by_label:
+            dot = label.find(".")
+            while dot != -1:
+                self._families.setdefault(label[:dot], []).append(label)
+                dot = label.find(".", dot + 1)
         self._triggers_by_label = {t.label: t for t in self.triggers}
         self._flows_by_src = {}
         for a in self.flows:
@@ -411,14 +420,10 @@ def resolve_endpoint(model: Model, text: str) -> Endpoint:
 
 
 def expand_label(model: Model, label: str) -> list[str]:
-    """A user label covers itself plus the derived labels of its chain."""
-    out = []
-    if label in model._flows_by_label or label in model._triggers_by_label:
-        out.append(label)
-    prefix = label + "."
-    for known in model._flows_by_label:
-        if known.startswith(prefix):
-            out.append(known)
+    """A user label covers itself plus the derived labels of its chain: the
+    flow labels that extend it past a '.', read from the family table."""
+    out = [label] if label in model._flows_by_label or label in model._triggers_by_label else []
+    out.extend(model._families.get(label, ()))
     return out
 
 

@@ -22,11 +22,17 @@ from .diagnostics import Diagnostic, SourceSpan, error
 from .lexer import Token, tokenize
 from .model import Chrono, Choice, Endpoint, Interrupt, Par, Ref, Repeat, Seq, Stage, STAGES_BY_NAME
 
-STAGE_KEYWORDS = set(STAGES_BY_NAME)
-ITEM_KEYWORDS = {"thing", "sphere", "event", "behavior"}
-SPHERE_ITEM_KEYWORDS = {"sphere", "machine", "flow", "trigger"}
-CHRONO_HEADS = {"seq", "choice", "par", "repeat", "interrupt"}
+STAGE_KEYWORDS = frozenset(STAGES_BY_NAME)
+ITEM_KEYWORDS = frozenset({"thing", "sphere", "event", "behavior"})
+SPHERE_ITEM_KEYWORDS = frozenset({"sphere", "machine", "flow", "trigger"})
+CHRONO_HEADS = frozenset({"seq", "choice", "par", "repeat", "interrupt"})
 LITERAL_TOKENS = frozenset({"INT", "DEC", "STRING", "true", "false"})
+# Token types that end a block, group or attribute, or that skip_expr steps over.
+_BLOCK_END = frozenset({"}", "EOF"})
+_GROUP_END = frozenset({")", "EOF"})
+_ATTR_END = frozenset({",", "}"})
+_PREFIX = frozenset({"not", "-", "("})
+_OPERAND = LITERAL_TOKENS | {"IDENT"}
 MAX_NESTING = 200
 
 # Binding power of each binary operator.  'not' sits between 'and' and the
@@ -56,24 +62,30 @@ class _Parser:
     def __init__(self, tokens: list[Token], file: str) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.cur = tokens[0]
         self.file = file
         self.diags: list[Diagnostic] = []
         self.depth = 0  # sphere, chronology, bracket and prefix levels open
 
     # Token plumbing -------------------------------------------------------
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
+    # ``cur`` is a plain attribute, ``tokens[pos]``: advance (never past the
+    # final EOF), expect and seek move ``pos`` and set ``cur`` with it.  ``at``
+    # tests one type; a test against several is ``self.cur.type in`` a
+    # module-level frozenset, and hot loops compare ``self.cur.type`` directly.
 
     def advance(self) -> Token:
         tok = self.cur
         if tok.type != "EOF":
             self.pos += 1
+            self.cur = self.tokens[self.pos]
         return tok
 
-    def at(self, *types: str) -> bool:
-        return self.cur.type in types
+    def seek(self, pos: int) -> None:
+        self.pos = pos
+        self.cur = self.tokens[pos]
+
+    def at(self, type_: str) -> bool:
+        return self.cur.type == type_
 
     def expect(self, type_: str, what: str = "") -> Optional[Token]:
         if self.cur.type == type_:
@@ -85,8 +97,8 @@ class _Parser:
     def error(self, message: str, span: Optional[SourceSpan] = None) -> None:
         self.diags.append(error("syntax-error", message, span or self.cur.span))
 
-    def synchronize(self, keywords: set[str]) -> None:
-        while not self.at("EOF") and self.cur.type not in keywords and not self.at("}"):
+    def synchronize(self, keywords: frozenset[str]) -> None:
+        while self.cur.type not in _BLOCK_END and self.cur.type not in keywords:
             self.advance()
 
     def nest(self, tok: Token) -> None:
@@ -102,10 +114,10 @@ class _Parser:
     def skip_item(self, start: int) -> None:
         """Skip the top-level item starting at token index start: up to the
         '}' that closes its first '{' (or EOF)."""
-        self.pos = start
+        self.seek(start)
         self.depth = 0
         open_braces = 0
-        while not self.at("EOF"):
+        while self.cur.type != "EOF":
             tok = self.advance()
             if tok.type == "{":
                 open_braces += 1
@@ -118,7 +130,7 @@ class _Parser:
 
     def parse_model(self) -> ast.ModelAst:
         out = ast.ModelAst(self.file)
-        while not self.at("EOF"):
+        while self.cur.type != "EOF":
             start = self.pos
             try:
                 self.parse_item(out)
@@ -160,7 +172,7 @@ class _Parser:
         attrs: list[ast.AttrDecl] = []
         if self.at("{"):
             self.advance()
-            while not self.at("}", "EOF"):
+            while self.cur.type not in _BLOCK_END:
                 if self.at(","):
                     self.advance()
                     continue
@@ -169,7 +181,7 @@ class _Parser:
                     break
                 if self.expect(":") is None:
                     break
-                if self.at("int", "dec", "str", "bool"):
+                if self.cur.type in exprs.SCALAR_TYPES:
                     type_tok = self.advance()
                 else:
                     self.error("expected a scalar type (int, dec, str, bool)")
@@ -180,7 +192,7 @@ class _Parser:
                     default = self.parse_literal()
                     if default is None:  # skip to the ',' or '}' that ends this attribute
                         depth = 0
-                        while not self.at("EOF") and (depth or not self.at(",", "}")):
+                        while self.cur.type != "EOF" and (depth or self.cur.type not in _ATTR_END):
                             depth = max(0, depth + _BRACKETS.get(self.advance().type, 0))
                 attrs.append(ast.AttrDecl(attr_tok.text, type_tok.text, default, attr_tok.span))
             self.expect("}")
@@ -192,7 +204,7 @@ class _Parser:
         tok = self.cur
         if tok.type == "-":
             self.advance()
-            if not self.at("INT", "DEC"):
+            if self.cur.type != "INT" and self.cur.type != "DEC":
                 self.error(f"expected a number, found '{self.cur.text or self.cur.type}'")
                 return None
             value = self.parse_literal()
@@ -220,16 +232,16 @@ class _Parser:
             return None
         self.nest(start)
         sphere = ast.SphereDecl(name_tok.text, start.span)
-        while not self.at("}", "EOF"):
-            if self.at("sphere"):
+        while self.cur.type not in _BLOCK_END:
+            if self.cur.type == "sphere":
                 child = self.parse_sphere()
                 if child:
                     sphere.children.append(child)
-            elif self.at("machine"):
+            elif self.cur.type == "machine":
                 m = self.parse_machine()
                 if m:
                     sphere.machines.append(m)
-            elif self.at("flow", "trigger"):
+            elif self.cur.type == "flow" or self.cur.type == "trigger":
                 a = self.parse_arc()
                 if a:
                     sphere.arcs.append(a)
@@ -255,28 +267,19 @@ class _Parser:
             return None
         stages: list[tuple[Stage, bool]] = []
         assigns: list[tuple[str, exprs.Expr, SourceSpan]] = []
-        while not self.at("}", "EOF"):
+        while self.cur.type not in _BLOCK_END:
             implicit = False
-            if self.at("implicit"):
+            if self.cur.type == "implicit":
                 self.advance()
                 implicit = True
             if self.cur.type in STAGE_KEYWORDS:
                 stages.append((STAGES_BY_NAME[self.cur.text], implicit))
                 self.advance()
-            elif self.at("assign") and not implicit:
+            elif self.cur.type == "assign" and not implicit:
                 self.advance()
                 if self.expect("{") is None:
                     break
-                while not self.at("}", "EOF"):
-                    if self.at(","):
-                        self.advance()
-                        continue
-                    attr_tok = self.expect("IDENT", "an attribute name")
-                    if attr_tok is None or self.expect("=") is None:
-                        break
-                    expr = self.parse_expr()
-                    assigns.append((attr_tok.text, expr, attr_tok.span))
-                self.expect("}")
+                assigns.extend(self.parse_assignments())
             else:
                 self.error("expected a stage name or an assign block")
                 break
@@ -285,12 +288,26 @@ class _Parser:
             name_tok.text, kind_tok.text, tuple(stages), tuple(assigns), start.span, kind_tok.span
         )
 
+    def parse_assignments(self) -> list[tuple[str, exprs.Expr, SourceSpan]]:
+        """``IDENT = expr`` pairs, with commas, through the closing '}'."""
+        out = []
+        while self.cur.type not in _BLOCK_END:
+            if self.at(","):
+                self.advance()
+                continue
+            attr_tok = self.expect("IDENT", "an attribute name")
+            if attr_tok is None or self.expect("=") is None:
+                break
+            out.append((attr_tok.text, self.parse_expr(), attr_tok.span))
+        self.expect("}")
+        return out
+
     def parse_endpoint(self) -> Optional[ast.EndpointRef]:
         first = self.expect("IDENT", "an endpoint path")
         if first is None:
             return None
         segments = [first.text]
-        while self.at("/"):
+        while self.cur.type == "/":
             self.advance()
             seg = self.expect("IDENT", "a path segment")
             if seg is None:
@@ -323,28 +340,19 @@ class _Parser:
         consuming = False
         spawn: list[tuple[str, exprs.Expr, SourceSpan]] = []
         if not is_flow:
-            if self.at("consuming"):
+            if self.cur.type == "consuming":
                 self.advance()
                 consuming = True
-            if self.at("spawn"):
+            if self.cur.type == "spawn":
                 self.advance()
                 if self.expect("{") is not None:
-                    while not self.at("}", "EOF"):
-                        if self.at(","):
-                            self.advance()
-                            continue
-                        attr_tok = self.expect("IDENT", "an attribute name")
-                        if attr_tok is None or self.expect("=") is None:
-                            break
-                        expr = self.parse_expr()
-                        spawn.append((attr_tok.text, expr, attr_tok.span))
-                    self.expect("}")
+                    spawn = self.parse_assignments()
         guard = None
-        if self.at("when"):
+        if self.cur.type == "when":
             self.advance()
             guard = self.parse_expr()
         label = None
-        if self.at("LABEL"):
+        if self.cur.type == "LABEL":
             label_tok = self.advance()
             if "." in label_tok.text:
                 self.error("arc labels may not contain '.'", label_tok.span)
@@ -391,7 +399,7 @@ class _Parser:
             return None
         self.nest(head)
         children: list[Chrono] = []
-        while not self.at(")", "EOF"):
+        while self.cur.type not in _GROUP_END:
             if self.at(","):
                 self.advance()
                 continue
@@ -418,17 +426,13 @@ class _Parser:
         if len(children) < 2:
             self.error(f"{head.type} needs at least two terms", head.span)
             return None
-        if head.type == "seq":
-            return Seq(tuple(children))
-        if head.type == "choice":
-            return Choice(tuple(children))
-        return Par(tuple(children))
+        return {"seq": Seq, "choice": Choice, "par": Par}[head.type](tuple(children))
 
     def parse_scenario(self) -> ast.Scenario:
         """``inject IDENT at <endpoint> tick INT [{ IDENT = literal, ... }]``
         lines; after an error, skip to the next 'inject'."""
         injections: list[ast.Injection] = []
-        while not self.at("EOF"):
+        while self.cur.type != "EOF":
             if self.at("inject"):
                 injection = self.parse_injection()
                 if injection is not None:
@@ -436,7 +440,7 @@ class _Parser:
                     continue
             else:
                 self.error(f"expected 'inject', found '{self.cur.text or self.cur.type}'")
-            while not self.at("inject", "EOF"):
+            while self.cur.type != "inject" and self.cur.type != "EOF":
                 self.advance()
         return ast.Scenario(tuple(injections))
 
@@ -454,7 +458,7 @@ class _Parser:
         attrs: list[tuple[str, exprs.Value]] = []
         if self.at("{"):
             self.advance()
-            while not self.at("}", "EOF"):
+            while self.cur.type not in _BLOCK_END:
                 if self.at(","):
                     self.advance()
                     continue
@@ -485,13 +489,13 @@ class _Parser:
     def skip_expr(self, start: int) -> None:
         """Move past the expression starting at token index start without
         building it: operands and operators in turn, brackets counted."""
-        self.pos = start
+        self.seek(start)
         open_parens = 0
         while True:
-            while self.at("not", "-", "("):
+            while self.cur.type in _PREFIX:
                 if self.advance().type == "(":
                     open_parens += 1
-            if not self.at("INT", "DEC", "STRING", "true", "false", "IDENT"):
+            if self.cur.type not in _OPERAND:
                 return
             self.advance()
             while open_parens and self.at(")"):
@@ -506,7 +510,7 @@ class _Parser:
         min_prec, by precedence climbing; returns it with its tree height.
         Each chain is built in a loop, so the parser recurses only into
         brackets, prefix operators and tighter right operands."""
-        if min_prec <= _NOT_PREC and self.at("not"):
+        if min_prec <= _NOT_PREC and self.cur.type == "not":
             tok = self.advance()
             self.nest(tok)
             operand, height = self.parse_binary(_NOT_PREC)
@@ -535,7 +539,7 @@ class _Parser:
     def parse_factor(self) -> tuple[exprs.Expr, int]:
         """A unary minus, literal, attribute or bracketed expression, with
         its tree height."""
-        if self.at("-"):
+        if self.cur.type == "-":
             tok = self.advance()
             self.nest(tok)
             operand, height = self.parse_factor()
@@ -545,9 +549,9 @@ class _Parser:
         if self.cur.type in LITERAL_TOKENS:
             value = self.parse_literal()
             return exprs.Lit(False if value is None else value), 0
-        if self.at("IDENT"):
+        if self.cur.type == "IDENT":
             return exprs.Attr(self.advance().text), 0
-        if self.at("("):
+        if self.cur.type == "(":
             tok = self.advance()
             self.nest(tok)
             inner = self.parse_binary(1)
@@ -711,13 +715,7 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
 def _chrono_refs(node: Chrono) -> list[str]:
     if isinstance(node, Ref):
         return [node.event]
-    if isinstance(node, (Seq, Choice, Par)):
-        out: list[str] = []
-        for child in node.children:
-            out.extend(_chrono_refs(child))
-        return out
     if isinstance(node, Repeat):
         return _chrono_refs(node.child)
-    if isinstance(node, Interrupt):
-        return _chrono_refs(node.watcher) + _chrono_refs(node.handler) + _chrono_refs(node.body)
-    return []
+    parts = (node.watcher, node.handler, node.body) if isinstance(node, Interrupt) else node.children
+    return [ref for child in parts for ref in _chrono_refs(child)]

@@ -25,18 +25,12 @@ from .model import (
 def render_chrono(node: Chrono) -> str:
     if isinstance(node, Ref):
         return node.event
-    if isinstance(node, Seq):
-        return "seq(" + ", ".join(render_chrono(c) for c in node.children) + ")"
-    if isinstance(node, Choice):
-        return "choice(" + ", ".join(render_chrono(c) for c in node.children) + ")"
-    if isinstance(node, Par):
-        return "par(" + ", ".join(render_chrono(c) for c in node.children) + ")"
     if isinstance(node, Repeat):
         text = f"repeat({render_chrono(node.child)})"
         return text + " possible" if node.possible else text
-    if isinstance(node, Interrupt):
-        parts = (node.watcher, node.handler, node.body)
-        return "interrupt(" + ", ".join(render_chrono(c) for c in parts) + ")"
+    if isinstance(node, (Seq, Choice, Par, Interrupt)):
+        parts = (node.watcher, node.handler, node.body) if isinstance(node, Interrupt) else node.children
+        return type(node).__name__.lower() + "(" + ", ".join(render_chrono(c) for c in parts) + ")"
     raise TypeError(f"not a chronology node: {node!r}")
 
 

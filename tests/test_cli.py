@@ -121,6 +121,21 @@ def test_sim_bad_scenario_exits_two(capsys, tmp_path):
     assert "lacks required attribute" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--ticks", "-1", "fmkit: sim --ticks must be >= 0, got -1"),
+     ("--dwell", "0", "fmkit: sim --dwell must be >= 1, got 0")],
+)
+def test_sim_out_of_range_flag_exits_two(capsys, flag, value, message):
+    code, out, err = run_cli(
+        capsys,
+        "sim", str(CORPUS / "tvm.fm"), "--scenario", str(CORPUS / "tvm_exact.fms"), flag, value,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == message + "\n"
+
+
 def test_dot_model_stdout(capsys):
     code, out, err = run_cli(capsys, "dot", str(CORPUS / "tvm.fm"))
     assert code == 0

@@ -4,16 +4,18 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import golden_text
+import dot_reference
+from conftest import CORPUS, golden_text
 
 from fmkit import jsonl
 from fmkit.behavior import compile_program
 from fmkit.canon import load_model
 from fmkit.export import (
     TraceParseError,
+    _dot_tokenize,
     behavior_to_dot,
     dot_check,
     model_to_dot,
@@ -277,3 +279,72 @@ def test_dot_check_rejects_malformed():
     assert dot_check("graph { }")
     assert dot_check("digraph { unbalanced ")
     assert dot_check('digraph { "a" -> ; }')
+
+
+@pytest.mark.parametrize(
+    "document, problems",
+    [
+        ('digraph { "a', ["unterminated quoted string"]),
+        ('digraph { "a\\" }', ["unterminated quoted string"]),
+        ("digraph { a -- b; }", ["unexpected character '-' in DOT output"]),
+        ("digraph { a; }\x0b", ["unexpected character '\\x0b' in DOT output"]),
+        ('digraph { "a" -> ; }', ["expected ID, found ;", "expected }, found ;"]),
+        ("digraph { a }", ["expected ;, found }"]),
+        ("digraph { unbalanced ", ["expected ;, found EOF", "expected }, found EOF"]),
+        ('digraph { "" [x=1] "" }', ["expected ;, found ID", "expected }, found ID"]),
+        ("digraph { a [label=]; }", ["expected a value after '='", "expected ;, found ]", "expected }, found ]"]),
+        ("digraph { rankdir=; }", ["expected a value after '='", "expected }, found ;"]),
+        ("digraph { subgraph { ; } }", ["expected ID, found ;", "expected }, found ;", "expected ID, found ;", "expected }, found ;"]),
+        ("graph { }", ["document must start with 'digraph'"]),
+        ("", ["document must start with 'digraph'"]),
+        ("digraph { } x", ["trailing content after closing brace"]),
+        ("digraph g { a -> b -> c [x=y, z=w]; rankdir=LR; subgraph s { q; } }", []),
+    ],
+)
+def test_dot_check_names_each_problem(document, problems):
+    assert dot_check(document) == problems
+
+
+# DOT pieces: keywords, symbols, IDs with dots, quotes and escaped quotes, a
+# lone backslash, blanks (only ' \t\r\n' are blanks in the checker) and
+# characters outside ASCII that are letters or digits to str.isalnum()
+# ('é', '²', '٣') or neither ('\xa0', '·').
+DOT_FRAGMENTS = (
+    ["digraph", "subgraph", "label", "a", "x.1", "_", "s0", "1.5", "."]
+    + ["{", "}", "[", "]", ";", ",", "=", "->", "-", ">", '"', '\\"', "\\", '"a b"', '"\\\\"', '""']
+    + [" ", "\n", "\t", "\r", "\x0b", "é", "²", "٣", "\xa0", "·", "#"]
+)
+dot_fragments = st.tuples(
+    st.sampled_from(["", "digraph {", "digraph g {", "digraph", "graph {"]),
+    st.lists(st.sampled_from(DOT_FRAGMENTS), max_size=30).map("".join),
+    st.sampled_from(["", "}", "}\n", "} x", " \n "]),
+).map("".join)
+
+
+def assert_dot_check_same_as_reference(text: str) -> None:
+    problems: list[str] = []
+    ref_problems: list[str] = []
+    assert _dot_tokenize(text, problems) == dot_reference._dot_tokenize(text, ref_problems)
+    assert problems == ref_problems
+    assert dot_check(text) == dot_reference.dot_check(text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(dot_fragments)
+@example('digraph { "a\\"b" -> "c\\\\" [label="é²"]; }')
+@example('digraph { "a" -> "b\\')
+@example('digraph { a; }\\')
+@example('digraph { "a\\\nb" -> .c; }')
+@example("digraph { subgraph { a -> ; } b; }")
+def test_dot_check_matches_reference(text):
+    assert_dot_check_same_as_reference(text)
+
+
+@pytest.mark.parametrize("name", ["tvm", "plant", "turbine"])
+def test_dot_check_matches_reference_on_corpus_diagrams(name):
+    model, _ = load_model((CORPUS / f"{name}.fm").read_text(encoding="utf-8"))
+    for show in (True, False):
+        assert_dot_check_same_as_reference(model_to_dot(model, show_implicit=show))
+    if model.behaviors:
+        events = {e.name for e in model.events}
+        assert_dot_check_same_as_reference(behavior_to_dot(compile_program(model.behaviors[0].program, events)))

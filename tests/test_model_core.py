@@ -11,9 +11,13 @@ from fmkit.canon import load_model
 from fmkit.model import (
     INTRA_EDGES,
     Endpoint,
+    FlowArc,
+    Model,
     ResolutionError,
     Stage,
+    TriggerArc,
     UnknownLabelError,
+    expand_label,
     resolve_endpoint,
     shortest_chain,
     subdiagram,
@@ -190,3 +194,45 @@ def test_endpoint_cached_text_and_hash_keep_value_semantics():
     # A string's hash differs between processes, so a pickle carries no cache.
     clone = pickle.loads(pickle.dumps(ep))
     assert clone == ep and "_hash" not in vars(clone) and "_text" not in vars(clone)
+
+
+def expand_label_by_scan(model, label):
+    """expand_label as it was before the family table: the label itself if
+    some arc has it, then every flow label starting with label + '.'."""
+    out = []
+    if label in model._flows_by_label or label in model._triggers_by_label:
+        out.append(label)
+    prefix = label + "."
+    for known in model._flows_by_label:
+        if known.startswith(prefix):
+            out.append(known)
+    return out
+
+
+arc_labels = st.text(alphabet="ab.@1", max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(arc_labels, max_size=12), st.lists(arc_labels, max_size=4), st.lists(arc_labels, max_size=8))
+def test_expand_label_matches_the_prefix_scan(flow_labels, trigger_labels, queries):
+    """Hand-built arcs, their family left at "", with any labels: dots
+    anywhere, repeated, empty."""
+    ep = Endpoint(("s", "m"), Stage.PROCESS)
+    model = Model(
+        kinds={},
+        roots=[],
+        flows=[FlowArc(ep, ep, label) for label in flow_labels],
+        triggers=[TriggerArc(ep, ep, label) for label in trigger_labels],
+        events=[],
+        behaviors=[],
+    )
+    model.reindex()
+    for label in queries + flow_labels + trigger_labels + [""]:
+        assert expand_label(model, label) == expand_label_by_scan(model, label)
+
+
+@pytest.mark.parametrize("name", ["tvm", "plant", "turbine"])
+def test_expand_label_matches_the_prefix_scan_on_corpus(name, request):
+    model = request.getfixturevalue(name)
+    for label in list(model._flows_by_label) + list(model._triggers_by_label) + ["", "nope"]:
+        assert expand_label(model, label) == expand_label_by_scan(model, label)
