@@ -1,4 +1,7 @@
-"""Syntax trees produced by the parser: models before canonicalization, and scenarios."""
+"""Syntax trees produced by the parser: the parts of a model that
+canonicalization rewrites (spheres, machines, arcs and events), and
+scenarios.  Thing kinds and behaviors need no rewriting, so the parser
+builds their ``model`` records directly."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -6,23 +9,7 @@ from typing import Optional
 
 from .diagnostics import SourceSpan
 from .exprs import Expr, Value
-from .model import Chrono, Endpoint, Stage
-
-
-@dataclass(frozen=True)
-class AttrDecl:
-    name: str
-    type: str
-    default: object
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class KindDecl:
-    name: str
-    attrs: tuple[AttrDecl, ...]
-    span: SourceSpan
-    name_span: SourceSpan
+from .model import BehaviorDecl, Endpoint, Stage, ThingKind
 
 
 @dataclass(frozen=True)
@@ -30,9 +17,6 @@ class EndpointRef:
     segments: tuple[str, ...]
     stage: Stage
     span: SourceSpan
-
-    def __str__(self) -> str:
-        return "/".join(self.segments) + "." + self.stage.value
 
 
 @dataclass(frozen=True)
@@ -73,20 +57,13 @@ class EventDecl:
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class BehaviorDeclAst:
-    name: str
-    program: Chrono
-    span: SourceSpan
-
-
 @dataclass
 class ModelAst:
     file: str
-    kinds: list[KindDecl] = field(default_factory=list)
+    kinds: list[ThingKind] = field(default_factory=list)
     spheres: list[SphereDecl] = field(default_factory=list)
     events: list[EventDecl] = field(default_factory=list)
-    behaviors: list[BehaviorDeclAst] = field(default_factory=list)
+    behaviors: list[BehaviorDecl] = field(default_factory=list)
 
 
 @dataclass(frozen=True)

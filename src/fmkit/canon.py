@@ -5,14 +5,15 @@ single arrow from one machine's process to another's becomes the five-step
 release/transfer/transfer/receive/process chain.  Inserted stages are flagged
 implicit on their machines, and inserted arcs take derived labels
 ``<label>.k`` so each chain remains addressable as one family.
+
+Only spheres, machines, arcs and events are rebuilt here.  Thing kinds and
+behaviors are the parser's own ``model`` records, taken over as they are.
 """
 from __future__ import annotations
 
 from . import ast
 from .diagnostics import Diagnostic, error
 from .model import (
-    AttrSpec,
-    BehaviorDecl,
     Endpoint,
     EventDef,
     FlowArc,
@@ -21,13 +22,10 @@ from .model import (
     Region,
     Sphere,
     Stage,
-    ThingKind,
     TriggerArc,
     shortest_chain,
     subdiagram,
 )
-
-STAGE_ORDER = (Stage.CREATE, Stage.PROCESS, Stage.RELEASE, Stage.TRANSFER, Stage.RECEIVE)
 
 
 class CanonError(Exception):
@@ -45,11 +43,6 @@ def canonicalize(tree: ast.ModelAst) -> Model:
     CanonError with code no-legal-expansion when an arc cannot be completed
     into a legal chain (anything targeting a create stage, for instance).
     """
-    kinds = {
-        k.name: ThingKind(k.name, tuple(AttrSpec(a.name, a.type, a.default) for a in k.attrs))
-        for k in tree.kinds
-    }
-
     machines_by_path: dict[tuple[str, ...], Machine] = {}
     arcs: list[ast.ArcDecl] = []
 
@@ -91,7 +84,7 @@ def canonicalize(tree: ast.ModelAst) -> Model:
         nodes = shortest_chain(src.stage, dst.stage, same)
         if nodes is None:
             raise CanonError(
-                error("no-legal-expansion", f"no legal chain from {arc.src} to {arc.dst}", arc.span)
+                error("no-legal-expansion", f"no legal chain from {src} to {dst}", arc.span)
             )
         chain_len = len(nodes) - 1
         # The chain's ends are the authored endpoints; each inner node is
@@ -116,17 +109,17 @@ def canonicalize(tree: ast.ModelAst) -> Model:
                 )
             )
 
-    # Keep implicit stage order stable for printing and signatures.
+    # Keep implicit stages in Stage order, stable for printing and signatures.
     for machine in machines_by_path.values():
-        machine.implicit = tuple(s for s in STAGE_ORDER if s in machine.implicit and s not in machine.declared)
+        machine.implicit = tuple(s for s in Stage if s in machine.implicit and s not in machine.declared)
 
     model = Model(
-        kinds=kinds,
+        kinds={k.name: k for k in tree.kinds},
         roots=roots,
         flows=flows,
         triggers=triggers,
         events=[],
-        behaviors=[BehaviorDecl(b.name, b.program, b.span) for b in tree.behaviors],
+        behaviors=list(tree.behaviors),
         canonical=True,
     )
     model.reindex()

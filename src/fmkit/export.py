@@ -217,7 +217,11 @@ _DOT_SYMBOLS = {s: (s, s) for s in ("->", "{", "}", "[", "]", ";", ",", "=")}
 
 def dot_check(text: str) -> list[str]:
     """Validate DOT output against a small structural grammar; returns a
-    list of problems (empty when the document parses)."""
+    list of problems (empty when the document parses).  Subgraphs nested
+    past the parser's MAX_NESTING, deeper than ``model_to_dot`` draws any
+    model that loads, are one problem on their own."""
+    from .parser import MAX_NESTING
+
     problems: list[str] = []
     tokens = _dot_tokenize(text, problems)
     if problems:
@@ -247,7 +251,7 @@ def dot_check(text: str) -> list[str]:
             if tokens[pos][0] == ",":
                 pos += 1
 
-    def parse_body(pos: int) -> int:  # statements up to a '}' or EOF
+    def parse_body(pos: int, depth: int) -> int:  # statements up to a '}' or EOF
         while True:
             type_, value = tokens[pos]
             if type_ == "}" or type_ == "EOF":
@@ -259,7 +263,7 @@ def dot_check(text: str) -> list[str]:
             if value == "subgraph":
                 if tokens[pos][0] == "ID":
                     pos += 1
-                pos = parse_block(pos)
+                pos = parse_block(pos, depth + 1)
                 continue
             type_ = tokens[pos][0]
             if type_ == "=":  # graph-level attribute like rankdir=LR
@@ -283,12 +287,15 @@ def dot_check(text: str) -> list[str]:
                 return pos
             pos += 1
 
-    def parse_block(pos: int) -> int:
-        """``{ body }`` from pos; a problem in the body does not stop it."""
+    def parse_block(pos: int, depth: int) -> int:
+        """``{ body }`` from pos, ``depth`` subgraphs in; a problem in the
+        body does not stop it."""
         if tokens[pos][0] != "{":
             expected("{", pos)
             return pos
-        pos = parse_body(pos + 1)
+        if depth > MAX_NESTING:
+            raise RecursionError  # caught below: this one problem replaces any others
+        pos = parse_body(pos + 1, depth)
         if tokens[pos][0] != "}":
             expected("}", pos)
             return pos
@@ -298,7 +305,10 @@ def dot_check(text: str) -> list[str]:
         problems.append("document must start with 'digraph'")
         return problems
     pos = 2 if tokens[1][0] == "ID" else 1
-    pos = parse_block(pos)
+    try:
+        pos = parse_block(pos, 0)
+    except RecursionError:
+        return [f"subgraphs nest deeper than {MAX_NESTING} levels"]
     if not problems and tokens[pos][0] != "EOF":
         problems.append("trailing content after closing brace")
     return problems

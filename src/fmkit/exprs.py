@@ -14,9 +14,20 @@ Value = Union[int, float, str, bool]
 SCALAR_TYPES = ("int", "dec", "str", "bool")
 
 _NUMERIC = {"int", "dec"}
-_CMP_OPS = {"==", "!=", "<", "<=", ">", ">="}
-_ARITH_OPS = {"+", "-", "*", "/"}
-_BOOL_OPS = {"and", "or"}
+
+# Binding power of each binary operator, and of the two prefix levels.
+# 'not' sits between 'and' and the comparisons, a comparison does not chain
+# ('a < b < c' stops at the second '<'), and unary minus binds tightest,
+# with literals, names and brackets.  The parser, ``render`` and
+# ``typecheck`` all read it, so every tree prints back to itself.
+BINARY_PREC = {
+    "or": 1, "and": 2,
+    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6,
+}
+NOT_PREC = 3
+CMP_PREC = 4
+ATOM_PREC = 7
 
 
 class TypeError_(Exception):
@@ -90,15 +101,16 @@ def typecheck(expr: Expr, attr_types: Mapping[str, str]) -> str:
     t_left = typecheck(expr.left, attr_types)
     t_right = typecheck(expr.right, attr_types)
     op = expr.op
-    if op in _BOOL_OPS:
+    prec = BINARY_PREC.get(op, 0)
+    if 0 < prec < NOT_PREC:  # 'and', 'or'
         if t_left != "bool" or t_right != "bool":
             raise TypeError_(f"'{op}' needs bool operands, got {t_left} and {t_right}")
         return "bool"
-    if op in _ARITH_OPS:
+    if prec > CMP_PREC:  # arithmetic
         if t_left not in _NUMERIC or t_right not in _NUMERIC:
             raise TypeError_(f"'{op}' needs numeric operands, got {t_left} and {t_right}")
         return "dec" if "dec" in (t_left, t_right) else "int"
-    if op in _CMP_OPS:
+    if prec == CMP_PREC:
         numeric = t_left in _NUMERIC and t_right in _NUMERIC
         if op in ("==", "!="):
             if not numeric and t_left != t_right:
@@ -150,17 +162,9 @@ def evaluate(expr: Expr, attrs: Mapping[str, Value]) -> Value:
     return lv / rv
 
 
-_PRECEDENCE = {
-    "or": 1,
-    "and": 2,
-    "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
-    "+": 4, "-": 4,
-    "*": 5, "/": 5,
-}
-
-
-def render(expr: Expr, parent_prec: int = 0) -> str:
-    """Deterministic source form; inverse of the parser's expression grammar."""
+def render(expr: Expr, min_prec: int = 0) -> str:
+    """Deterministic source form; inverse of the parser's expression grammar.
+    Bracketed when ``expr`` binds looser than ``min_prec``."""
     if isinstance(expr, Lit):
         v = expr.value
         if isinstance(v, bool):
@@ -178,8 +182,13 @@ def render(expr: Expr, parent_prec: int = 0) -> str:
     if isinstance(expr, Attr):
         return expr.name
     if isinstance(expr, Unary):
-        inner = render(expr.operand, 6)
-        return f"not {inner}" if expr.op == "not" else f"-{inner}"
-    prec = _PRECEDENCE[expr.op]
-    text = f"{render(expr.left, prec)} {expr.op} {render(expr.right, prec + 1)}"
-    return f"({text})" if prec < parent_prec else text
+        # A binary operand is bracketed, as printed models always were; so is 'not' under '-'.
+        prec = NOT_PREC if expr.op == "not" else ATOM_PREC
+        operand = render(expr.operand, ATOM_PREC if isinstance(expr.operand, Binary) else prec)
+        text = f"not {operand}" if expr.op == "not" else f"-{operand}"
+    else:
+        prec = BINARY_PREC[expr.op]
+        # Left-associative, except that a comparison brackets a comparison.
+        left = render(expr.left, prec + 1 if prec == CMP_PREC else prec)
+        text = f"{left} {expr.op} {render(expr.right, prec + 1)}"
+    return f"({text})" if prec < min_prec else text

@@ -2,8 +2,9 @@
 
 A model is a tree of spheres holding machines; things move between the five
 stages of a machine along flow arcs and jump between flows along trigger
-arcs.  Values are treated as immutable once built; construction happens in
-the canonicalizer.
+arcs.  Values are treated as immutable once built.  The parser builds the
+kind and behavior records, with source spans that equality, hashing and
+repr ignore; the canonicalizer builds the rest.
 """
 from __future__ import annotations
 
@@ -74,12 +75,14 @@ class AttrSpec:
     name: str
     type: str  # one of exprs.SCALAR_TYPES
     default: object = None  # literal value, or None when the attr has no default
+    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)  # the name
 
 
 @dataclass(frozen=True)
 class ThingKind:
     name: str
     attrs: tuple[AttrSpec, ...] = ()
+    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)  # the name
 
     def attr_types(self) -> dict[str, str]:
         return {a.name: a.type for a in self.attrs}
@@ -240,7 +243,7 @@ Chrono = Union[Ref, Seq, Choice, Par, Repeat, Interrupt]
 class BehaviorDecl:
     name: str
     program: Chrono
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)  # 'behavior'
 
 
 @dataclass

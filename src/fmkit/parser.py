@@ -19,8 +19,11 @@ from typing import Optional
 
 from . import ast, exprs
 from .diagnostics import Diagnostic, SourceSpan, error
+from .exprs import ATOM_PREC, BINARY_PREC, CMP_PREC, NOT_PREC
 from .lexer import Token, tokenize
-from .model import Chrono, Choice, Endpoint, Interrupt, Par, Ref, Repeat, Seq, Stage, STAGES_BY_NAME
+from .model import (
+    AttrSpec, BehaviorDecl, Chrono, Choice, Endpoint, Interrupt, Par, Ref, Repeat, Seq, Stage, STAGES_BY_NAME, ThingKind,
+)
 
 STAGE_KEYWORDS = frozenset(STAGES_BY_NAME)
 ITEM_KEYWORDS = frozenset({"thing", "sphere", "event", "behavior"})
@@ -34,18 +37,6 @@ _ATTR_END = frozenset({",", "}"})
 _PREFIX = frozenset({"not", "-", "("})
 _OPERAND = LITERAL_TOKENS | {"IDENT"}
 MAX_NESTING = 200
-
-# Binding power of each binary operator.  'not' sits between 'and' and the
-# comparisons, and a comparison does not chain ('a < b < c' stops at the
-# second '<').  Unary minus binds tighter than '*'.
-_INFIX_PREC = {
-    "or": 1, "and": 2,
-    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5, "*": 6, "/": 6,
-}
-_NOT_PREC = 3
-_CMP_PREC = 4
-_ATOM_PREC = 7
 _BRACKETS = {"{": 1, "(": 1, "}": -1, ")": -1}
 
 
@@ -163,13 +154,13 @@ class _Parser:
             self.advance()
             self.synchronize(ITEM_KEYWORDS)
 
-    def parse_kind(self) -> Optional[ast.KindDecl]:
-        start = self.advance()  # 'thing'
+    def parse_kind(self) -> Optional[ThingKind]:
+        self.advance()  # 'thing'
         name_tok = self.expect("IDENT", "a thing-kind name")
         if name_tok is None:
             self.synchronize(ITEM_KEYWORDS)
             return None
-        attrs: list[ast.AttrDecl] = []
+        attrs: list[AttrSpec] = []
         if self.at("{"):
             self.advance()
             while self.cur.type not in _BLOCK_END:
@@ -194,9 +185,9 @@ class _Parser:
                         depth = 0
                         while self.cur.type != "EOF" and (depth or self.cur.type not in _ATTR_END):
                             depth = max(0, depth + _BRACKETS.get(self.advance().type, 0))
-                attrs.append(ast.AttrDecl(attr_tok.text, type_tok.text, default, attr_tok.span))
+                attrs.append(AttrSpec(attr_tok.text, type_tok.text, default, attr_tok.span))
             self.expect("}")
-        return ast.KindDecl(name_tok.text, tuple(attrs), start.span, name_tok.span)
+        return ThingKind(name_tok.text, tuple(attrs), name_tok.span)
 
     def parse_literal(self) -> Optional[exprs.Value]:
         """``[-] INT | [-] DEC | STRING | true | false``, or None after an error.
@@ -374,7 +365,7 @@ class _Parser:
         self.expect("}")
         return ast.EventDecl(name_tok.text, tuple(labels), start.span)
 
-    def parse_behavior(self) -> Optional[ast.BehaviorDeclAst]:
+    def parse_behavior(self) -> Optional[BehaviorDecl]:
         start = self.advance()  # 'behavior'
         name_tok = self.expect("IDENT", "a behavior name")
         if name_tok is None or self.expect("{") is None:
@@ -384,7 +375,7 @@ class _Parser:
         self.expect("}")
         if program is None:
             return None
-        return ast.BehaviorDeclAst(name_tok.text, program, start.span)
+        return BehaviorDecl(name_tok.text, program, start.span)
 
     def parse_chrono(self) -> Optional[Chrono]:
         tok = self.cur
@@ -501,7 +492,7 @@ class _Parser:
             while open_parens and self.at(")"):
                 self.advance()
                 open_parens -= 1
-            if self.cur.type not in _INFIX_PREC:
+            if self.cur.type not in BINARY_PREC:
                 return
             self.advance()
 
@@ -510,20 +501,20 @@ class _Parser:
         min_prec, by precedence climbing; returns it with its tree height.
         Each chain is built in a loop, so the parser recurses only into
         brackets, prefix operators and tighter right operands."""
-        if min_prec <= _NOT_PREC and self.cur.type == "not":
+        if min_prec <= NOT_PREC and self.cur.type == "not":
             tok = self.advance()
             self.nest(tok)
-            operand, height = self.parse_binary(_NOT_PREC)
+            operand, height = self.parse_binary(NOT_PREC)
             self.depth -= 1
             height += 1
             self.check_height(height, tok)
-            left, left_prec = exprs.Unary("not", operand), _NOT_PREC
+            left, left_prec = exprs.Unary("not", operand), NOT_PREC
         else:
             left, height = self.parse_factor()
-            left_prec = _ATOM_PREC
+            left_prec = ATOM_PREC
         while True:
-            prec = _INFIX_PREC.get(self.cur.type, 0)
-            if prec < min_prec or (prec == _CMP_PREC and left_prec <= _CMP_PREC):
+            prec = BINARY_PREC.get(self.cur.type, 0)
+            if prec < min_prec or (prec == CMP_PREC and left_prec <= CMP_PREC):
                 return left, height
             tok = self.advance()
             right, right_height = self.parse_binary(prec + 1)
@@ -587,10 +578,10 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
     """Resolve every name in the AST, reporting duplicates and dangling refs."""
     diags: list[Diagnostic] = []
 
-    kinds: dict[str, ast.KindDecl] = {}
+    kinds: dict[str, ThingKind] = {}
     for kind in tree.kinds:
         if kind.name in kinds:
-            diags.append(error("duplicate-name", f"thing kind '{kind.name}' is already declared", kind.name_span))
+            diags.append(error("duplicate-name", f"thing kind '{kind.name}' is already declared", kind.span))
         else:
             kinds[kind.name] = kind
         seen_attrs = set()
@@ -646,11 +637,9 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
             return None
         return m
 
-    def attr_names(kind_name: str) -> set[str]:
-        kind = kinds.get(kind_name)
-        return {a.name for a in kind.attrs} if kind else set()
+    kind_attrs = {name: kind.attr_types() for name, kind in kinds.items()}
 
-    def check_expr_refs(expr: exprs.Expr, names: set[str], span: SourceSpan, role: str) -> None:
+    def check_expr_refs(expr: exprs.Expr, names: dict[str, str], span: SourceSpan, role: str) -> None:
         if isinstance(expr, exprs.Attr):
             if expr.name not in names:
                 diags.append(error("unresolved-reference", f"unknown attribute '{expr.name}' in {role}", span))
@@ -669,13 +658,13 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
                 diags.append(error("duplicate-name", f"arc label '{arc.label}' is already used", arc.span))
             labels.add(arc.label)
         if src_m is not None:
-            src_attrs = attr_names(src_m.kind)
+            src_attrs = kind_attrs.get(src_m.kind, {})
             if arc.guard is not None:
                 check_expr_refs(arc.guard, src_attrs, arc.span, "guard")
             for _, expr, span in arc.spawn_attrs:
                 check_expr_refs(expr, src_attrs, span, "spawn expression")
         if not arc.is_flow and dst_m is not None:
-            target_attrs = attr_names(dst_m.kind)
+            target_attrs = kind_attrs.get(dst_m.kind, {})
             for name, _, span in arc.spawn_attrs:
                 if name not in target_attrs:
                     diags.append(
@@ -683,7 +672,7 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
                     )
 
     for path, m in machines.items():
-        names = attr_names(m.kind)
+        names = kind_attrs.get(m.kind, {})
         for name, expr, span in m.assigns:
             if name not in names:
                 diags.append(error("unresolved-reference", f"'{m.kind}' has no attribute '{name}'", span))

@@ -34,22 +34,17 @@ def render_chrono(node: Chrono) -> str:
     raise TypeError(f"not a chronology node: {node!r}")
 
 
-def _flow_line(arc: FlowArc) -> str:
-    parts = [f"flow {arc.authored_src or arc.src} -> {arc.authored_dst or arc.dst}"]
-    if arc.guard is not None:
-        parts.append(f"when {render_expr(arc.guard)}")
-    if not arc.label.startswith("@"):
-        parts.append(f"#{arc.label}")
-    return " ".join(parts)
-
-
-def _trigger_line(arc: TriggerArc) -> str:
-    parts = [f"trigger {arc.src} => {arc.dst}"]
-    if arc.consuming:
-        parts.append("consuming")
-    if arc.spawn_attrs:
-        inner = ", ".join(f"{name} = {render_expr(expr)}" for name, expr in arc.spawn_attrs)
-        parts.append("spawn { " + inner + " }")
+def _arc_line(arc: FlowArc | TriggerArc) -> str:
+    """An arc as authored; a flow prints as its chain's shorthand arc."""
+    if isinstance(arc, FlowArc):
+        parts = [f"flow {arc.authored_src or arc.src} -> {arc.authored_dst or arc.dst}"]
+    else:
+        parts = [f"trigger {arc.src} => {arc.dst}"]
+        if arc.consuming:
+            parts.append("consuming")
+        if arc.spawn_attrs:
+            inner = ", ".join(f"{name} = {render_expr(expr)}" for name, expr in arc.spawn_attrs)
+            parts.append("spawn { " + inner + " }")
     if arc.guard is not None:
         parts.append(f"when {render_expr(arc.guard)}")
     if not arc.label.startswith("@"):
@@ -76,9 +71,9 @@ def print_model(model: Model) -> str:
     arcs_by_sphere: dict[tuple[str, ...], list[str]] = {}
     for arc in model.flows:
         if arc.is_chain_head:
-            arcs_by_sphere.setdefault(arc.src.path[:-1], []).append(_flow_line(arc))
+            arcs_by_sphere.setdefault(arc.src.path[:-1], []).append(_arc_line(arc))
     for trig in model.triggers:
-        arcs_by_sphere.setdefault(trig.src.path[:-1], []).append(_trigger_line(trig))
+        arcs_by_sphere.setdefault(trig.src.path[:-1], []).append(_arc_line(trig))
 
     def emit_sphere(sphere: Sphere, prefix: tuple[str, ...], depth: int) -> None:
         pad = "  " * depth

@@ -38,7 +38,7 @@ A tick touches only the things that can change:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple, Optional, Protocol
 
@@ -380,24 +380,6 @@ class Simulation:
             if gate is None or any(gate.permits(hop.label) for hop in hops):
                 return True
         return False
-
-    def copy(self) -> "Simulation":
-        """Cheap fork for what-if exploration; the gate is not forked."""
-        clone = object.__new__(Simulation)
-        clone.model = self.model
-        clone.index = self.index
-        clone.config = replace(self.config)
-        clone.tick = self.tick
-        clone.things = {i: replace(t, attrs=dict(t.attrs)) for i, t in self.things.items()}
-        clone.next_id = self.next_id
-        clone.pending_enables = {ep: list(ts) for ep, ts in self.pending_enables.items()}
-        clone.pending_firings = list(self.pending_firings)
-        clone._calendar = {tick: list(ids) for tick, ids in self._calendar.items()}
-        clone._parked = set(self._parked)
-        clone.injections = self.injections
-        clone._next_injection = self._next_injection
-        clone.trace = list(self.trace)
-        return clone
 
 
 def run(model: Model, scenario: Scenario, config: Optional[SimConfig] = None) -> Trace:

@@ -2,31 +2,31 @@
 
 Names are bound once, by the parser: a model that ``load_model`` returns
 has unique names and labels, and every kind, machine, stage and attribute
-it names resolves.  Validation checks only what binding cannot know: the
-stage-transition table, expression types, spawn coverage, reachability
-and isolated machines.
+it names resolves, so each arc's endpoints are looked up with
+``find_machine`` and no miss is handled.  Validation checks only what
+binding cannot know: the stage-transition table, expression types, spawn
+coverage, reachability and isolated machines.  The report and its
+``stats`` are named tuples; the field names of ``stats`` are its JSON keys.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import exprs
 from .diagnostics import Diagnostic, SourceSpan, error, warning
-from .model import Endpoint, INTRA_EDGES, Model, Stage
+from .model import Endpoint, INTER_EDGE, INTRA_EDGES, Model, Stage
 
 _SPAN = SourceSpan("<model>", 1, 1, 1, 1)
 
 
-@dataclass(frozen=True)
-class ModelStats:
+class ModelStats(NamedTuple):
     n_spheres: int
     n_machines: int
     n_flows: int
     n_triggers: int
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     diagnostics: tuple[Diagnostic, ...]
     stats: ModelStats
     ok: bool
@@ -34,19 +34,9 @@ class ValidationReport:
     def to_json(self) -> dict:
         return {
             "diagnostics": [d.to_json() for d in self.diagnostics],
-            "stats": {
-                "n_spheres": self.stats.n_spheres,
-                "n_machines": self.stats.n_machines,
-                "n_flows": self.stats.n_flows,
-                "n_triggers": self.stats.n_triggers,
-            },
+            "stats": self.stats._asdict(),
             "ok": self.ok,
         }
-
-
-def _machine_kind(model: Model, ep: Endpoint) -> str | None:
-    machine = model.find_machine(ep.path)
-    return machine.kind if machine else None
 
 
 def check_legality(model: Model) -> list[Diagnostic]:
@@ -56,13 +46,13 @@ def check_legality(model: Model) -> list[Diagnostic]:
     for arc in model.flows:
         same = arc.src.path == arc.dst.path
         pair = (arc.src.stage, arc.dst.stage)
-        legal = pair in INTRA_EDGES if same else pair == (Stage.TRANSFER, Stage.TRANSFER)
+        legal = pair in INTRA_EDGES if same else pair == INTER_EDGE
         if not legal:
             kind_of = "intra-machine" if same else "inter-machine"
             diags.append(error("E_LEGAL", f"arc '{arc.label}': illegal {kind_of} flow {arc.src} -> {arc.dst}", _SPAN))
-        src_kind = _machine_kind(model, arc.src)
-        dst_kind = _machine_kind(model, arc.dst)
-        if src_kind is not None and dst_kind is not None and src_kind != dst_kind:
+        src_kind = model.find_machine(arc.src.path).kind
+        dst_kind = model.find_machine(arc.dst.path).kind
+        if src_kind != dst_kind:
             diags.append(
                 error("E_KIND", f"arc '{arc.label}': flow changes kind {src_kind} -> {dst_kind}", _SPAN)
             )
@@ -105,14 +95,14 @@ def check_structure(model: Model) -> list[Diagnostic]:
     for arc in model.flows:
         touched.update((arc.src.path, arc.dst.path))
         if arc.guard is not None:
-            typecheck(arc.guard, _machine_kind(model, arc.src), f"guard on arc '{arc.label}'", "bool")
+            typecheck(arc.guard, model.find_machine(arc.src.path).kind, f"guard on arc '{arc.label}'", "bool")
 
     for trig in model.triggers:
         touched.update((trig.src.path, trig.dst.path))
-        src_kind = _machine_kind(model, trig.src)
+        src_kind = model.find_machine(trig.src.path).kind
         if trig.guard is not None:
             typecheck(trig.guard, src_kind, f"guard on trigger '{trig.label}'", "bool")
-        target_kind = model.kinds[_machine_kind(model, trig.dst)] if trig.dst.stage is Stage.CREATE else None
+        target_kind = model.kinds[model.find_machine(trig.dst.path).kind] if trig.dst.stage is Stage.CREATE else None
         target_types = target_kind.attr_types() if target_kind is not None else {}
         for name, expr in trig.spawn_attrs:
             typecheck(expr, src_kind, f"spawn attribute '{name}' on trigger '{trig.label}'", target_types.get(name))

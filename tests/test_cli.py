@@ -527,3 +527,61 @@ def test_mistyped_value_is_a_diagnostic_not_a_traceback(capsys, tmp_path, case):
     assert code == 1
     assert out == ""
     assert f"error[E_GUARD]: {message}" in err
+
+
+# `fmkit check` output pinned byte for byte: the corpus models, and a model
+# with one finding of most validation codes (E_LEGAL cannot come from
+# source).  Findings carry the fixed `<model>:1:1` location for now.
+
+CHECK_OUTPUT = {
+    "tvm": '{"diagnostics":[],"ok":true,"stats":{"n_flows":70,"n_machines":28,"n_spheres":3,"n_triggers":13}}\n',
+    "plant": '{"diagnostics":[],"ok":true,"stats":{"n_flows":219,"n_machines":45,"n_spheres":4,"n_triggers":4}}\n',
+    "turbine": '{"diagnostics":[],"ok":true,"stats":{"n_flows":134,"n_machines":33,"n_spheres":1,"n_triggers":11}}\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_OUTPUT))
+def test_check_corpus_output_is_pinned(capsys, name):
+    assert run_cli(capsys, "check", str(CORPUS / f"{name}.fm")) == (0, CHECK_OUTPUT[name], "")
+
+
+FINDINGS_MODEL = """\
+thing w { n: int, s: str = "x" }
+thing v
+sphere s {
+  machine a: w { create process release transfer }
+  machine c: v { create process }
+  machine d: w { receive process }
+  machine e: v { process }
+  flow s/a.create -> s/a.process when n > 0 #p
+  flow s/a.process -> s/a.release when s + 1 > 0 #g
+  flow s/a.transfer -> s/c.process #k
+  flow s/d.receive -> s/d.process #u
+  trigger s/c.process => s/a.create #sp
+  trigger s/c.process => s/a.release #rel
+}
+"""
+FINDINGS = [
+    ("error", "E_GUARD_PLACEMENT", "arc 'p': guards may only leave a process stage"),
+    ("error", "E_KIND", "arc 'k': flow changes kind w -> v"),
+    ("warning", "W_UNUSUAL_TRIGGER", "trigger 'rel' targets release; expected create or process"),
+    ("error", "E_GUARD", "guard on arc 'g': '+' needs numeric operands, got str and int"),
+    ("error", "E_SPAWN", "trigger 'sp' spawns w without required attribute 'n'"),
+    ("warning", "W_ISOLATED", "machine s/e has no arcs"),
+] + [
+    ("warning", "W_UNREACHABLE", f"{ep} is unreachable from any create, inbound transfer, or trigger target")
+    for ep in ("s/a.transfer", "s/d.receive", "s/d.process", "s/e.process")
+]
+
+
+def test_check_findings_output_is_pinned(capsys, tmp_path):
+    model_path = tmp_path / "findings.fm"
+    model_path.write_text(FINDINGS_MODEL)
+    diagnostics = ",".join(
+        f'{{"code":"{code}","col":1,"file":"<model>","line":1,"message":"{message}","severity":"{severity}"}}'
+        for severity, code, message in FINDINGS
+    )
+    stats = '{"n_flows":6,"n_machines":4,"n_spheres":1,"n_triggers":2}'
+    out = f'{{"diagnostics":[{diagnostics}],"ok":false,"stats":{stats}}}\n'
+    err = "".join(f"<model>:1:1: {severity}[{code}]: {message}\n" for severity, code, message in FINDINGS)
+    assert run_cli(capsys, "check", str(model_path)) == (1, out, err)

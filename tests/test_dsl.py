@@ -3,11 +3,13 @@ from __future__ import annotations
 import pathlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import render_reference
+
 from fmkit.canon import CanonError, canonicalize, load_model
-from fmkit.exprs import Lit, render
+from fmkit.exprs import BINARY_PREC, Attr, Binary, Lit, Unary, render
 from fmkit.lexer import tokenize
 from fmkit.model import Stage
 from fmkit.parser import MAX_NESTING, parse
@@ -247,6 +249,79 @@ def test_rendered_decimal_lexes_back_to_the_same_float(value):
     assert tokens[0].value == value
 
 
+# Expressions round-trip ----------------------------------------------------
+#
+# exprs.render brackets from the precedence table the parser reads, so every
+# tree it prints parses back to the same tree.
+
+ROUND_TRIP_MODEL = """\
+thing t {{ x: bool = true, y: bool = false, n: int = 0 }}
+sphere s {{
+  machine m: t {{ create process release }}
+  flow s/m.create -> s/m.process #a
+  flow s/m.process -> s/m.release when {} #g
+}}
+"""
+
+
+@pytest.mark.parametrize("guard", ["y == (not x)", "(not x) == y", "(n < 2) != (n > 3)"])
+def test_printed_guard_parses_back(guard):
+    model, diags = load_model(ROUND_TRIP_MODEL.format(guard))
+    assert diags == []
+    again, diags = load_model(print_model(model))
+    assert diags == []
+    assert model_signature(again) == model_signature(model)
+
+
+GUARD_ATTRS = ("a", "b", "c")
+GUARD_MODEL = (
+    "thing t { a: int, b: bool, c: str }\n"
+    "sphere s { machine m: t { process release } flow s/m.process -> s/m.release when %s #g }\n"
+)
+
+
+def parse_guard(text: str):
+    """The guard tree text parses to, or None if it does not parse alone."""
+    tree, diags = parse(GUARD_MODEL % text)
+    return None if diags else tree.spheres[0].arcs[0].guard
+
+
+expr_literals = st.one_of(
+    st.integers(min_value=0, max_value=10**30),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.text(st.characters(blacklist_characters="\n"), max_size=5),
+    st.booleans(),
+).map(Lit)
+expr_trees = st.recursive(
+    expr_literals | st.sampled_from(GUARD_ATTRS).map(Attr),
+    lambda operands: st.builds(Unary, st.sampled_from(["not", "-"]), operands)
+    | st.builds(Binary, st.sampled_from(sorted(BINARY_PREC)), operands, operands),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(expr_trees)
+@example(Binary("==", Attr("b"), Unary("not", Attr("b"))))
+@example(Binary("==", Unary("not", Attr("b")), Attr("b")))
+@example(Binary("!=", Binary("<", Attr("a"), Lit(2)), Binary(">", Attr("a"), Lit(3))))
+@example(Unary("-", Unary("not", Attr("b"))))
+def test_rendered_expression_parses_back_to_the_same_tree(expr):
+    # repr tells Lit(1) from Lit(True) and Lit(1.0), which == does not.
+    assert repr(parse_guard(render(expr))) == repr(expr)
+
+
+@settings(max_examples=500, deadline=None)
+@given(expr_trees)
+@example(Unary("not", Binary("==", Attr("a"), Lit(1))))
+@example(Unary("not", Unary("not", Attr("b"))))
+@example(Binary("and", Unary("not", Attr("b")), Attr("b")))
+def test_render_keeps_the_old_text_wherever_it_parsed_back(expr):
+    old = render_reference.render(expr)
+    if repr(parse_guard(old)) == repr(expr):
+        assert render(expr) == old
+
+
 # Nesting limit -------------------------------------------------------------
 #
 # Each shape below used to raise RecursionError somewhere between the parser
@@ -352,7 +427,7 @@ def test_expression_height_counts_every_operator(guard, too_deep):
 @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
 def test_nesting_at_the_limit_runs_every_pass(shape):
     from fmkit.behavior import compile_program
-    from fmkit.export import behavior_to_dot, model_to_dot
+    from fmkit.export import behavior_to_dot, dot_check, model_to_dot
     from fmkit.printer import render_chrono
     from fmkit.validate import validate
 
@@ -362,8 +437,8 @@ def test_nesting_at_the_limit_runs_every_pass(shape):
     assert model is not None, [d.render() for d in diags]
     validate(model)
     assert model_signature(canonicalize(parse(print_model(model))[0])) == model_signature(model)
-    model_to_dot(model)
-    model_to_dot(model, show_implicit=False)
+    assert dot_check(model_to_dot(model)) == []
+    assert dot_check(model_to_dot(model, show_implicit=False)) == []
     for decl in model.behaviors:
         render_chrono(decl.program)
         behavior_to_dot(compile_program(decl.program))

@@ -23,6 +23,7 @@ from fmkit.export import (
     write_trace,
 )
 from fmkit.model import Ref, Repeat, Seq
+from fmkit.parser import MAX_NESTING
 from fmkit.simulate import TraceEvent
 
 ONE_MACHINE = (
@@ -299,6 +300,9 @@ def test_dot_check_rejects_malformed():
         ("", ["document must start with 'digraph'"]),
         ("digraph { } x", ["trailing content after closing brace"]),
         ("digraph g { a -> b -> c [x=y, z=w]; rankdir=LR; subgraph s { q; } }", []),
+        ("digraph {" + " subgraph {" * 2000 + " }" * 2001, ["subgraphs nest deeper than 200 levels"]),
+        ("digraph {" + " subgraph { a -> ;" * 201 + " }" * 202, ["expected ID, found ;", "expected }, found ;"] * 2),
+        ("digraph {" + " subgraph { a;" * 201 + " }" * 202, ["subgraphs nest deeper than 200 levels"]),
     ],
 )
 def test_dot_check_names_each_problem(document, problems):
@@ -338,6 +342,16 @@ def assert_dot_check_same_as_reference(text: str) -> None:
 @example("digraph { subgraph { a -> ; } b; }")
 def test_dot_check_matches_reference(text):
     assert_dot_check_same_as_reference(text)
+
+
+def test_dot_check_matches_reference_up_to_the_nesting_limit():
+    # The reference recurses once per level with no limit of its own, so
+    # the two are compared only up to MAX_NESTING subgraphs.
+    for depth in (1, 2, MAX_NESTING):
+        text = "digraph {" + " subgraph s { a;" * depth + " b -> c; }" + " }" * depth
+        assert dot_check(text) == dot_reference.dot_check(text) == []
+        broken = text.replace("b -> c", "b -> ")
+        assert dot_check(broken) == dot_reference.dot_check(broken) != []
 
 
 @pytest.mark.parametrize("name", ["tvm", "plant", "turbine"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import pickle
 
@@ -8,13 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmkit.canon import load_model
+from fmkit.diagnostics import SourceSpan
 from fmkit.model import (
     INTRA_EDGES,
+    AttrSpec,
+    BehaviorDecl,
     Endpoint,
     FlowArc,
     Model,
+    Ref,
     ResolutionError,
     Stage,
+    ThingKind,
     TriggerArc,
     UnknownLabelError,
     expand_label,
@@ -236,3 +242,49 @@ def test_expand_label_matches_the_prefix_scan_on_corpus(name, request):
     model = request.getfixturevalue(name)
     for label in list(model._flows_by_label) + list(model._triggers_by_label) + ["", "nope"]:
         assert expand_label(model, label) == expand_label_by_scan(model, label)
+
+
+# The parser builds kind and behavior records with the span of their source;
+# equality, hashing and repr ignore it, so a record reads the same wherever
+# it was declared.
+
+SPAN_A = SourceSpan("a.fm", 1, 1, 1, 5)
+SPAN_B = SourceSpan("b.fm", 7, 3, 7, 9)
+SPANNED_RECORDS = [
+    (AttrSpec("n", "int", 1, SPAN_A), AttrSpec("n", "int", 1, SPAN_B), AttrSpec("n", "int", 2, SPAN_A),
+     "AttrSpec(name='n', type='int', default=1)"),
+    (ThingKind("t", (AttrSpec("n", "int"),), SPAN_A), ThingKind("t", (AttrSpec("n", "int", None, SPAN_B),)),
+     ThingKind("u", (AttrSpec("n", "int"),), SPAN_A),
+     "ThingKind(name='t', attrs=(AttrSpec(name='n', type='int', default=None),))"),
+    (BehaviorDecl("b", Ref("e"), SPAN_A), BehaviorDecl("b", Ref("e")), BehaviorDecl("b", Ref("f"), SPAN_A),
+     "BehaviorDecl(name='b', program=Ref(event='e'))"),
+]
+
+
+@pytest.mark.parametrize("one,same,other,text", SPANNED_RECORDS, ids=["attr", "kind", "behavior"])
+def test_records_ignore_their_span(one, same, other, text):
+    assert one == same and hash(one) == hash(same)
+    assert one != other
+    assert repr(one) == repr(same) == text
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        one.span = SPAN_B
+
+
+def test_parser_gives_kinds_attributes_and_behaviors_their_spans():
+    source = (
+        "thing w\n"
+        "thing t { a: int, b: bool }\n"
+        "sphere s { machine m: t { create transfer } flow s/m.create -> s/m.transfer #x }\n"
+        "event e { region { #x } }\n"
+        "  behavior go { e }\n"
+    )
+    model, diags = load_model(source, "m.fm")
+    assert diags == []
+
+    def where(span):
+        return (span.file, span.start_line, span.start_col, span.end_col)
+
+    assert where(model.kinds["w"].span) == ("m.fm", 1, 7, 7)
+    assert where(model.kinds["t"].span) == ("m.fm", 2, 7, 7)
+    assert [where(a.span) for a in model.kinds["t"].attrs] == [("m.fm", 2, 11, 11), ("m.fm", 2, 19, 19)]
+    assert where(model.behavior("go").span) == ("m.fm", 5, 3, 10)

@@ -272,43 +272,6 @@ def test_dwell_two_slows_movement():
     assert moves == [2, 4]
 
 
-def test_simulation_copy_is_independent(tvm):
-    scenario = load_corpus_scenario(tvm, "tvm_exact")
-    sim = Simulation(tvm, scenario, SimConfig(max_ticks=200))
-    for _ in range(10):
-        sim.step()
-    fork = sim.copy()
-    while fork.tick < 200 and fork.live():
-        fork.step()
-    assert sim.tick == 10
-    tail = write_trace(fork.trace)
-    while sim.tick < 200 and sim.live():
-        sim.step()
-    assert write_trace(sim.trace) == tail
-    # Forks taken while things are mid-chain (plant) and while one waits at
-    # an enable-gated stage (tvm_cancel at tick 42) carry both; neither run
-    # changes the other.
-    for model_name, scenario_name, fork_at in (("plant", "plant_water", 10), ("tvm", "tvm_cancel", 42)):
-        model, _ = load_model(open(f"corpus/{model_name}.fm").read(), model_name)
-        sim = Simulation(model, load_corpus_scenario(model, scenario_name), SimConfig(max_ticks=200))
-        while sim.tick < fork_at:
-            sim.step()
-        assert any(t.next is not None for t in sim.things.values())
-        waiting = [t for t in sim.things.values() if t.site.gated and t.arrival_tick < sim.tick]
-        assert waiting or model_name == "plant"
-        before = _state(sim)
-        fork = sim.copy()
-        assert _state(fork) == before
-        while fork.tick < 200 and fork.live():
-            fork.step()
-        assert _state(sim) == before
-        after = _state(fork)
-        while sim.tick < 200 and sim.live():
-            sim.step()
-        assert _state(fork) == after
-        assert write_trace(sim.trace) == write_trace(fork.trace)
-
-
 def test_reindex_drops_the_site_table():
     source = (
         "thing w\n"
@@ -448,39 +411,19 @@ def test_thing_examined_while_dwelling_is_not_parked():
     assert write_trace(trace) == run_oracle(model, scenario, max_ticks=30, dwell=2)
 
 
-def _state(sim):
-    return (
-        sim.tick,
-        write_trace(sim.trace),
-        [
-            (t.id, str(t.loc), t.site.text, t.next and t.next.label, t.arrival_tick, sorted(t.attrs.items()))
-            for t in sim.things.values()
-        ],
-        sorted(sim._parked),
-        sorted((tick, sorted(ids)) for tick, ids in sim._calendar.items()),
-        {str(ep): list(ts) for ep, ts in sim.pending_enables.items()},
-    )
-
-
 @pytest.mark.parametrize(
-    "model_name,scenario_name,fork_at,ticks",
+    "model_name,scenario_name,mid_run,ticks",
     [("tvm", "tvm_topup", 12, 200), ("tvm", "tvm_cancel", 20, 200), ("plant", "plant_water", 35, 60)],
 )
-def test_copy_mid_run_steps_to_the_same_end(model_name, scenario_name, fork_at, ticks):
+def test_hand_stepping_reaches_the_end_run_reaches(model_name, scenario_name, mid_run, ticks):
     model, _ = load_model(open(f"corpus/{model_name}.fm").read(), model_name)
     scenario = load_corpus_scenario(model, scenario_name)
     sim = Simulation(model, scenario, SimConfig(max_ticks=ticks))
-    while sim.tick < fork_at:
+    while sim.tick < mid_run:
         sim.step()
-    assert sim._parked and sim._calendar  # the fork carries both
-    before = _state(sim)
-    fork = sim.copy()
-    while fork.tick < ticks and fork.live():
-        fork.step()
-    assert _state(sim) == before
+    assert sim._parked and sim._calendar  # mid-run, things are parked and due
     while sim.tick < ticks and sim.live():
         sim.step()
-    assert write_trace(sim.trace) == write_trace(fork.trace)
     whole = run(model, scenario, SimConfig(max_ticks=ticks))
     assert write_trace(sim.trace) == write_trace(e for e in whole if e.action != "quiescent")
 
