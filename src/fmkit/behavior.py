@@ -55,23 +55,19 @@ class OccurrenceScanner:
     """
 
     def __init__(self, events: Sequence[EventDef]) -> None:
-        self.events = list(events)
-        self._flow_sets = {e.name: set(e.region.flow_labels) for e in self.events}
-        arc_sets = {e.name: set(e.region.arc_labels) for e in self.events}
-        stage_sets = {e.name: {str(ep) for ep in e.region.stages} for e in self.events}
-        # Arc label or stage text -> names of the events it touches.
-        self._by_flow = self._index(self._flow_sets)
-        self._by_arc = self._index(arc_sets)
-        self._by_stage = self._index(stage_sets)
+        self._flow_count = {e.name: len(e.region.flow_labels) for e in events}
+        # Arc label or stage text -> names of the events it touches, in event
+        # order.  The gate reads `by_arc` as its arc -> owners table.
+        self._by_flow: dict[str, list[str]] = {}
+        self.by_arc: dict[str, list[str]] = {}
+        self._by_stage: dict[str, list[str]] = {}
+        for e in events:
+            stages = {str(ep) for ep in e.region.stages}
+            for index, keys in ((self._by_flow, e.region.flow_labels), (self.by_arc, e.region.arc_labels), (self._by_stage, stages)):
+                for key in keys:
+                    index.setdefault(key, []).append(e.name)
         # event -> thing -> [start tick, flow labels traversed so far]
-        self._progress: dict[str, dict[int, list]] = {e.name: {} for e in self.events}
-
-    def _index(self, sets: dict[str, set[str]]) -> dict[str, list[str]]:
-        by_key: dict[str, list[str]] = {}
-        for edef in self.events:
-            for key in sets[edef.name]:
-                by_key.setdefault(key, []).append(edef.name)
-        return by_key
+        self._progress: dict[str, dict[int, list]] = {e.name: {} for e in events}
 
     def feed(self, event: TraceEvent) -> list[Occurrence]:
         """Consume one trace record; return occurrences it completed."""
@@ -83,7 +79,7 @@ class OccurrenceScanner:
         if action == "move":
             names = self._by_flow.get(event.arc)
         elif action == "trigger-fired":
-            names = self._by_arc.get(event.arc)
+            names = self.by_arc.get(event.arc)
         elif action == "spawn" or action == "consume":
             names = self._by_stage.get(event.at)
         else:
@@ -99,7 +95,7 @@ class OccurrenceScanner:
                 # Only moves add to the traversed set, so only they complete.
                 seen = entry[1]
                 seen.add(event.arc)
-                if len(seen) == len(self._flow_sets[name]):
+                if len(seen) == self._flow_count[name]:
                     out.append(Occurrence(name, entry[0], event.tick, thing))
                     del started[thing]
         return out
@@ -109,15 +105,13 @@ def detect_occurrences(trace: Iterable[TraceEvent], events: Sequence[EventDef]) 
     """All occurrences in the trace, in completion order.
 
     Completion order is monotone in end tick and, for traces whose
-    occurrences do not overlap, identical to start-tick order.  It is also
-    exactly the order an enforcement gate sees completions, which keeps
-    enforced runs conforming when occurrences of different events overlap.
+    occurrences do not overlap, identical to start-tick order.  Events that
+    one record completes come in event declaration order.  It is exactly
+    the order in which an enforcement gate steps its run, so the gate's
+    verdict is `check` of the trace it let through.
     """
     scanner = OccurrenceScanner(events)
-    found: list[Occurrence] = []
-    for record in trace:
-        found.extend(scanner.feed(record))
-    return found
+    return [occ for record in trace for occ in scanner.feed(record)]
 
 
 # Automaton ------------------------------------------------------------------
@@ -325,16 +319,16 @@ class BehaviorAutomaton:
     watcher_edges: frozenset[tuple[int, str]]
 
     @cached_property
-    def labels_at(self) -> dict[int, tuple[str, ...]]:
-        """The event labels each state allows, sorted; built on first use.
-        States with no way out are absent."""
+    def labels_at(self) -> dict[int, frozenset[str]]:
+        """The event labels each state allows; built on first use.  States
+        with no way out are absent."""
         table: dict[int, list[str]] = {}
         for state, label in self.transitions:
             table.setdefault(state, []).append(label)
-        return {state: tuple(sorted(labels)) for state, labels in table.items()}
+        return {state: frozenset(labels) for state, labels in table.items()}
 
     def allowed(self, state: int) -> list[str]:
-        return list(self.labels_at.get(state, ()))
+        return sorted(self.labels_at.get(state, ()))
 
     def step(self, state: int, label: str) -> Optional[int]:
         return self.transitions.get((state, label))
@@ -394,69 +388,66 @@ class Verdict:
         }
 
 
+class Run:
+    """The automaton's run over occurrences, which `check` replays and the
+    enforcement gate feeds live.  Past the first violation the state stays
+    put, and occurrences are still recorded."""
+
+    def __init__(self, program: Chrono | BehaviorAutomaton, events: Sequence[EventDef]) -> None:
+        if not isinstance(program, BehaviorAutomaton):
+            program = compile_program(program, {e.name for e in events})
+        self.automaton = program
+        self.state = program.start
+        self.first_violation: Optional[Violation] = None
+        self.occurrences: list[Occurrence] = []
+
+    def step(self, occ: Occurrence) -> None:
+        self.occurrences.append(occ)
+        if self.first_violation is None:
+            nxt = self.automaton.step(self.state, occ.event)
+            if nxt is None:
+                self.first_violation = Violation(occ.start, tuple(self.automaton.allowed(self.state)), occ.event)
+            else:
+                self.state = nxt
+
+    def verdict(self) -> Verdict:
+        ok = self.first_violation is None
+        return Verdict(ok, self.first_violation, tuple(self.occurrences), ok and self.state in self.automaton.accepting)
+
+
 def check(trace: Iterable[TraceEvent], events: Sequence[EventDef], program: Chrono | BehaviorAutomaton) -> Verdict:
     """Replay a trace's occurrences through the program's automaton."""
-    automaton = program if isinstance(program, BehaviorAutomaton) else compile_program(program, {e.name for e in events})
-    occurrences = detect_occurrences(trace, events)
-    state = automaton.start
-    violation: Optional[Violation] = None
-    for occ in occurrences:
-        nxt = automaton.step(state, occ.event)
-        if nxt is None:
-            violation = Violation(occ.start, tuple(automaton.allowed(state)), occ.event)
-            break
-        state = nxt
-    return Verdict(
-        conforms=violation is None,
-        first_violation=violation,
-        occurrences=tuple(occurrences),
-        completed=violation is None and state in automaton.accepting,
-    )
+    run = Run(program, events)
+    for occ in detect_occurrences(trace, events):
+        run.step(occ)
+    return run.verdict()
 
 
 # Enforcement ----------------------------------------------------------------
 
 
-class EnforcementGate:
-    """Move/firing filter the simulator consults; arcs outside every event
-    region always pass, region arcs pass only while their event is allowed
-    by the automaton's current state."""
+class EnforcementGate(Run):
+    """A run fed by its own scanner, and the move/firing filter the
+    simulator consults: an arc outside every event region passes; a region
+    arc passes while one of its events is allowed and no violation occurred."""
 
-    def __init__(self, events: Sequence[EventDef], automaton: BehaviorAutomaton) -> None:
-        self.automaton = automaton
-        self.state = automaton.start
-        self.dead = False
+    def __init__(self, events: Sequence[EventDef], program: Chrono | BehaviorAutomaton) -> None:
+        super().__init__(program, events)
         self.scanner = OccurrenceScanner(events)
-        self._owners: dict[str, set[str]] = {}
-        for e in events:
-            for label in e.region.arc_labels:
-                self._owners.setdefault(label, set()).add(e.name)
-        self._labels_at = automaton.labels_at
-        self.occurrences: list[Occurrence] = []
 
     def permits(self, arc_label: str) -> bool:
-        owners = self._owners.get(arc_label)
+        owners = self.scanner.by_arc.get(arc_label)
         if owners is None:
             return True
-        if self.dead:
+        if self.first_violation is not None:
             return False
-        return not owners.isdisjoint(self._labels_at.get(self.state, ()))
+        return not self.automaton.labels_at.get(self.state, frozenset()).isdisjoint(owners)
 
     def observe(self, event: TraceEvent) -> None:
-        for occ in sorted(self.scanner.feed(event), key=lambda o: o.event):
-            self.occurrences.append(occ)
-            nxt = self.automaton.step(self.state, occ.event)
-            if nxt is None:
-                self.dead = True
-            else:
-                self.state = nxt
+        for occ in self.scanner.feed(event):
+            self.step(occ)
 
 
 def enforce(model: Model, program: Chrono | BehaviorAutomaton) -> EnforcementGate:
     """Build a fresh gate for one simulation run of this model."""
-    automaton = (
-        program
-        if isinstance(program, BehaviorAutomaton)
-        else compile_program(program, {e.name for e in model.events})
-    )
-    return EnforcementGate(model.events, automaton)
+    return EnforcementGate(model.events, program)

@@ -119,7 +119,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
     else:
         sys.stdout.writelines(export.trace_lines(trace))
     if automaton is not None:
-        verdict = bhv.check(trace, model.events, automaton)
+        # An enforcing gate has run the automaton over the trace already.
+        verdict = gate.verdict() if gate is not None else bhv.check(trace, model.events, automaton)
         print(jsonl.dumps(verdict.to_json()))
         if args.mode == "observe" and not verdict.conforms:
             return FAIL

@@ -1,8 +1,9 @@
 """Expression trees used by arc guards, trigger spawn attributes, and assign blocks.
 
 Scalar types are ``int``, ``dec``, ``str``, and ``bool``.  Integer division
-floors; dividing by zero raises :class:`EvalError`, which the simulator maps
-to guard-false plus a "blocked" trace record.
+floors; dividing by zero, or mixing with a dec an int too large for a float,
+raises :class:`EvalError`, which the simulator maps to guard-false plus a
+"blocked" trace record.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ class TypeError_(Exception):
 
 
 class EvalError(Exception):
-    """Evaluation failed (division by zero)."""
+    """Evaluation failed (division by zero, or an int too large for a dec)."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,18 @@ def assignable(value_type: str, target_type: str) -> bool:
     """Whether a value of value_type may be stored in an attribute of
     target_type: the same type, or an int into a dec."""
     return value_type == target_type or (value_type == "int" and target_type == "dec")
+
+
+def fits(value: Value, target_type: str) -> bool:
+    """Whether a value of an assignable type can be stored in an attribute
+    of target_type: an int stored in a dec must fit in a float."""
+    if target_type != "dec" or type(value) is not int:
+        return True
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def typecheck(expr: Expr, attr_types: Mapping[str, str]) -> str:
@@ -149,17 +162,20 @@ def evaluate(expr: Expr, attrs: Mapping[str, Value]) -> Value:
         return lv > rv
     if op == ">=":
         return lv >= rv
-    if op == "+":
-        return lv + rv
-    if op == "-":
-        return lv - rv
-    if op == "*":
-        return lv * rv
-    if rv == 0:
-        raise EvalError("division by zero")
-    if isinstance(lv, int) and not isinstance(lv, bool) and isinstance(rv, int):
-        return lv // rv
-    return lv / rv
+    try:
+        if op == "+":
+            return lv + rv
+        if op == "-":
+            return lv - rv
+        if op == "*":
+            return lv * rv
+        if rv == 0:
+            raise EvalError("division by zero")
+        if isinstance(lv, int) and not isinstance(lv, bool) and isinstance(rv, int):
+            return lv // rv
+        return lv / rv
+    except OverflowError as exc:  # an int operand no float holds met a dec
+        raise EvalError("int too large for a dec") from exc
 
 
 def render(expr: Expr, min_prec: int = 0) -> str:

@@ -40,7 +40,10 @@ def parse_timestamp(text: str) -> datetime:
         raise HistoryError("bad-timestamp", f"unparseable timestamp '{text}'") from exc
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
-    return stamp.astimezone(timezone.utc)
+    try:
+        return stamp.astimezone(timezone.utc)
+    except OverflowError as exc:  # e.g. 9999-12-31T23:59:59-01:00 is in year 10000 in UTC
+        raise HistoryError("bad-timestamp", f"timestamp '{text}' is out of range in UTC") from exc
 
 
 class ReplacementRecord:

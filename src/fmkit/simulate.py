@@ -433,4 +433,6 @@ def check_scenario(model: Model, scenario: Scenario) -> list[Diagnostic]:
                 diags.append(error("E_SCENARIO", f"'{inj.kind}' has no attribute '{name}'", span))
             elif not exprs.assignable(exprs.Lit(value).type, spec.type):
                 diags.append(error("E_SCENARIO", f"attribute '{name}' expects {spec.type}", span))
+            elif not exprs.fits(value, spec.type):
+                diags.append(error("E_SCENARIO", f"attribute '{name}': int too large for a dec", span))
     return diags

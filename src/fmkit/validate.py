@@ -89,7 +89,10 @@ def check_structure(model: Model) -> list[Diagnostic]:
     for kind in model.kinds.values():
         for attr in kind.attrs:
             if attr.default is not None:
-                typecheck(exprs.Lit(attr.default), kind.name, f"default of '{kind.name}.{attr.name}'", attr.type)
+                what = f"default of '{kind.name}.{attr.name}'"
+                typecheck(exprs.Lit(attr.default), kind.name, what, attr.type)
+                if not exprs.fits(attr.default, attr.type):
+                    diags.append(error("E_GUARD", f"{what}: int too large for a dec", _SPAN))
 
     touched: set[tuple[str, ...]] = set()
     for arc in model.flows:

@@ -14,6 +14,7 @@ from fmkit.behavior import (
     MAX_STATES,
     BehaviorError,
     Occurrence,
+    Violation,
     check,
     compile_program,
     detect_occurrences,
@@ -397,7 +398,7 @@ def test_gate_permits_matches_allowed_labels(tvm):
         allowed = set(automaton.allowed(state))
         for label in labels:
             assert gate.permits(label) == (label not in owners or bool(owners[label] & allowed))
-    gate.dead = True
+    gate.first_violation = Violation(0, (), "ticket_out")
     assert [label for label in labels if gate.permits(label)] == [l for l in labels if l not in owners]
 
 
@@ -445,3 +446,101 @@ def test_indexed_scanner_matches_naive_scan(tvm):
         assert detect_occurrences(trace, events) == expected, seed
         total += len(expected)
     assert total > 0
+
+
+# One run for conform and enforce ----------------------------------------------
+
+# One record (the move along #x) completes both events.  They are declared
+# zeta first, so the scanner gives zeta first, and seq(alpha, zeta) is
+# violated by that record whichever order a gate might pick.
+TWO_EVENTS_ONE_ARC = """\
+thing w
+sphere s { machine a: w { create release } flow s/a.create -> s/a.release #x }
+event zeta { region { #x } }
+event alpha { region { #x } }
+behavior go { seq(alpha, zeta) }
+"""
+
+
+def two_events_one_arc(injections: int):
+    """The model above, its program, and `injections` things at tick 0."""
+    from fmkit.parser import parse_scenario
+    from fmkit.simulate import check_scenario
+
+    model, diags = load_model(TWO_EVENTS_ONE_ARC, "two.fm")
+    assert model is not None, [d.render() for d in diags]
+    scenario, diags = parse_scenario("inject w at s/a.create tick 0\n" * injections, "two.fms")
+    assert not diags and not check_scenario(model, scenario)
+    return model, model.behavior("go").program, scenario
+
+
+def test_gate_verdict_is_check_when_one_record_completes_two_events():
+    model, program, scenario = two_events_one_arc(1)
+    gate = enforce(model, program)
+    trace = run(model, scenario, SimConfig(max_ticks=20, gate=gate))
+    verdict = gate.verdict()
+    assert verdict == check(trace, model.events, program)
+    assert [o.event for o in verdict.occurrences] == ["zeta", "alpha"]
+    assert verdict.first_violation.to_json() == {"tick": 0, "expected": ["alpha"], "observed": "zeta"}
+    assert not verdict.conforms and not verdict.completed
+
+
+def test_gate_verdict_is_check_on_random_scenarios(tvm):
+    program = tvm_program(tvm)
+    for seed in range(50):
+        gate = enforce(tvm, program)
+        trace = run(tvm, random_tvm_scenario(tvm, seed), SimConfig(max_ticks=120, gate=gate))
+        assert gate.verdict() == check(trace, tvm.events, program), seed
+
+
+class RecordingGate:
+    """Passes every call through to an enforcement gate and records, for
+    each `permits`, the answer, the arc and whether the gate's run had
+    violated yet, with the labels its automaton allowed at that moment."""
+
+    def __init__(self, gate) -> None:
+        self.gate = gate
+        self.calls: list[tuple[str, bool, bool, frozenset]] = []
+
+    def permits(self, arc_label: str) -> bool:
+        violated = self.gate.first_violation is not None
+        allowed = frozenset(self.gate.automaton.allowed(self.gate.state))
+        answer = self.gate.permits(arc_label)
+        self.calls.append((arc_label, answer, violated, allowed))
+        return answer
+
+    def observe(self, event) -> None:
+        self.gate.observe(event)
+
+
+def assert_gate_withholds_only_what_it_must(model, calls) -> None:
+    """Each recorded `permits` answer is the supervisor rule: an arc no
+    event owns passes; an owned arc passes while one of its owners is
+    allowed, and never after the run's first violation."""
+    owners: dict[str, set[str]] = {}
+    for e in model.events:
+        for label in e.region.arc_labels:
+            owners.setdefault(label, set()).add(e.name)
+    for label, answer, violated, allowed in calls:
+        expected = label not in owners or (not violated and bool(owners[label] & allowed))
+        assert answer == expected, (label, violated, sorted(allowed))
+
+
+def test_gate_withholds_an_arc_only_when_no_owner_is_allowed(tvm):
+    # A supervisor disables only what it must (Ramadge and Wonham, 1989).
+    program = tvm_program(tvm)
+    calls = []
+    for seed in range(50):
+        gate = RecordingGate(enforce(tvm, program))
+        run(tvm, random_tvm_scenario(tvm, seed), SimConfig(max_ticks=120, gate=gate))
+        assert gate.calls, seed
+        calls += gate.calls
+    assert_gate_withholds_only_what_it_must(tvm, calls)
+    assert any(answer for _, answer, _, _ in calls) and not all(answer for _, answer, _, _ in calls)
+    # No enforced TVM run violates; here the first thing's move violates and
+    # the second thing's move along the same arc is then withheld.
+    model, program, scenario = two_events_one_arc(2)
+    gate = RecordingGate(enforce(model, program))
+    run(model, scenario, SimConfig(max_ticks=20, gate=gate))
+    assert_gate_withholds_only_what_it_must(model, gate.calls)
+    assert ("x", False, True, frozenset({"alpha"})) in gate.calls

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 
@@ -95,6 +96,87 @@ def test_sim_enforce_mode_conforms(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["conforms"] is True
+
+
+# `fmkit sim --behavior cash_purchase` in both modes, then `fmkit conform` on
+# the trace it wrote, pinned as (sim exit code, sha256 prefix of sim stdout,
+# sha256 prefix of the trace file, conform exit code).  Both commands print
+# nothing on stderr, and conform prints the verdict sim printed.
+ROGUE_CASH = "inject cash at passenger/cash.create tick 0 { amount = 5, fare = 5 }\n"
+SIM_CONFORM_OUTPUT = {
+    ("tvm_cancel", "observe"): (0, "1147c375448bf6a2", "3daa2dea4cf6b8a9", 0),
+    ("tvm_cancel", "enforce"): (0, "1147c375448bf6a2", "3daa2dea4cf6b8a9", 0),
+    ("tvm_exact", "observe"): (0, "796c14566639c6f1", "ca6986c911482564", 0),
+    ("tvm_exact", "enforce"): (0, "796c14566639c6f1", "ca6986c911482564", 0),
+    ("tvm_insufficient", "observe"): (0, "191368ad6e91dd9e", "d6dfb2dd9822d50c", 0),
+    ("tvm_insufficient", "enforce"): (0, "191368ad6e91dd9e", "d6dfb2dd9822d50c", 0),
+    ("tvm_topup", "observe"): (0, "9ce1b0c67878df91", "192860cb7a50e6ed", 0),
+    ("tvm_topup", "enforce"): (0, "9ce1b0c67878df91", "192860cb7a50e6ed", 0),
+    ("rogue_cash", "observe"): (1, "f8db2e8dbed15685", "6b8ca35170bdba9d", 1),
+    ("rogue_cash", "enforce"): (0, "43d9d15e0b7c4006", "674946244d9c4daa", 0),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("scenario, mode", sorted(SIM_CONFORM_OUTPUT))
+def test_sim_and_conform_output_is_pinned(capsys, tmp_path, scenario, mode):
+    if scenario == "rogue_cash":
+        scenario_path = tmp_path / "rogue.fms"
+        scenario_path.write_text(ROGUE_CASH)
+    else:
+        scenario_path = CORPUS / f"{scenario}.fms"
+    model, trace = str(CORPUS / "tvm.fm"), tmp_path / "t.jsonl"
+    code, out, err = run_cli(
+        capsys,
+        "sim", model, "--scenario", str(scenario_path), "--trace", str(trace),
+        "--behavior", "cash_purchase", "--mode", mode,
+    )
+    conform_code, conform_out, conform_err = run_cli(
+        capsys, "conform", model, "--behavior", "cash_purchase", "--trace", str(trace)
+    )
+    assert (code, _sha(out), _sha(trace.read_text()), conform_code) == SIM_CONFORM_OUTPUT[(scenario, mode)]
+    assert (err, conform_err, conform_out) == ("", "", out)
+
+
+def test_sim_enforce_prints_the_gates_verdict_without_a_rescan(capsys, tmp_path, monkeypatch):
+    def rescan(*args):
+        raise AssertionError("sim --mode enforce scanned its trace again")
+
+    monkeypatch.setattr(behavior, "detect_occurrences", rescan)
+    monkeypatch.setattr(behavior, "check", rescan)
+    code, out, err = run_cli(
+        capsys,
+        "sim", str(CORPUS / "tvm.fm"), "--scenario", str(CORPUS / "tvm_cancel.fms"),
+        "--trace", str(tmp_path / "t.jsonl"), "--behavior", "cash_purchase", "--mode", "enforce",
+    )
+    assert (code, _sha(out), err) == (0, SIM_CONFORM_OUTPUT[("tvm_cancel", "enforce")][1], "")
+
+
+BIG_INT = "1" + "0" * 400  # no float holds it
+ARCS = "sphere s {{ machine m: t {{ create process release }} flow s/m.create -> s/m.process #in flow s/m.process -> s/m.release{} #y }}\n"
+
+
+def test_sim_int_too_large_for_a_dec_is_no_traceback(capsys, tmp_path):
+    scenario = tmp_path / "one.fms"
+    scenario.write_text("inject t at s/m.create tick 0\n")
+    default = tmp_path / "default.fm"
+    default.write_text(f"thing t {{ a: dec = {BIG_INT} }}\n" + ARCS.format(""))
+    message = "<model>:1:1: error[E_GUARD]: default of 't.a': int too large for a dec\n"
+    assert run_cli(capsys, "sim", str(default), "--scenario", str(scenario)) == (1, "", message)
+    guard = tmp_path / "guard.fm"
+    guard.write_text(f"thing t {{ n: int = {BIG_INT}, a: dec = 1.0 }}\n" + ARCS.format(" when n + a > 0.0"))
+    code, out, err = run_cli(capsys, "sim", str(guard), "--scenario", str(scenario))
+    assert (code, err) == (0, "")
+    assert '{"action":"blocked","arc":"y","at":"s/m.process","kind":"t","thing":1,"tick":2}' in out.splitlines()
+    injected = tmp_path / "injected.fms"
+    injected.write_text(f"inject t at s/m.create tick 0 {{ a = {BIG_INT} }}\n")
+    dec = tmp_path / "dec.fm"
+    dec.write_text("thing t { a: dec }\n" + ARCS.format(""))
+    message = f"{injected}:1:1: error[E_SCENARIO]: attribute 'a': int too large for a dec\n"
+    assert run_cli(capsys, "sim", str(dec), "--scenario", str(injected)) == (2, "", message)
 
 
 def test_sim_plant_without_behavior(capsys, tmp_path):
@@ -352,6 +434,21 @@ def test_history_append_deeply_nested_value_is_rejected(capsys, tmp_path):
     assert code == 1
     assert "append rejected: not valid JSON: nesting too deep" in err
     assert log_path.read_text() == before
+
+
+@pytest.mark.parametrize("stamp", ["9999-12-31T23:59:59-01:00", "0001-01-01T00:00:00+01:00"])
+def test_history_stamp_out_of_range_in_utc_is_one_line(capsys, tmp_path, stamp):
+    message = f"bad-timestamp: timestamp '{stamp}' is out of range in UTC"
+    log_path = _ledger_with(tmp_path, "")
+    before = log_path.read_text()
+    query = run_cli(capsys, "history", str(log_path), "--slot", "P101", "--at", stamp)
+    assert query == (2, "", f"fmkit: {message}\n")
+    append = run_cli(capsys, "history", str(log_path), "--append", json.dumps(dict(GOOD_LEDGER_RECORD, at=stamp)))
+    assert append == (1, "", f"fmkit: append rejected: {message}\n")
+    assert log_path.read_text() == before
+    bad_log = _ledger_with(tmp_path, json.dumps(dict(GOOD_LEDGER_RECORD, at=stamp)))
+    load = run_cli(capsys, "history", str(bad_log), "--slot", "P101", "--timeline")
+    assert load == (2, "", f"fmkit: {bad_log}: bad-timestamp: line 6: {message}\n")
 
 
 GOOD_LEDGER_RECORD = {

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from fmkit.exprs import Attr, Binary, EvalError, Lit, TypeError_, Unary, evaluate, typecheck
+from fmkit.exprs import Attr, Binary, EvalError, Lit, TypeError_, Unary, evaluate, fits, typecheck
 
 ATTRS = {"n": 7, "m": -7, "x": 2.5, "s": "abc", "t": True, "f": False}
 TYPES = {"n": "int", "m": "int", "x": "dec", "s": "str", "t": "bool", "f": "bool"}
@@ -63,6 +63,31 @@ def test_evaluate(expr, value):
 def test_division_by_zero_raises(divisor):
     with pytest.raises(EvalError, match="division by zero"):
         evaluate(b("/", Attr("n"), divisor), ATTRS)
+
+
+HUGE = 10 ** 400  # an int no float holds
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+@pytest.mark.parametrize("int_first", [True, False])
+def test_int_too_large_for_a_dec_raises(op, int_first):
+    operands = (Lit(HUGE), Attr("x")) if int_first else (Attr("x"), Lit(HUGE))
+    with pytest.raises(EvalError, match="int too large for a dec"):
+        evaluate(b(op, *operands), ATTRS)
+
+
+def test_huge_int_without_a_dec_stays_exact():
+    assert evaluate(b("+", Lit(HUGE), Attr("n")), ATTRS) == HUGE + 7
+    assert evaluate(b("/", Lit(HUGE), Attr("n")), ATTRS) == HUGE // 7
+    assert evaluate(b(">", Lit(HUGE), Attr("x")), ATTRS) is True
+
+
+@pytest.mark.parametrize("value, target, expected", [
+    (HUGE, "dec", False), (-HUGE, "dec", False), (HUGE, "int", True),
+    (2 ** 1000, "dec", True), (2.5, "dec", True), (True, "bool", True), ("s", "str", True),
+])
+def test_fits(value, target, expected):
+    assert fits(value, target) is expected
 
 
 TYPES_OK = [

@@ -22,6 +22,7 @@ from fmkit.simulate import (
     parse_scenario,
     run,
 )
+from fmkit.validate import validate
 
 
 def make_thing(attrs):
@@ -378,6 +379,37 @@ def test_guard_eval_error_blocks_and_continues():
     blocked = [e for e in trace if e.action == "blocked"]
     assert blocked and blocked[0].arc == "bad"
     assert not any(e.action == "move" and e.arc == "bad" for e in trace)
+
+
+BIG = "1" + "0" * 400  # an int literal no float holds
+
+
+def test_mixed_arithmetic_past_float_range_blocks():
+    source = (
+        f"thing w {{ n: int = {BIG}, a: dec = 1.0 }}\n"
+        "sphere s {\n"
+        "  machine a: w { create process release }\n"
+        "  flow s/a.create -> s/a.process #in\n"
+        "  flow s/a.process -> s/a.release when n + a > 0.0 #big\n"
+        "}\n"
+    )
+    model, diags = load_model(source)
+    assert not any(d.is_error for d in diags) and validate(model).ok
+    scenario = Scenario((Injection(0, "w", Endpoint(("s", "a"), Stage.CREATE), ()),))
+    trace = run(model, scenario, SimConfig(max_ticks=5))
+    assert [(e.action, e.arc) for e in trace if e.action == "blocked"] == [("blocked", "big")]
+    assert not any(e.action == "move" and e.arc == "big" for e in trace)
+    assert write_trace(trace) == run_oracle(model, scenario, max_ticks=5)
+
+
+def test_scenario_value_no_float_holds_is_a_finding():
+    model, _ = load_model(
+        "thing w { a: dec }\nsphere s { machine m: w { create release } flow s/m.create -> s/m.release #x }"
+    )
+    scenario, diags = parse_scenario(f"inject w at s/m.create tick 0 {{ a = {BIG} }}\n", "s.fms")
+    assert diags == []
+    found = [(d.code, d.message, d.span.start_line) for d in check_scenario(model, scenario)]
+    assert found == [("E_SCENARIO", "attribute 'a': int too large for a dec", 1)]
 
 
 def test_thing_examined_while_dwelling_is_not_parked():

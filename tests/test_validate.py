@@ -126,6 +126,17 @@ def test_guard_type_error_flagged():
     assert "E_GUARD" in codes(check_structure(model))
 
 
+def test_dec_default_no_float_holds_is_flagged():
+    big = "1" + "0" * 400
+    model, diags = load_model(
+        f"thing t {{ a: dec = {big}, n: int = {big} }}\n"
+        "sphere s { machine m: t { create release } flow s/m.create -> s/m.release #x }"
+    )
+    assert not any(d.is_error for d in diags)
+    found = [(d.code, d.message) for d in check_structure(model)]
+    assert found == [("E_GUARD", "default of 't.a': int too large for a dec")]
+
+
 def test_validate_deterministic(tvm):
     assert validate(tvm) == validate(tvm)
 
