@@ -7,7 +7,6 @@ to the files named by flags.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import TYPE_CHECKING, Optional
 
@@ -175,13 +174,9 @@ def cmd_history(args: argparse.Namespace) -> int:
         return USAGE
     if args.append is not None:
         try:
-            record = history.ReplacementRecord.from_json(json.loads(args.append))
-            log.append(record)
-        except (json.JSONDecodeError, history.AppendError, history.HistoryError) as exc:
+            log.append(history.ReplacementRecord.from_json(jsonl.decode(args.append)))
+        except (jsonl.JSONLineError, history.HistoryError) as exc:
             print(f"fmkit: append rejected: {exc}", file=sys.stderr)
-            return FAIL
-        except RecursionError:
-            print("fmkit: append rejected: not valid JSON: nesting too deep", file=sys.stderr)
             return FAIL
         try:
             with open(args.log, "w", encoding="utf-8") as handle:

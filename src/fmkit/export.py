@@ -5,8 +5,9 @@ emitted sorted, so output is byte-stable across runs and platforms.
 """
 from __future__ import annotations
 
-import json
+import gc
 import re
+import sys
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import jsonl
@@ -141,58 +142,109 @@ def write_trace(trace: Trace) -> str:
     return "".join(trace_lines(trace))
 
 
-_DECODER = json.JSONDecoder()
-_decode = _DECODER.decode
-_scan = _DECODER.scan_once
+# The writer's line shape, split at the first ',"thing":'.  The head holds
+# the action and the three string fields; a string holding no '"', no '\'
+# and no control character decodes to the text between its quotes.  The
+# tail holds two JSON integers, written with [0-9] because \d also matches
+# digits outside ASCII.
+_STRING = r'(null|"[^"\\\x00-\x1f]*")'
+_ACTION = '("(?:' + "|".join(sorted(_ACTIONS)) + ')")'  # letters and '-' only
+_HEAD = re.compile(rf'\{{"action":{_ACTION},"arc":{_STRING},"at":{_STRING},"kind":{_STRING}')
+_TAIL = re.compile(r'(null|-?(?:0|[1-9][0-9]*)),"tick":(-?(?:0|[1-9][0-9]*))\}')
+
+
+def _head_fields(head: str) -> tuple[str, str | None, str | None, str | None] | None:
+    """(action, kind, at, arc) of a head in the writer's shape, strings
+    interned, or None when the head is in any other shape."""
+    match = _HEAD.fullmatch(head)
+    if match is None:
+        return None
+    action, arc, at, kind = (None if text == "null" else sys.intern(text[1:-1]) for text in match.groups())
+    return action, kind, at, arc
+
+
+def _decode_line(i: int, line: str) -> TraceEvent | None:
+    """The full decoder's reading of line ``i``: None when it is blank,
+    otherwise its record or the TraceParseError that names what is wrong.
+    Field types are checked exactly (``bool`` is not an ``int`` here):
+    ``tick`` is an integer, ``thing`` an integer or null, and ``kind``,
+    ``at`` and ``arc`` are strings or null."""
+    if not line.strip():
+        return None
+    try:
+        obj = jsonl.decode(line)
+    except jsonl.JSONLineError as exc:
+        raise TraceParseError(i, str(exc)) from None
+    if type(obj) is not dict:
+        raise TraceParseError(i, "expected a JSON object")
+    try:
+        tick, action, thing = obj["tick"], obj["action"], obj["thing"]
+        kind, at, arc = obj["kind"], obj["at"], obj["arc"]
+    except KeyError as exc:
+        raise TraceParseError(i, f"missing '{exc.args[0]}' field") from None
+    if type(tick) is not int:
+        raise TraceParseError(i, "'tick' must be an integer")
+    if type(action) is not str or action not in _ACTIONS:
+        raise TraceParseError(i, f"unknown action '{action}'")
+    if thing is not None and type(thing) is not int:
+        raise TraceParseError(i, "'thing' must be an integer or null")
+    if kind is not None and type(kind) is not str:
+        raise TraceParseError(i, "'kind' must be a string or null")
+    if at is not None and type(at) is not str:
+        raise TraceParseError(i, "'at' must be a string or null")
+    if arc is not None and type(arc) is not str:
+        raise TraceParseError(i, "'arc' must be a string or null")
+    return TraceEvent(tick, action, thing, kind, at, arc)
 
 
 def read_trace(text: str | Iterable[str]) -> Trace:
     """Inverse of write_trace; raises TraceParseError naming the bad line.
 
-    Each line is first scanned as one JSON value from its first character.
-    A line the scan does not consume whole (blank, padded with whitespace or
-    malformed) is skipped when blank and otherwise goes through the full
-    decoder, so every error message is the decoder's.
-    Field types are checked exactly (``bool`` is not an ``int`` here):
-    ``tick`` is an integer, ``thing`` an integer or null, and ``kind``,
-    ``at`` and ``arc`` are strings or null."""
+    One fast path reads the writer's own line shape: each distinct head
+    (the text before ``,"thing":``) is checked by one pattern once per
+    call, so records with the same head share its interned strings, and
+    the two integers after it by another.  Every other line (blank lines,
+    escapes, whitespace, other key orders, ``true`` or ``1.0`` as a tick,
+    integers past ``sys.get_int_max_str_digits``) goes through the full
+    decoder, which gives the same record, or the same error with the same
+    line number, as it would for a line in the writer's shape."""
     lines = jsonl.split_lines(text) if isinstance(text, str) else list(text)
+    # The cyclic collector never untracks a tuple subclass, so each
+    # collection during the read would walk every record read so far.
+    # Records of strings, integers and None form no cycle: pause it.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _records(lines)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _records(lines: Iterable[str]) -> Trace:
     trace: Trace = []
     append = trace.append
+    new = tuple.__new__
+    heads: dict[str, tuple[str, str | None, str | None, str | None]] = {}
     for i, line in enumerate(lines, start=1):
-        try:
-            obj, end = _scan(line, 0)
-        except (StopIteration, json.JSONDecodeError, RecursionError):
-            end = -1
-        if end != len(line):
-            if not line.strip():
-                continue
+        head, _, tail = line.partition(',"thing":')
+        fields = heads.get(head)
+        if fields is None:
+            fields = _head_fields(head)
+            if fields is not None:
+                heads[head] = fields
+        match = _TAIL.fullmatch(tail) if fields is not None else None
+        if match is not None:
+            thing, tick = match.groups()
+            action, kind, at, arc = fields
             try:
-                obj = _decode(line)
-            except json.JSONDecodeError as exc:
-                raise TraceParseError(i, f"not valid JSON: {exc.msg}") from exc
-            except RecursionError:
-                raise TraceParseError(i, "not valid JSON: nesting too deep") from None
-        if type(obj) is not dict:
-            raise TraceParseError(i, "expected a JSON object")
-        try:
-            tick, action, thing = obj["tick"], obj["action"], obj["thing"]
-            kind, at, arc = obj["kind"], obj["at"], obj["arc"]
-        except KeyError as exc:
-            raise TraceParseError(i, f"missing '{exc.args[0]}' field") from None
-        if type(tick) is not int:
-            raise TraceParseError(i, "'tick' must be an integer")
-        if type(action) is not str or action not in _ACTIONS:
-            raise TraceParseError(i, f"unknown action '{action}'")
-        if thing is not None and type(thing) is not int:
-            raise TraceParseError(i, "'thing' must be an integer or null")
-        if kind is not None and type(kind) is not str:
-            raise TraceParseError(i, "'kind' must be a string or null")
-        if at is not None and type(at) is not str:
-            raise TraceParseError(i, "'at' must be a string or null")
-        if arc is not None and type(arc) is not str:
-            raise TraceParseError(i, "'arc' must be a string or null")
-        append(TraceEvent(tick, action, thing, kind, at, arc))
+                append(new(TraceEvent, (int(tick), action, None if thing == "null" else int(thing), kind, at, arc)))
+                continue
+            except ValueError:  # past sys.get_int_max_str_digits
+                pass
+        event = _decode_line(i, line)
+        if event is not None:
+            append(event)
     return trace
 
 

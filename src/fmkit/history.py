@@ -7,7 +7,6 @@ UTC) rather than simulation ticks: replacement history spans calendar time.
 """
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from datetime import datetime, timezone
 from typing import Iterable, Optional
@@ -21,6 +20,7 @@ class HistoryError(Exception):
     def __init__(self, code: str, message: str) -> None:
         super().__init__(f"{code}: {message}")
         self.code = code
+        self.message = message
 
 
 class AppendError(HistoryError):
@@ -244,14 +244,12 @@ class ReplacementLog:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise HistoryError("bad-record", f"line {i}: not valid JSON: {exc.msg}") from exc
-            except RecursionError:
-                raise HistoryError("bad-record", f"line {i}: not valid JSON: nesting too deep") from None
+                obj = jsonl.decode(line)
+            except jsonl.JSONLineError as exc:
+                raise HistoryError("bad-record", f"line {i}: {exc}") from None
             try:
                 log.append(ReplacementRecord.from_json(obj))
             except HistoryError as exc:
-                raise HistoryError(exc.code, f"line {i}: {exc}") from exc
+                raise HistoryError(exc.code, f"line {i}: {exc.message}") from exc
         return log
 

@@ -1,6 +1,6 @@
 """Compact JSON with sorted keys: the one text form of every record fmkit
 writes (trace lines, ledger lines, verdicts and reports), and the line
-splitting its JSON-lines readers share."""
+splitting and line decoding its JSON-lines readers share."""
 from __future__ import annotations
 
 import json
@@ -8,6 +8,12 @@ from typing import Iterable
 
 # json.dumps with keyword arguments builds a new encoder on every call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_DECODE = json.JSONDecoder().decode
+
+
+class JSONLineError(ValueError):
+    """Text that is not one JSON value; the message reads
+    ``not valid JSON: <reason>``."""
 
 
 def dumps(obj: object) -> str:
@@ -29,3 +35,21 @@ def split_lines(text: str) -> list[str]:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text.split("\n")
+
+
+def decode(text: str) -> object:
+    """The one JSON value of ``text`` (surrounding whitespace allowed).
+
+    Every way the decoder fails is one JSONLineError: a syntax error keeps
+    the decoder's message, nesting past the recursion limit is ``nesting
+    too deep``, and an integer longer than ``sys.get_int_max_str_digits``
+    (a plain ValueError from int()) is ``number is out of range``."""
+    try:
+        return _DECODE(text)
+    except json.JSONDecodeError as exc:
+        reason = exc.msg
+    except RecursionError:
+        reason = "nesting too deep"
+    except ValueError:
+        reason = "number is out of range"
+    raise JSONLineError(f"not valid JSON: {reason}")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+import sys
 
 import pytest
 from conftest import golden_text, load_corpus_model, load_corpus_scenario
@@ -438,7 +439,8 @@ def test_history_append_deeply_nested_value_is_rejected(capsys, tmp_path):
 
 @pytest.mark.parametrize("stamp", ["9999-12-31T23:59:59-01:00", "0001-01-01T00:00:00+01:00"])
 def test_history_stamp_out_of_range_in_utc_is_one_line(capsys, tmp_path, stamp):
-    message = f"bad-timestamp: timestamp '{stamp}' is out of range in UTC"
+    reason = f"timestamp '{stamp}' is out of range in UTC"
+    message = f"bad-timestamp: {reason}"
     log_path = _ledger_with(tmp_path, "")
     before = log_path.read_text()
     query = run_cli(capsys, "history", str(log_path), "--slot", "P101", "--at", stamp)
@@ -448,7 +450,38 @@ def test_history_stamp_out_of_range_in_utc_is_one_line(capsys, tmp_path, stamp):
     assert log_path.read_text() == before
     bad_log = _ledger_with(tmp_path, json.dumps(dict(GOOD_LEDGER_RECORD, at=stamp)))
     load = run_cli(capsys, "history", str(bad_log), "--slot", "P101", "--timeline")
-    assert load == (2, "", f"fmkit: {bad_log}: bad-timestamp: line 6: {message}\n")
+    assert load == (2, "", f"fmkit: {bad_log}: bad-timestamp: line 6: {reason}\n")
+
+
+def _digits_past_the_int_limit() -> str:
+    """An integer literal one digit longer than int() converts from text;
+    the decoder raises a plain ValueError on it."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("this Python converts integers of any length")
+    return "9" * (limit + 1)
+
+
+def test_conform_integer_past_the_digit_limit_exits_two(capsys, tmp_path):
+    trace_path = tmp_path / "huge.jsonl"
+    huge = json.dumps(GOOD_RECORD, separators=(",", ":")).replace('"tick":1', f'"tick":{_digits_past_the_int_limit()}')
+    trace_path.write_text(json.dumps(GOOD_RECORD) + "\n" + huge + "\n")
+    result = run_cli(capsys, "conform", str(CORPUS / "tvm.fm"), "--behavior", "cash_purchase", "--trace", str(trace_path))
+    assert result == (2, "", f"fmkit: {trace_path}: line 2: not valid JSON: number is out of range\n")
+
+
+def test_history_integer_past_the_digit_limit_is_a_bad_record(capsys, tmp_path):
+    log_path = _ledger_with(tmp_path, f'{{"x":{_digits_past_the_int_limit()}}}')
+    result = run_cli(capsys, "history", str(log_path), "--slot", "P101", "--timeline")
+    assert result == (2, "", f"fmkit: {log_path}: bad-record: line 6: not valid JSON: number is out of range\n")
+
+
+def test_history_append_integer_past_the_digit_limit_is_rejected(capsys, tmp_path):
+    log_path = _ledger_with(tmp_path, "")
+    before = log_path.read_text()
+    result = run_cli(capsys, "history", str(log_path), "--append", f'{{"x":{_digits_past_the_int_limit()}}}')
+    assert result == (1, "", "fmkit: append rejected: not valid JSON: number is out of range\n")
+    assert log_path.read_text() == before
 
 
 GOOD_LEDGER_RECORD = {

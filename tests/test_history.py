@@ -164,14 +164,15 @@ OUT_OF_RANGE_STAMPS = ["9999-12-31T23:59:59-01:00", "0001-01-01T00:00:00+01:00"]
 
 @pytest.mark.parametrize("stamp", OUT_OF_RANGE_STAMPS)
 def test_stamp_out_of_range_in_utc_is_a_bad_timestamp(stamp):
-    message = f"bad-timestamp: timestamp '{stamp}' is out of range in UTC"
+    reason = f"timestamp '{stamp}' is out of range in UTC"
+    message = f"bad-timestamp: {reason}"
     with pytest.raises(HistoryError) as exc:
         rec("P101", "pump-1", "receive", stamp)
     assert (exc.value.code, str(exc.value)) == ("bad-timestamp", message)
     line = jsonl.dumps(dict(rec("P102", "pump-9", "receive", "2024-01-01T00:00:00Z").to_json(), at=stamp))
     with pytest.raises(HistoryError) as exc:
         ReplacementLog.from_lines(pump_log().to_lines() + line + "\n")
-    assert (exc.value.code, str(exc.value)) == ("bad-timestamp", f"bad-timestamp: line 6: {message}")
+    assert (exc.value.code, str(exc.value)) == ("bad-timestamp", f"bad-timestamp: line 6: {reason}")
 
 
 def test_record_equality_hash_and_repr_are_field_wise():
