@@ -1,7 +1,7 @@
 """Syntax trees produced by the parser: the parts of a model that
-canonicalization rewrites (spheres, machines, arcs and events), and
-scenarios.  Thing kinds and behaviors need no rewriting, so the parser
-builds their ``model`` records directly."""
+canonicalization rewrites (authored arcs and events), and scenarios.
+Spheres, machines, endpoints, thing kinds and behaviors need no rewriting,
+so the parser builds their ``model`` records directly."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -9,45 +9,21 @@ from typing import Optional
 
 from .diagnostics import SourceSpan
 from .exprs import Expr, Value
-from .model import BehaviorDecl, Endpoint, Stage, ThingKind
-
-
-@dataclass(frozen=True)
-class EndpointRef:
-    segments: tuple[str, ...]
-    stage: Stage
-    span: SourceSpan
+from .model import BehaviorDecl, Endpoint, Sphere, ThingKind
 
 
 @dataclass(frozen=True)
 class ArcDecl:
     is_flow: bool
-    src: EndpointRef
-    dst: EndpointRef
+    src: Endpoint
+    dst: Endpoint
     guard: Optional[Expr]
     spawn_attrs: tuple[tuple[str, Expr, SourceSpan], ...]
     consuming: bool
     label: Optional[str]
     span: SourceSpan
-
-
-@dataclass(frozen=True)
-class MachineDecl:
-    name: str
-    kind: str
-    stages: tuple[tuple[Stage, bool], ...]  # (stage, is_implicit)
-    assigns: tuple[tuple[str, Expr, SourceSpan], ...]
-    span: SourceSpan
-    kind_span: SourceSpan
-
-
-@dataclass
-class SphereDecl:
-    name: str
-    span: SourceSpan
-    children: list["SphereDecl"] = field(default_factory=list)
-    machines: list[MachineDecl] = field(default_factory=list)
-    arcs: list[ArcDecl] = field(default_factory=list)
+    src_span: SourceSpan
+    dst_span: SourceSpan
 
 
 @dataclass(frozen=True)
@@ -61,7 +37,9 @@ class EventDecl:
 class ModelAst:
     file: str
     kinds: list[ThingKind] = field(default_factory=list)
-    spheres: list[SphereDecl] = field(default_factory=list)
+    spheres: list[Sphere] = field(default_factory=list)
+    # Every sphere's arcs: a sphere's own in source order, then each child's.
+    arcs: list[ArcDecl] = field(default_factory=list)
     events: list[EventDecl] = field(default_factory=list)
     behaviors: list[BehaviorDecl] = field(default_factory=list)
 

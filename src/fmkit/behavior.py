@@ -32,6 +32,9 @@ class BehaviorError(Exception):
         super().__init__(message)
         self.code = code
 
+    def __reduce__(self):
+        return type(self), (self.code, *self.args)
+
 
 @dataclass(frozen=True)
 class Occurrence:

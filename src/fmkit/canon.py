@@ -6,8 +6,9 @@ release/transfer/transfer/receive/process chain.  Inserted stages are flagged
 implicit on their machines, and inserted arcs take derived labels
 ``<label>.k`` so each chain remains addressable as one family.
 
-Only spheres, machines, arcs and events are rebuilt here.  Thing kinds and
-behaviors are the parser's own ``model`` records, taken over as they are.
+Only arcs and events are built here.  Spheres, machines, thing kinds and
+behaviors are the parser's own ``model`` records, taken over as they are;
+the implicit stages a chain passes are added to its machines in place.
 """
 from __future__ import annotations
 
@@ -17,10 +18,8 @@ from .model import (
     Endpoint,
     EventDef,
     FlowArc,
-    Machine,
     Model,
     Region,
-    Sphere,
     Stage,
     TriggerArc,
     shortest_chain,
@@ -35,53 +34,45 @@ class CanonError(Exception):
         super().__init__(diagnostic.render())
         self.diagnostic = diagnostic
 
+    def __reduce__(self):
+        return type(self), (self.diagnostic,)
+
 
 def canonicalize(tree: ast.ModelAst) -> Model:
-    """Expand every shorthand arc into its unique minimal legal chain.
+    """Take over the parse tree's spheres, kinds and behaviors, and expand
+    every shorthand arc into its unique minimal legal chain, adding the
+    stages each chain passes to its machines as implicit stages, in place.
+    Running it again on the same tree adds nothing and gives an equal model.
 
     Requires an AST that parsed with zero error diagnostics.  Raises
     CanonError with code no-legal-expansion when an arc cannot be completed
     into a legal chain (anything targeting a create stage, for instance).
     """
-    machines_by_path: dict[tuple[str, ...], Machine] = {}
-    arcs: list[ast.ArcDecl] = []
-
-    def build_sphere(decl: ast.SphereDecl, prefix: tuple[str, ...]) -> Sphere:
-        path = prefix + (decl.name,)
-        sphere = Sphere(decl.name)
-        for m in decl.machines:
-            declared = tuple(s for s, implicit in m.stages if not implicit)
-            implicit = tuple(s for s, is_implicit in m.stages if is_implicit)
-            machine = Machine(m.name, m.kind, declared, implicit, tuple((n, e) for n, e, _ in m.assigns))
-            sphere.machines.append(machine)
-            machines_by_path[path + (m.name,)] = machine
-        arcs.extend(decl.arcs)
-        for child in decl.children:
-            sphere.children.append(build_sphere(child, path))
-        return sphere
-
-    roots = [build_sphere(s, ()) for s in tree.spheres]
-
-    flows: list[FlowArc] = []
-    triggers: list[TriggerArc] = []
+    model = Model(
+        kinds={k.name: k for k in tree.kinds},
+        roots=list(tree.spheres),
+        flows=[],
+        triggers=[],
+        events=[],
+        behaviors=list(tree.behaviors),
+        canonical=True,
+    )
+    model.reindex()  # the path table, through which implicit stages are added
     auto_counter = 0
 
-    for arc in arcs:
-        src_path, dst_path = arc.src.segments, arc.dst.segments
+    for arc in tree.arcs:
+        src, dst = arc.src, arc.dst
         label = arc.label
         if label is None:
             auto_counter += 1
             label = f"@{auto_counter:04d}"
-        src = Endpoint(src_path, arc.src.stage)
-        dst = Endpoint(dst_path, arc.dst.stage)
         if not arc.is_flow:
-            triggers.append(
+            model.triggers.append(
                 TriggerArc(src, dst, label, arc.guard,
                            tuple((n, e) for n, e, _ in arc.spawn_attrs), arc.consuming)
             )
             continue
-        same = src_path == dst_path
-        nodes = shortest_chain(src.stage, dst.stage, same)
+        nodes = shortest_chain(src.stage, dst.stage, src.path == dst.path)
         if nodes is None:
             raise CanonError(
                 error("no-legal-expansion", f"no legal chain from {src} to {dst}", arc.span)
@@ -89,13 +80,13 @@ def canonicalize(tree: ast.ModelAst) -> Model:
         chain_len = len(nodes) - 1
         # The chain's ends are the authored endpoints; each inner node is
         # one endpoint shared by the two steps that meet there.
-        eps = [src, *(Endpoint(dst_path if side else src_path, stage) for side, stage in nodes[1:-1]), dst]
+        eps = [src, *(Endpoint(dst.path if side else src.path, stage) for side, stage in nodes[1:-1]), dst]
         for ep in eps:
-            machine = machines_by_path[ep.path]
+            machine = model.find_machine(ep.path)
             if not machine.has_stage(ep.stage):
-                machine.implicit = tuple(machine.implicit) + (ep.stage,)
+                machine.implicit += (ep.stage,)
         for i in range(chain_len):
-            flows.append(
+            model.flows.append(
                 FlowArc(
                     eps[i],
                     eps[i + 1],
@@ -110,18 +101,8 @@ def canonicalize(tree: ast.ModelAst) -> Model:
             )
 
     # Keep implicit stages in Stage order, stable for printing and signatures.
-    for machine in machines_by_path.values():
-        machine.implicit = tuple(s for s in Stage if s in machine.implicit and s not in machine.declared)
-
-    model = Model(
-        kinds={k.name: k for k in tree.kinds},
-        roots=roots,
-        flows=flows,
-        triggers=triggers,
-        events=[],
-        behaviors=list(tree.behaviors),
-        canonical=True,
-    )
+    for _, machine in model.machines():
+        machine.implicit = tuple(s for s in Stage if s in machine.implicit)
     model.reindex()
 
     for event in tree.events:

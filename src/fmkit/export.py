@@ -111,6 +111,10 @@ class TraceParseError(Exception):
     def __init__(self, line_no: int, message: str) -> None:
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.line_no, self.message)
 
 
 class _Quoted(dict):

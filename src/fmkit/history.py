@@ -22,6 +22,9 @@ class HistoryError(Exception):
         self.code = code
         self.message = message
 
+    def __reduce__(self):
+        return type(self), (self.code, self.message)
+
 
 class AppendError(HistoryError):
     """The record would break the slot's lifecycle; the log is unchanged."""
@@ -30,6 +33,10 @@ class AppendError(HistoryError):
 class UnknownSlotError(HistoryError):
     def __init__(self, slot: str) -> None:
         super().__init__("unknown-slot", f"no records for slot '{slot}'")
+        self.slot = slot
+
+    def __reduce__(self):
+        return type(self), (self.slot,)
 
 
 def parse_timestamp(text: str) -> datetime:

@@ -2,9 +2,10 @@
 
 A model is a tree of spheres holding machines; things move between the five
 stages of a machine along flow arcs and jump between flows along trigger
-arcs.  Values are treated as immutable once built.  The parser builds the
-kind and behavior records, with source spans that equality, hashing and
-repr ignore; the canonicalizer builds the rest.
+arcs.  Values are treated as immutable once built, except that
+canonicalization adds implicit stages to machines.  The parser builds the
+kind, behavior, sphere, machine and endpoint records, with source spans that
+equality and repr ignore; the canonicalizer builds the arcs and events.
 """
 from __future__ import annotations
 
@@ -60,6 +61,10 @@ class ResolutionError(ModelError):
         super().__init__(f"{code}: '{segment}' in '{text}'")
         self.code = code
         self.segment = segment
+        self.text = text
+
+    def __reduce__(self):
+        return type(self), (self.code, self.segment, self.text)
 
 
 class UnknownLabelError(ModelError):
@@ -68,6 +73,9 @@ class UnknownLabelError(ModelError):
     def __init__(self, missing: Sequence[str]) -> None:
         super().__init__("unknown labels: " + ", ".join(sorted(missing)))
         self.missing = tuple(sorted(missing))
+
+    def __reduce__(self):
+        return type(self), (self.missing,)
 
 
 @dataclass(frozen=True)
@@ -133,6 +141,13 @@ class Machine:
     declared: tuple[Stage, ...]
     implicit: tuple[Stage, ...] = ()
     assigns: tuple[tuple[str, Expr], ...] = ()
+    # Source spans of the 'machine' token, the kind name and each assign's
+    # attribute name, and the stages written again after their first
+    # mention (in source order), which the binder reports.
+    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    kind_span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    assign_spans: tuple[SourceSpan, ...] = field(default=(), compare=False, repr=False)
+    repeats: tuple[Stage, ...] = field(default=(), compare=False, repr=False)
 
     def stages(self) -> tuple[Stage, ...]:
         return tuple(self.declared) + tuple(s for s in self.implicit if s not in self.declared)
@@ -146,6 +161,7 @@ class Sphere:
     name: str
     children: list["Sphere"] = field(default_factory=list)
     machines: list[Machine] = field(default_factory=list)
+    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)  # 'sphere'
 
 
 @dataclass
@@ -260,8 +276,6 @@ class Model:
     _machines: dict[tuple[str, ...], Machine] = field(default_factory=dict, repr=False)
     _flows_by_label: dict[str, FlowArc] = field(default_factory=dict, repr=False)
     _triggers_by_label: dict[str, TriggerArc] = field(default_factory=dict, repr=False)
-    _flows_by_src: dict[Endpoint, list[FlowArc]] = field(default_factory=dict, repr=False)
-    _triggers_by_src: dict[Endpoint, list[TriggerArc]] = field(default_factory=dict, repr=False)
     # Chain families: each flow label's text before one of its '.'s, mapped
     # to the flow labels that extend it there, in flow order.
     _families: dict[str, list[str]] = field(default_factory=dict, repr=False)
@@ -287,28 +301,12 @@ class Model:
                 self._families.setdefault(label[:dot], []).append(label)
                 dot = label.find(".", dot + 1)
         self._triggers_by_label = {t.label: t for t in self.triggers}
-        self._flows_by_src = {}
-        for a in self.flows:
-            self._flows_by_src.setdefault(a.src, []).append(a)
-        for arcs in self._flows_by_src.values():
-            arcs.sort(key=lambda a: a.label)
-        self._triggers_by_src = {}
-        for t in self.triggers:
-            self._triggers_by_src.setdefault(t.src, []).append(t)
-        for ts in self._triggers_by_src.values():
-            ts.sort(key=lambda t: t.label)
 
     def flow(self, label: str) -> Optional[FlowArc]:
         return self._flows_by_label.get(label)
 
     def trigger(self, label: str) -> Optional[TriggerArc]:
         return self._triggers_by_label.get(label)
-
-    def flows_from(self, ep: Endpoint) -> list[FlowArc]:
-        return self._flows_by_src.get(ep, [])
-
-    def triggers_from(self, ep: Endpoint) -> list[TriggerArc]:
-        return self._triggers_by_src.get(ep, [])
 
     def event(self, name: str) -> Optional[EventDef]:
         for e in self.events:
@@ -366,6 +364,13 @@ class ModelIndex:
         self.dec = {k.name: frozenset(a.name for a in k.attrs if a.type == "dec") for k in model.kinds.values()}
         self._gated = {t.dst for t in model.triggers if t.dst.stage is not Stage.CREATE}
         self._hops = {a.label: Hop(a) for a in model.flows}
+        # Hops and triggers by source endpoint, in label order.
+        self._hops_from: dict[Endpoint, list[Hop]] = {}
+        self._triggers_from: dict[Endpoint, list[TriggerArc]] = {}
+        for hop in sorted(self._hops.values(), key=lambda h: h.label):
+            self._hops_from.setdefault(hop.arc.src, []).append(hop)
+        for trig in sorted(model.triggers, key=lambda t: t.label):
+            self._triggers_from.setdefault(trig.src, []).append(trig)
         self.sites: dict[Endpoint, Site] = {}
         for hop in self._hops.values():
             arc = hop.arc
@@ -380,13 +385,13 @@ class ModelIndex:
         if site is None:
             model = self.model
             site = self.sites[ep] = Site()
-            flows = model.flows_from(ep)
+            hops = self._hops_from.get(ep, ())
             machine = model.find_machine(ep.path) if ep.stage is Stage.PROCESS else None
             site.ep, site.text, site.gated = ep, str(ep), ep in self._gated
-            site.heads = tuple(self._hops[a.label] for a in flows if a.is_chain_head)
-            site.triggers = tuple(model.triggers_from(ep))
+            site.heads = tuple(hop for hop in hops if hop.arc.is_chain_head)
+            site.triggers = tuple(self._triggers_from.get(ep, ()))
             site.assigns = machine.assigns if machine is not None else ()
-            site.leaves = bool(flows or site.triggers)
+            site.leaves = bool(hops or site.triggers)
         return site
 
 

@@ -22,7 +22,8 @@ from .diagnostics import Diagnostic, SourceSpan, error
 from .exprs import ATOM_PREC, BINARY_PREC, CMP_PREC, NOT_PREC
 from .lexer import Token, tokenize
 from .model import (
-    AttrSpec, BehaviorDecl, Chrono, Choice, Endpoint, Interrupt, Par, Ref, Repeat, Seq, Stage, STAGES_BY_NAME, ThingKind,
+    AttrSpec, BehaviorDecl, Chrono, Choice, Endpoint, Interrupt, Machine, Par, Ref, Repeat, Seq, Sphere, Stage,
+    STAGES_BY_NAME, ThingKind,
 )
 
 STAGE_KEYWORDS = frozenset(STAGES_BY_NAME)
@@ -45,7 +46,7 @@ class _TooDeep(Exception):
     item being parsed."""
 
     def __init__(self, span: SourceSpan) -> None:
-        super().__init__()
+        super().__init__(span)
         self.span = span
 
 
@@ -136,7 +137,7 @@ class _Parser:
             if decl:
                 out.kinds.append(decl)
         elif self.at("sphere"):
-            decl = self.parse_sphere()
+            decl = self.parse_sphere(out.arcs)
             if decl:
                 out.spheres.append(decl)
         elif self.at("event"):
@@ -215,17 +216,21 @@ class _Parser:
             return None
         return value
 
-    def parse_sphere(self) -> Optional[ast.SphereDecl]:
+    def parse_sphere(self, arcs: list[ast.ArcDecl]) -> Optional[Sphere]:
+        """A sphere; its arcs go onto ``arcs`` once it closes, its own in
+        source order and then each child's."""
         start = self.advance()  # 'sphere'
         name_tok = self.expect("IDENT", "a sphere name")
         if name_tok is None or self.expect("{") is None:
             self.synchronize(ITEM_KEYWORDS)
             return None
         self.nest(start)
-        sphere = ast.SphereDecl(name_tok.text, start.span)
+        sphere = Sphere(name_tok.text, span=start.span)
+        own: list[ast.ArcDecl] = []
+        inner: list[ast.ArcDecl] = []
         while self.cur.type not in _BLOCK_END:
             if self.cur.type == "sphere":
-                child = self.parse_sphere()
+                child = self.parse_sphere(inner)
                 if child:
                     sphere.children.append(child)
             elif self.cur.type == "machine":
@@ -235,7 +240,7 @@ class _Parser:
             elif self.cur.type == "flow" or self.cur.type == "trigger":
                 a = self.parse_arc()
                 if a:
-                    sphere.arcs.append(a)
+                    own.append(a)
             else:
                 self.error(
                     f"expected sphere, machine, flow, or trigger, found '{self.cur.text or self.cur.type}'"
@@ -244,9 +249,10 @@ class _Parser:
                 self.synchronize(SPHERE_ITEM_KEYWORDS)
         self.expect("}")
         self.depth -= 1
+        arcs.extend(own + inner)
         return sphere
 
-    def parse_machine(self) -> Optional[ast.MachineDecl]:
+    def parse_machine(self) -> Optional[Machine]:
         start = self.advance()  # 'machine'
         name_tok = self.expect("IDENT", "a machine name")
         if name_tok is None or self.expect(":") is None:
@@ -256,17 +262,19 @@ class _Parser:
         if kind_tok is None or self.expect("{") is None:
             self.synchronize(SPHERE_ITEM_KEYWORDS)
             return None
-        stages: list[tuple[Stage, bool]] = []
+        declared: list[Stage] = []
+        implicit: list[Stage] = []
+        repeats: list[Stage] = []
         assigns: list[tuple[str, exprs.Expr, SourceSpan]] = []
         while self.cur.type not in _BLOCK_END:
-            implicit = False
+            stages = declared
             if self.cur.type == "implicit":
                 self.advance()
-                implicit = True
+                stages = implicit
             if self.cur.type in STAGE_KEYWORDS:
-                stages.append((STAGES_BY_NAME[self.cur.text], implicit))
-                self.advance()
-            elif self.cur.type == "assign" and not implicit:
+                stage = STAGES_BY_NAME[self.advance().text]
+                (repeats if stage in declared or stage in implicit else stages).append(stage)
+            elif self.cur.type == "assign" and stages is declared:
                 self.advance()
                 if self.expect("{") is None:
                     break
@@ -275,8 +283,10 @@ class _Parser:
                 self.error("expected a stage name or an assign block")
                 break
         self.expect("}")
-        return ast.MachineDecl(
-            name_tok.text, kind_tok.text, tuple(stages), tuple(assigns), start.span, kind_tok.span
+        return Machine(
+            name_tok.text, kind_tok.text, tuple(declared), tuple(implicit),
+            tuple((name, expr) for name, expr, _ in assigns), start.span, kind_tok.span,
+            tuple(span for _, _, span in assigns), tuple(repeats),
         )
 
     def parse_assignments(self) -> list[tuple[str, exprs.Expr, SourceSpan]]:
@@ -293,7 +303,7 @@ class _Parser:
         self.expect("}")
         return out
 
-    def parse_endpoint(self) -> Optional[ast.EndpointRef]:
+    def parse_endpoint(self) -> Optional[tuple[Endpoint, SourceSpan]]:
         first = self.expect("IDENT", "an endpoint path")
         if first is None:
             return None
@@ -311,7 +321,7 @@ class _Parser:
             return None
         stage_tok = self.advance()
         span = SourceSpan(first.file, first.line, first.col, stage_tok.line, stage_tok.end_col)
-        return ast.EndpointRef(tuple(segments), STAGES_BY_NAME[stage_tok.text], span)
+        return Endpoint(tuple(segments), STAGES_BY_NAME[stage_tok.text]), span
 
     def parse_arc(self) -> Optional[ast.ArcDecl]:
         start = self.advance()  # 'flow' | 'trigger'
@@ -349,7 +359,7 @@ class _Parser:
                 self.error("arc labels may not contain '.'", label_tok.span)
             else:
                 label = label_tok.text
-        return ast.ArcDecl(is_flow, src, dst, guard, tuple(spawn), consuming, label, start.span)
+        return ast.ArcDecl(is_flow, src[0], dst[0], guard, tuple(spawn), consuming, label, start.span, src[1], dst[1])
 
     def parse_event(self) -> Optional[ast.EventDecl]:
         start = self.advance()  # 'event'
@@ -462,8 +472,7 @@ class _Parser:
                 attrs.append((attr_tok.text, value))
             if self.expect("}") is None:
                 return None
-        endpoint = Endpoint(target.segments, target.stage)
-        return ast.Injection(tick, kind_tok.text, endpoint, tuple(attrs), start.span)
+        return ast.Injection(tick, kind_tok.text, target[0], tuple(attrs), start.span)
 
     # Expressions ----------------------------------------------------------
 
@@ -590,12 +599,10 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
                 diags.append(error("duplicate-name", f"attribute '{attr.name}' is already declared", attr.span))
             seen_attrs.add(attr.name)
 
-    # Index machines by full path while checking sibling uniqueness, and
-    # gather arcs in source order: a sphere's own, then each child's.
-    machines: dict[tuple[str, ...], ast.MachineDecl] = {}
-    arcs: list[ast.ArcDecl] = []
+    # Index machines by full path while checking sibling uniqueness.
+    machines: dict[tuple[str, ...], Machine] = {}
 
-    def walk(sphere: ast.SphereDecl, prefix: tuple[str, ...]) -> None:
+    def walk(sphere: Sphere, prefix: tuple[str, ...]) -> None:
         path = prefix + (sphere.name,)
         seen: set[str] = set()
         for child in sphere.children:
@@ -609,12 +616,8 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
             machines[path + (m.name,)] = m
             if m.kind not in kinds:
                 diags.append(error("unresolved-reference", f"unknown thing kind '{m.kind}'", m.kind_span))
-            stage_seen: set[Stage] = set()
-            for stage, _ in m.stages:
-                if stage in stage_seen:
-                    diags.append(error("duplicate-name", f"stage '{stage}' is already declared on '{m.name}'", m.span))
-                stage_seen.add(stage)
-        arcs.extend(sphere.arcs)
+            for stage in m.repeats:
+                diags.append(error("duplicate-name", f"stage '{stage}' is already declared on '{m.name}'", m.span))
         for child in sphere.children:
             walk(child, path)
 
@@ -625,15 +628,13 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
         top_seen.add(sphere.name)
         walk(sphere, ())
 
-    def check_endpoint(ref: ast.EndpointRef) -> Optional[ast.MachineDecl]:
-        m = machines.get(ref.segments)
+    def check_endpoint(ep: Endpoint, span: SourceSpan) -> Optional[Machine]:
+        m = machines.get(ep.path)
         if m is None:
-            diags.append(error("unresolved-reference", f"no machine at '{'/'.join(ref.segments)}'", ref.span))
+            diags.append(error("unresolved-reference", f"no machine at '{'/'.join(ep.path)}'", span))
             return None
-        if not any(s is ref.stage for s, _ in m.stages):
-            diags.append(
-                error("unresolved-reference", f"stage '{ref.stage}' is not declared on '{m.name}'", ref.span)
-            )
+        if not m.has_stage(ep.stage):
+            diags.append(error("unresolved-reference", f"stage '{ep.stage}' is not declared on '{m.name}'", span))
             return None
         return m
 
@@ -650,9 +651,9 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
             check_expr_refs(expr.right, names, span, role)
 
     labels: set[str] = set()
-    for arc in arcs:
-        src_m = check_endpoint(arc.src)
-        dst_m = check_endpoint(arc.dst)
+    for arc in tree.arcs:
+        src_m = check_endpoint(arc.src, arc.src_span)
+        dst_m = check_endpoint(arc.dst, arc.dst_span)
         if arc.label is not None:
             if arc.label in labels:
                 diags.append(error("duplicate-name", f"arc label '{arc.label}' is already used", arc.span))
@@ -671,9 +672,9 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
                         error("unresolved-reference", f"'{dst_m.kind}' has no attribute '{name}'", span)
                     )
 
-    for path, m in machines.items():
+    for m in machines.values():
         names = kind_attrs.get(m.kind, {})
-        for name, expr, span in m.assigns:
+        for (name, expr), span in zip(m.assigns, m.assign_spans):
             if name not in names:
                 diags.append(error("unresolved-reference", f"'{m.kind}' has no attribute '{name}'", span))
             check_expr_refs(expr, names, span, "assign expression")

@@ -107,11 +107,9 @@ class Thing:
     id: int
     kind: str
     attrs: dict[str, Value]
-    loc: Endpoint
-    born_tick: int
     arrival_tick: int
-    # The site of ``loc``, and the next hop of its chain (None at the end).
-    site: Optional[Site] = None
+    # Where the thing is, and the next hop of its chain (None at the end).
+    site: Site
     next: Optional[Hop] = None
 
 
@@ -123,8 +121,13 @@ def eval_guard(guard: exprs.Expr, thing: Thing) -> bool:
 
 
 def _coerce(value: Value, name: str, dec: frozenset[str]) -> Value:
-    """An int stored in a ``dec`` attribute becomes a float (a bool stays)."""
-    return float(value) if type(value) is int and name in dec else value
+    """An int stored in a ``dec`` attribute becomes a float (a bool stays).
+    One no float holds raises EvalError, as a failed evaluation does."""
+    if type(value) is not int or name not in dec:
+        return value
+    if not exprs.fits(value, "dec"):
+        raise exprs.EvalError(f"attribute '{name}': int too large for a dec")
+    return float(value)
 
 
 # A trigger that fired at a dwell's end and waits for the firing phase:
@@ -178,7 +181,7 @@ class Simulation:
                 raise SimError(f"spawn of {kind_name} lacks attribute '{spec.name}'")
             attrs[spec.name] = _coerce(v, spec.name, dec)
         site = self.index.site(target)
-        thing = Thing(self.next_id, kind_name, attrs, target, self.tick, self.tick, site)
+        thing = Thing(self.next_id, kind_name, attrs, self.tick, site)
         self.next_id += 1
         self.things[thing.id] = thing
         self._calendar.setdefault(self.tick + self.config.stage_dwell, []).append(thing.id)
@@ -277,16 +280,17 @@ class Simulation:
             site = thing.site
             for name, expr in site.assigns:
                 try:
-                    value = exprs.evaluate(expr, thing.attrs)
+                    thing.attrs[name] = _coerce(exprs.evaluate(expr, thing.attrs), name, self.index.dec[thing.kind])
                 except exprs.EvalError:
                     emit(_new(TraceEvent, (tick, "blocked", thing.id, thing.kind, site.text, None)))
-                    continue
-                thing.attrs[name] = _coerce(value, name, self.index.dec[thing.kind])
             for trig in site.triggers:
                 try:
                     if trig.guard is not None and not eval_guard(trig.guard, thing):
                         continue
                     values = {name: exprs.evaluate(expr, thing.attrs) for name, expr in trig.spawn_attrs}
+                    if values and trig.dst.stage is Stage.CREATE:
+                        dec = self.index.dec[self.model.find_machine(trig.dst.path).kind]
+                        values = {name: _coerce(v, name, dec) for name, v in values.items()}
                 except exprs.EvalError:
                     emit(_new(TraceEvent, (tick, "blocked", thing.id, thing.kind, site.text, trig.label)))
                     continue
@@ -312,7 +316,7 @@ class Simulation:
                 emit(event)
             else:
                 self.pending_enables.setdefault(trig.dst, []).append(tick)
-            if trig.consuming and source is not None and source.loc == trig.src:
+            if trig.consuming and source is not None and source.site.ep == trig.src:
                 consumed.add(source.id)
         self.pending_firings = still_pending
         for thing_id in sorted(consumed):
@@ -342,7 +346,7 @@ class Simulation:
                     del self.pending_enables[site.ep]
             moved.add(thing.id)
             dst = hop.dst
-            thing.loc, thing.site, thing.next = dst.ep, dst, hop.next
+            thing.site, thing.next = dst, hop.next
             thing.arrival_tick = tick
             emit(_new(TraceEvent, (tick, "move", thing.id, thing.kind, dst.text, hop.label)))
         if moved:

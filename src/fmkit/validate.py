@@ -150,14 +150,16 @@ def check_reachability(model: Model) -> list[Diagnostic]:
     for trig in model.triggers:
         seeds.add(trig.dst)
 
+    successors: dict[Endpoint, list[Endpoint]] = {}
+    for arc in model.flows:
+        successors.setdefault(arc.src, []).append(arc.dst)
     reached = set(seeds)
     frontier = list(seeds)
     while frontier:
-        ep = frontier.pop()
-        for arc in model.flows_from(ep):
-            if arc.dst not in reached:
-                reached.add(arc.dst)
-                frontier.append(arc.dst)
+        for dst in successors.get(frontier.pop(), ()):
+            if dst not in reached:
+                reached.add(dst)
+                frontier.append(dst)
 
     return [
         warning("W_UNREACHABLE", f"{ep} is unreachable from any create, inbound transfer, or trigger target", _SPAN)

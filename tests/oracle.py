@@ -15,6 +15,17 @@ from fmkit import exprs
 from fmkit.model import Model, Stage
 
 
+def _dec_overflows(spec, value) -> bool:
+    """A non-bool int bound for a dec attribute that no float holds."""
+    if spec is None or spec.type != "dec" or not isinstance(value, int) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
+
+
 class OracleThing:
     def __init__(self, tid, kind, attrs, loc, tick):
         self.id = tid
@@ -112,12 +123,14 @@ class OracleSim:
             machine = self.model.find_machine(thing.loc.path)
             if machine is not None and thing.loc.stage is Stage.PROCESS:
                 for name, expr in machine.assigns:
+                    spec = self.model.kinds[thing.kind].attr(name)
                     try:
                         value = exprs.evaluate(expr, thing.attrs)
                     except exprs.EvalError:
+                        value = None
+                    if value is None or _dec_overflows(spec, value):
                         self._rec("blocked", thing.id, thing.kind, str(thing.loc))
                         continue
-                    spec = self.model.kinds[thing.kind].attr(name)
                     if spec is not None and spec.type == "dec" and isinstance(value, int):
                         value = float(value)
                     thing.attrs[name] = value
@@ -134,13 +147,19 @@ class OracleSim:
                         continue
                 spawn_values = {}
                 bad = False
+                target = None
+                if trig.dst.stage is Stage.CREATE:
+                    target = self.model.kinds[self.model.find_machine(trig.dst.path).kind]
                 for name, expr in trig.spawn_attrs:
                     try:
-                        spawn_values[name] = exprs.evaluate(expr, thing.attrs)
+                        value = exprs.evaluate(expr, thing.attrs)
                     except exprs.EvalError:
+                        value = None
+                    if value is None or (target is not None and _dec_overflows(target.attr(name), value)):
                         self._rec("blocked", thing.id, thing.kind, str(thing.loc), trig.label)
                         bad = True
                         break
+                    spawn_values[name] = value
                 if not bad:
                     firings.append((trig.label, thing.id, trig, spawn_values))
         firings.sort(key=lambda f: (f[0], f[1]))

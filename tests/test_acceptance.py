@@ -268,7 +268,7 @@ def test_criterion_7_voltage_chain():
             value = thing.attrs["voltage"]
             if not seq or seq[-1] != value:
                 seq.append(value)
-            ends[thing.id] = str(thing.loc)
+            ends[thing.id] = thing.site.text
     utility = [histories[i] for i, at in ends.items() if at == "plant/power/utilities.receive"]
     grid = [histories[i] for i, at in ends.items() if at == "plant/power/grid_bus.receive"]
     ok = bool(utility) and bool(grid)

@@ -96,3 +96,14 @@ def test_nested_duplicate_label_points_at_the_later_arc():
     assert [(d.message, d.span.start_line, d.span.start_col) for d in diags] == [
         ("arc label 'x' is already used", 4, 46)
     ]
+
+
+def test_repeated_stages_are_reported_in_source_order():
+    # Declared and implicit stages are kept apart on the machine; the
+    # repeats are still reported in the order they are written.
+    source = "thing w\nsphere s { machine m: w { implicit process create process create } }\n"
+    _, diags = parse(source, "m.fm")
+    assert [(d.code, d.message, d.span.start_line, d.span.start_col) for d in diags] == [
+        (DUP, "stage 'process' is already declared on 'm'", 2, 12),
+        (DUP, "stage 'create' is already declared on 'm'", 2, 12),
+    ]

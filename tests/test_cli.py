@@ -7,11 +7,15 @@ import sys
 
 import pytest
 from conftest import golden_text, load_corpus_model, load_corpus_scenario
+from oracle import run_oracle
 
 from fmkit import behavior
+from fmkit.canon import load_model
 from fmkit.cli import main
 from fmkit.export import write_trace
-from fmkit.simulate import SimConfig, run
+from fmkit.model import Endpoint, Stage
+from fmkit.simulate import Injection, Scenario, SimConfig, run
+from fmkit.validate import validate
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -178,6 +182,40 @@ def test_sim_int_too_large_for_a_dec_is_no_traceback(capsys, tmp_path):
     dec.write_text("thing t { a: dec }\n" + ARCS.format(""))
     message = f"{injected}:1:1: error[E_SCENARIO]: attribute 'a': int too large for a dec\n"
     assert run_cli(capsys, "sim", str(dec), "--scenario", str(injected)) == (2, "", message)
+
+
+# An assign and a spawn that store an int no float holds in a dec attribute:
+# validation cannot know the value, so the simulator blocks those records.
+STORED_BIG_INT = (
+    f"thing t {{ n: int = {BIG_INT}, a: dec = 1.0 }}\n"
+    "sphere s { machine m: t { create process release assign { a = n } } machine k: t { create process }\n"
+    "  flow s/m.create -> s/m.process #in flow s/m.process -> s/m.release #y flow s/k.create -> s/k.process #kin\n"
+    "  trigger s/m.process => s/k.create spawn { a = n } #sp }\n"
+)
+
+
+def test_sim_int_too_large_for_a_dec_stored_by_assign_or_spawn_is_blocked(capsys, tmp_path):
+    model = tmp_path / "stored.fm"
+    model.write_text(STORED_BIG_INT)
+    scenario = tmp_path / "one.fms"
+    scenario.write_text("inject t at s/m.create tick 0\n")
+    assert run_cli(capsys, "check", str(model))[0] == 0
+    code, out, err = run_cli(capsys, "sim", str(model), "--scenario", str(scenario))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:5] == [
+        '{"action":"blocked","arc":null,"at":"s/m.process","kind":"t","thing":1,"tick":2}',
+        '{"action":"blocked","arc":"sp","at":"s/m.process","kind":"t","thing":1,"tick":2}',
+        '{"action":"move","arc":"y","at":"s/m.release","kind":"t","thing":1,"tick":2}',
+    ]
+
+
+def test_int_too_large_for_a_dec_blocks_as_the_oracle_does():
+    model, diags = load_model(STORED_BIG_INT)
+    assert diags == [] and validate(model).ok
+    scenario = Scenario((Injection(0, "t", Endpoint(("s", "m"), Stage.CREATE), ()),))
+    trace = write_trace(run(model, scenario, SimConfig(max_ticks=20)))
+    assert trace == run_oracle(model, scenario, max_ticks=20)
+    assert sum(1 for line in trace.splitlines() if '"blocked"' in line) == 2
 
 
 def test_sim_plant_without_behavior(capsys, tmp_path):

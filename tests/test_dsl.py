@@ -283,7 +283,7 @@ GUARD_MODEL = (
 def parse_guard(text: str):
     """The guard tree text parses to, or None if it does not parse alone."""
     tree, diags = parse(GUARD_MODEL % text)
-    return None if diags else tree.spheres[0].arcs[0].guard
+    return None if diags else tree.arcs[0].guard
 
 
 expr_literals = st.one_of(

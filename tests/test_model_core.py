@@ -2,23 +2,27 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import pathlib
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmkit.canon import load_model
+from fmkit.canon import canonicalize, load_model
 from fmkit.diagnostics import SourceSpan
+from fmkit.exprs import Lit
 from fmkit.model import (
     INTRA_EDGES,
     AttrSpec,
     BehaviorDecl,
     Endpoint,
     FlowArc,
+    Machine,
     Model,
     Ref,
     ResolutionError,
+    Sphere,
     Stage,
     ThingKind,
     TriggerArc,
@@ -28,6 +32,10 @@ from fmkit.model import (
     shortest_chain,
     subdiagram,
 )
+from fmkit.parser import parse
+from fmkit.printer import model_signature, print_model
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 ALL_STAGES = list(Stage)
 
@@ -274,7 +282,7 @@ def test_parser_gives_kinds_attributes_and_behaviors_their_spans():
     source = (
         "thing w\n"
         "thing t { a: int, b: bool }\n"
-        "sphere s { machine m: t { create transfer } flow s/m.create -> s/m.transfer #x }\n"
+        "sphere s { machine m: t { create transfer assign { a = 1 } } flow s/m.create -> s/m.transfer #x }\n"
         "event e { region { #x } }\n"
         "  behavior go { e }\n"
     )
@@ -288,3 +296,55 @@ def test_parser_gives_kinds_attributes_and_behaviors_their_spans():
     assert where(model.kinds["t"].span) == ("m.fm", 2, 7, 7)
     assert [where(a.span) for a in model.kinds["t"].attrs] == [("m.fm", 2, 11, 11), ("m.fm", 2, 19, 19)]
     assert where(model.behavior("go").span) == ("m.fm", 5, 3, 10)
+    # Spheres and machines are the parser's records too: the 'sphere' and
+    # 'machine' tokens, the kind name and each assigned attribute's name.
+    sphere, machine = model.roots[0], model.find_machine(("s", "m"))
+    assert where(sphere.span) == ("m.fm", 3, 1, 6)
+    assert where(machine.span) == ("m.fm", 3, 12, 18)
+    assert where(machine.kind_span) == ("m.fm", 3, 23, 23)
+    assert [where(span) for span in machine.assign_spans] == [("m.fm", 3, 52, 52)]
+    bare = Machine("m", "t", (Stage.CREATE, Stage.TRANSFER), (Stage.RELEASE,), (("a", Lit(1)),))
+    assert machine == bare and repr(machine) == repr(bare)
+    bare_sphere = Sphere("s", machines=[bare])
+    assert sphere == bare_sphere and repr(sphere) == repr(bare_sphere)
+
+
+def test_auto_labels_follow_binding_order():
+    # A sphere's own arcs come first, even when written after a child
+    # sphere, then each child's in turn.
+    source = (
+        "thing w\nsphere a {\n"
+        "  sphere b { machine n: w { create process } flow a/b/n.create -> a/b/n.process }\n"
+        "  sphere c { machine k: w { create process } flow a/c/k.create -> a/c/k.process }\n"
+        "  machine m: w { create process }\n"
+        "  flow a/m.create -> a/m.process\n}\n"
+    )
+    tree, diags = parse(source)
+    assert diags == []
+    assert [arc.src.path for arc in tree.arcs] == [("a", "m"), ("a", "b", "n"), ("a", "c", "k")]
+    model = canonicalize(tree)
+    assert [(arc.label, arc.src.path) for arc in model.flows] == [
+        ("@0001", ("a", "m")), ("@0002", ("a", "b", "n")), ("@0003", ("a", "c", "k"))
+    ]
+
+
+@pytest.mark.parametrize("name", ["tvm", "plant", "turbine"])
+def test_canonicalize_takes_over_the_parsers_machines(name):
+    tree, diags = parse((CORPUS / f"{name}.fm").read_text(), f"{name}.fm")
+    assert not any(d.is_error for d in diags)
+    first = canonicalize(tree)
+    printed, signature = print_model(first), model_signature(first)
+    second = canonicalize(tree)
+    # A second run on the same tree adds no implicit stage and builds an equal model.
+    assert print_model(first) == print_model(second) == printed
+    assert model_signature(first) == model_signature(second) == signature
+
+    def parsed(spheres):
+        for sphere in spheres:
+            yield from sphere.machines
+            yield from parsed(sphere.children)
+
+    own = list(parsed(tree.spheres))
+    for model in (first, second):
+        machines = [m for _, m in model.machines()]
+        assert len(machines) == len(own) and all(m is p for m, p in zip(machines, own))
