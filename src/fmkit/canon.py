@@ -95,7 +95,6 @@ def canonicalize(tree: ast.ModelAst) -> Model:
                     family=label,
                     index=i,
                     chain_len=chain_len,
-                    authored_src=src,
                     authored_dst=dst,
                 )
             )

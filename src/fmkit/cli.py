@@ -8,113 +8,107 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, NoReturn, Optional
 
 from . import jsonl
 
 if TYPE_CHECKING:
     from .behavior import BehaviorAutomaton
+    from .diagnostics import Diagnostic
     from .model import Model
 
 OK, FAIL, USAGE = 0, 1, 2
 
 
-def _read(path: str) -> Optional[str]:
+def _fail(message: str, code: int = USAGE) -> NoReturn:
+    """Print one ``fmkit:`` line and leave with ``code``."""
+    print(f"fmkit: {message}", file=sys.stderr)
+    raise SystemExit(code)
+
+
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        print(f"fmkit: cannot read {path}: {exc.strerror}", file=sys.stderr)
-        return None
+        _fail(f"cannot read {path}: {exc.strerror}")
 
 
-def _load(path: str) -> tuple[Optional[Model], int]:
-    from .canon import load_model
-    source = _read(path)
-    if source is None:
-        return None, USAGE
-    model, diags = load_model(source, path)
+def _write(path: str, lines: Iterable[str]) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc.strerror}")
+
+
+def _report(diags: Iterable[Diagnostic]) -> None:
     for d in diags:
         print(d.render(), file=sys.stderr)
+
+
+def _load(path: str) -> Model:
+    from .canon import load_model
+    model, diags = load_model(_read(path), path)
+    _report(diags)
     if model is None:
-        return None, FAIL
-    return model, OK
+        raise SystemExit(FAIL)
+    return model
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     from .validate import validate as validate_model
-    model, status = _load(args.file)
-    if model is None:
-        return status
-    report = validate_model(model)
-    for d in report.diagnostics:
-        print(d.render(), file=sys.stderr)
+    report = validate_model(_load(args.file))
+    _report(report.diagnostics)
     print(jsonl.dumps(report.to_json()))
     return OK if report.ok else FAIL
 
 
-def _validated_model(path: str) -> tuple[Optional[Model], int]:
+def _validated_model(path: str) -> Model:
     from .validate import validate as validate_model
-    model, status = _load(path)
-    if model is None:
-        return None, status
+    model = _load(path)
     report = validate_model(model)
     if not report.ok:
-        for d in report.diagnostics:
-            print(d.render(), file=sys.stderr)
-        return None, FAIL
-    return model, OK
+        _report(report.diagnostics)
+        raise SystemExit(FAIL)
+    return model
 
 
-def _behavior_automaton(model: Model, name: str) -> tuple[Optional[BehaviorAutomaton], int]:
+def _behavior_automaton(model: Model, name: str) -> BehaviorAutomaton:
     """Compile the named behaviour; past the state limit, one diagnostic."""
     from . import behavior as bhv
     from .diagnostics import error
     decl = model.behavior(name)
     if decl is None:
-        print(f"fmkit: model declares no behavior '{name}'", file=sys.stderr)
-        return None, USAGE
+        _fail(f"model declares no behavior '{name}'")
     try:
-        return bhv.compile_program(decl.program, {e.name for e in model.events}), OK
+        return bhv.compile_program(decl.program, {e.name for e in model.events})
     except bhv.BehaviorError as exc:
         print(error(exc.code, f"behavior '{name}': {exc}", decl.span).render(), file=sys.stderr)
-        return None, FAIL
+        raise SystemExit(FAIL)
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
     from . import export, simulate
     for flag, value, least in (("--ticks", args.ticks, 0), ("--dwell", args.dwell, 1)):
         if value < least:
-            print(f"fmkit: sim {flag} must be >= {least}, got {value}", file=sys.stderr)
-            return USAGE
-    model, status = _validated_model(args.file)
-    if model is None:
-        return status
-    source = _read(args.scenario)
-    if source is None:
-        return USAGE
-    scenario, diags = simulate.parse_scenario(source, args.scenario)
+            _fail(f"sim {flag} must be >= {least}, got {value}")
+    model = _validated_model(args.file)
+    scenario, diags = simulate.parse_scenario(_read(args.scenario), args.scenario)
     diags.extend(simulate.check_scenario(model, scenario))
     if any(d.is_error for d in diags):
-        for d in diags:
-            print(d.render(), file=sys.stderr)
-        return USAGE
-    automaton = None
+        _report(diags)
+        raise SystemExit(USAGE)
+    automaton = gate = None
     if args.behavior is not None:
         from . import behavior as bhv
-        automaton, status = _behavior_automaton(model, args.behavior)
-        if automaton is None:
-            return status
-    gate = bhv.enforce(model, automaton) if (automaton is not None and args.mode == "enforce") else None
+        automaton = _behavior_automaton(model, args.behavior)
+        if args.mode == "enforce":
+            gate = bhv.enforce(model, automaton)
     config = simulate.SimConfig(max_ticks=args.ticks, stage_dwell=args.dwell, gate=gate)
     trace = simulate.run(model, scenario, config)
     if args.trace is not None:
-        try:
-            with open(args.trace, "w", encoding="utf-8") as handle:
-                handle.writelines(export.trace_lines(trace))
-        except OSError as exc:
-            print(f"fmkit: cannot write {args.trace}: {exc.strerror}", file=sys.stderr)
-            return USAGE
+        _write(args.trace, export.trace_lines(trace))
     else:
         sys.stdout.writelines(export.trace_lines(trace))
     if automaton is not None:
@@ -128,14 +122,9 @@ def cmd_sim(args: argparse.Namespace) -> int:
 
 def cmd_dot(args: argparse.Namespace) -> int:
     from . import export
-    model, status = _validated_model(args.file)
-    if model is None:
-        return status
+    model = _validated_model(args.file)
     if args.behavior is not None:
-        automaton, status = _behavior_automaton(model, args.behavior)
-        if automaton is None:
-            return status
-        sys.stdout.write(export.behavior_to_dot(automaton))
+        sys.stdout.write(export.behavior_to_dot(_behavior_automaton(model, args.behavior)))
     else:
         sys.stdout.write(export.model_to_dot(model, show_implicit=args.show_implicit))
     return OK
@@ -143,20 +132,12 @@ def cmd_dot(args: argparse.Namespace) -> int:
 
 def cmd_conform(args: argparse.Namespace) -> int:
     from . import behavior as bhv, export
-    model, status = _validated_model(args.file)
-    if model is None:
-        return status
-    automaton, status = _behavior_automaton(model, args.behavior)
-    if automaton is None:
-        return status
-    text = _read(args.trace)
-    if text is None:
-        return USAGE
+    model = _validated_model(args.file)
+    automaton = _behavior_automaton(model, args.behavior)
     try:
-        trace = export.read_trace(text)
+        trace = export.read_trace(_read(args.trace))
     except export.TraceParseError as exc:
-        print(f"fmkit: {args.trace}: {exc}", file=sys.stderr)
-        return USAGE
+        _fail(f"{args.trace}: {exc}")
     verdict = bhv.check(trace, model.events, automaton)
     print(jsonl.dumps(verdict.to_json()))
     return OK if verdict.conforms else FAIL
@@ -164,44 +145,31 @@ def cmd_conform(args: argparse.Namespace) -> int:
 
 def cmd_history(args: argparse.Namespace) -> int:
     from . import history
-    text = _read(args.log)
-    if text is None:
-        return USAGE
     try:
-        log = history.ReplacementLog.from_lines(text)
+        log = history.ReplacementLog.from_lines(_read(args.log))
     except history.HistoryError as exc:
-        print(f"fmkit: {args.log}: {exc}", file=sys.stderr)
-        return USAGE
+        _fail(f"{args.log}: {exc}")
     if args.append is not None:
         try:
             log.append(history.ReplacementRecord.from_json(jsonl.decode(args.append)))
         except (jsonl.JSONLineError, history.HistoryError) as exc:
-            print(f"fmkit: append rejected: {exc}", file=sys.stderr)
-            return FAIL
-        try:
-            with open(args.log, "w", encoding="utf-8") as handle:
-                handle.write(log.to_lines())
-        except OSError as exc:
-            print(f"fmkit: cannot write {args.log}: {exc.strerror}", file=sys.stderr)
-            return USAGE
+            _fail(f"append rejected: {exc}", FAIL)
+        _write(args.log, [log.to_lines()])
         return OK
     if args.slot is None:
-        print("fmkit: history needs --slot (with --at or --timeline) or --append", file=sys.stderr)
-        return USAGE
+        _fail("history needs --slot (with --at or --timeline) or --append")
+    if not args.timeline and args.at is None:
+        _fail("history --slot needs --at or --timeline")
     try:
         if args.timeline:
             for record in log.timeline(args.slot):
                 print(jsonl.dumps(record.to_json()))
-            return OK
-        if args.at is None:
-            print("fmkit: history --slot needs --at or --timeline", file=sys.stderr)
-            return USAGE
-        unit = log.installed_at(args.slot, args.at)
-        print(unit if unit is not None else "none")
-        return OK
+        else:
+            unit = log.installed_at(args.slot, args.at)
+            print(unit if unit is not None else "none")
     except history.HistoryError as exc:
-        print(f"fmkit: {exc}", file=sys.stderr)
-        return USAGE
+        _fail(str(exc))
+    return OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,9 +217,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE if exc.code not in (0, None) else OK
-    return args.func(args)
+        return args.func(args)
+    except SystemExit as exc:  # argparse's, or a command's that printed its reason
+        return exc.code or OK
 
 
 if __name__ == "__main__":

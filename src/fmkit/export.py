@@ -68,10 +68,9 @@ def model_to_dot(model: Model, show_implicit: bool = True) -> str:
         for arc in model.flows:
             if not arc.is_chain_head:
                 continue
-            src = arc.authored_src or arc.src
             dst = arc.authored_dst or arc.dst
             suffix = f" [label={_q(arc.label)}]" if not arc.label.startswith("@") else ""
-            edge_lines.append(f"  {_q(node_of(src))} -> {_q(node_of(dst))}{suffix};")
+            edge_lines.append(f"  {_q(node_of(arc.src))} -> {_q(node_of(dst))}{suffix};")
     for trig in model.triggers:
         attrs = ["style=dashed"]
         if not trig.label.startswith("@"):
@@ -150,11 +149,12 @@ def write_trace(trace: Trace) -> str:
 # the action and the three string fields; a string holding no '"', no '\'
 # and no control character decodes to the text between its quotes.  The
 # tail holds two JSON integers, written with [0-9] because \d also matches
-# digits outside ASCII.
+# digits outside ASCII, and the line end a given line may keep (a line that
+# misses goes to the decoder whole, so its error is the one it always was).
 _STRING = r'(null|"[^"\\\x00-\x1f]*")'
 _ACTION = '("(?:' + "|".join(sorted(_ACTIONS)) + ')")'  # letters and '-' only
 _HEAD = re.compile(rf'\{{"action":{_ACTION},"arc":{_STRING},"at":{_STRING},"kind":{_STRING}')
-_TAIL = re.compile(r'(null|-?(?:0|[1-9][0-9]*)),"tick":(-?(?:0|[1-9][0-9]*))\}')
+_TAIL = re.compile(r'(null|-?(?:0|[1-9][0-9]*)),"tick":(-?(?:0|[1-9][0-9]*))\}\r?\n?')
 
 
 def _head_fields(head: str) -> tuple[str, str | None, str | None, str | None] | None:

@@ -37,7 +37,7 @@ def render_chrono(node: Chrono) -> str:
 def _arc_line(arc: FlowArc | TriggerArc) -> str:
     """An arc as authored; a flow prints as its chain's shorthand arc."""
     if isinstance(arc, FlowArc):
-        parts = [f"flow {arc.authored_src or arc.src} -> {arc.authored_dst or arc.dst}"]
+        parts = [f"flow {arc.src} -> {arc.authored_dst or arc.dst}"]
     else:
         parts = [f"trigger {arc.src} => {arc.dst}"]
         if arc.consuming:

@@ -34,7 +34,10 @@ A tick touches only the things that can change:
   ``Model.index`` (set on spawn and on move) and the next ``Hop`` of the
   chain it is on.  A step reads its text, gated flag, chain-head hops,
   triggers and assigns from the site, and a move follows the hop to its
-  destination site, so no endpoint is hashed or rendered per record.
+  destination site.  ``Endpoint`` caches nothing, so a step neither
+  renders nor hashes one per thing: every record's ``at`` is the text of a
+  site, built once per endpoint (the records at one endpoint share one
+  string), and pending enables are kept by site.
 """
 from __future__ import annotations
 
@@ -147,7 +150,7 @@ class Simulation:
         self.tick = 0
         self.things: dict[int, Thing] = {}
         self.next_id = 1
-        self.pending_enables: dict[Endpoint, list[int]] = {}
+        self.pending_enables: dict[Site, list[int]] = {}  # enable ticks by gated site
         self.pending_firings: list[_Firing] = []
         self._calendar: dict[int, list[int]] = {}  # completion tick -> thing ids
         self._parked: set[int] = set()
@@ -228,8 +231,8 @@ class Simulation:
         if blocked is None:
             blocked = []  # parking must see blocked records the caller drops
         by_hop: dict[Hop, list[Thing]] = {}
-        budget = {ep: sum(1 for t in ticks if t < tick) for ep, ticks in self.pending_enables.items()}
-        claimed: dict[Endpoint, int] = {}
+        budget = {site: sum(1 for t in ticks if t < tick) for site, ticks in self.pending_enables.items()}
+        claimed: dict[Site, int] = {}
         for thing in self.things.values():
             if thing.id in parked:
                 continue
@@ -237,7 +240,7 @@ class Simulation:
             dwelling = tick < thing.arrival_tick + dwell
             if site.gated:
                 # An enable both releases the thing and waives its dwell.
-                if claimed.get(site.ep, 0) >= budget.get(site.ep, 0):
+                if claimed.get(site, 0) >= budget.get(site, 0):
                     continue
             elif dwelling:
                 continue
@@ -250,7 +253,7 @@ class Simulation:
                         parked.add(thing.id)
                     continue
             if site.gated:
-                claimed[site.ep] = claimed.get(site.ep, 0) + 1
+                claimed[site] = claimed.get(site, 0) + 1
             for hop in hops:
                 by_hop.setdefault(hop, []).append(thing)
         return [(thing, hop) for hop in sorted(by_hop, key=_by_label) for thing in by_hop[hop]]
@@ -309,13 +312,14 @@ class Simulation:
                 continue
             source = self.things.get(source_id)
             source_kind = source.kind if source is not None else None
-            emit(_new(TraceEvent, (tick, "trigger-fired", source_id, source_kind, str(trig.dst), label)))
+            dst = self.index.site(trig.dst)
+            emit(_new(TraceEvent, (tick, "trigger-fired", source_id, source_kind, dst.text, label)))
             if trig.dst.stage is Stage.CREATE:
                 target_kind = self.model.find_machine(trig.dst.path).kind
                 _, event = self._spawn(target_kind, trig.dst, values)
                 emit(event)
             else:
-                self.pending_enables.setdefault(trig.dst, []).append(tick)
+                self.pending_enables.setdefault(dst, []).append(tick)
             if trig.consuming and source is not None and source.site.ep == trig.src:
                 consumed.add(source.id)
         self.pending_firings = still_pending
@@ -337,13 +341,13 @@ class Simulation:
                 continue
             site = thing.site
             if site.gated:
-                ticks = self.pending_enables.get(site.ep, [])
+                ticks = self.pending_enables.get(site, [])
                 idx = next((i for i, t in enumerate(ticks) if t < tick), None)
                 if idx is None:
                     continue
                 ticks.pop(idx)
                 if not ticks:
-                    del self.pending_enables[site.ep]
+                    del self.pending_enables[site]
             moved.add(thing.id)
             dst = hop.dst
             thing.site, thing.next = dst, hop.next
@@ -379,7 +383,7 @@ class Simulation:
             hops = [thing.next] if thing.next is not None else self._open_heads(thing, None)
             if not hops:
                 continue
-            if site.gated and not any(t <= self.tick for t in self.pending_enables.get(site.ep, [])):
+            if site.gated and not any(t <= self.tick for t in self.pending_enables.get(site, [])):
                 continue
             if gate is None or any(gate.permits(hop.label) for hop in hops):
                 return True

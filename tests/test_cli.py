@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
 import pathlib
@@ -9,7 +10,7 @@ import pytest
 from conftest import golden_text, load_corpus_model, load_corpus_scenario
 from oracle import run_oracle
 
-from fmkit import behavior
+from fmkit import behavior, cli
 from fmkit.canon import load_model
 from fmkit.cli import main
 from fmkit.export import write_trace
@@ -753,3 +754,71 @@ def test_check_findings_output_is_pinned(capsys, tmp_path):
     out = f'{{"diagnostics":[{diagnostics}],"ok":false,"stats":{stats}}}\n'
     err = "".join(f"<model>:1:1: {severity}[{code}]: {message}\n" for severity, code, message in FINDINGS)
     assert run_cli(capsys, "check", str(model_path)) == (1, out, err)
+
+
+# Exit-2 paths, each printing exactly one stderr line and nothing on stdout.
+# Placeholders: {tvm} the model, {exact} a scenario, {ledger} the corpus
+# ledger, {missing} a path that does not exist, {dir} a directory.
+EXIT_TWO = {
+    "sim-unreadable-scenario": (
+        ["sim", "{tvm}", "--scenario", "{missing}"],
+        "fmkit: cannot read {missing}: No such file or directory",
+    ),
+    "sim-trace-into-a-directory": (
+        ["sim", "{tvm}", "--scenario", "{exact}", "--trace", "{dir}"],
+        "fmkit: cannot write {dir}: Is a directory",
+    ),
+    "conform-unreadable-trace": (
+        ["conform", "{tvm}", "--behavior", "cash_purchase", "--trace", "{missing}"],
+        "fmkit: cannot read {missing}: No such file or directory",
+    ),
+    "history-unreadable-log": (
+        ["history", "{missing}", "--slot", "P101", "--timeline"],
+        "fmkit: cannot read {missing}: No such file or directory",
+    ),
+    "history-without-slot-or-append": (
+        ["history", "{ledger}"],
+        "fmkit: history needs --slot (with --at or --timeline) or --append",
+    ),
+    "history-slot-without-at-or-timeline": (
+        ["history", "{ledger}", "--slot", "P101"],
+        "fmkit: history --slot needs --at or --timeline",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_TWO))
+def test_exit_two_path_prints_one_line(capsys, tmp_path, case):
+    names = {
+        "tvm": str(CORPUS / "tvm.fm"),
+        "exact": str(CORPUS / "tvm_exact.fms"),
+        "ledger": str(CORPUS / "pump_history.fmh"),
+        "missing": str(tmp_path / "missing"),
+        "dir": str(tmp_path),
+    }
+    argv, line = EXIT_TWO[case]
+    argv = [arg.format(**names) for arg in argv]
+    assert run_cli(capsys, *argv) == (2, "", line.format(**names) + "\n")
+
+
+def test_history_append_that_cannot_write_the_log_exits_two(capsys, tmp_path, monkeypatch):
+    log_path = tmp_path / "log.fmh"
+    before = (CORPUS / "pump_history.fmh").read_text()
+    log_path.write_text(before)
+
+    def read_only_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            raise PermissionError(13, "Permission denied", file)
+        return builtins.open(file, mode, *args, **kwargs)
+
+    # Tests may run as root, where a read-only mode bit does not stop a write.
+    monkeypatch.setattr(cli, "open", read_only_open, raising=False)
+    record = json.dumps(
+        {
+            "slot": "P101", "unit": "pump-2", "action": "remove",
+            "at": "2025-01-01T00:00:00Z", "performer": "x", "contractor": "y",
+        }
+    )
+    code, out, err = run_cli(capsys, "history", str(log_path), "--append", record)
+    assert (code, out, err) == (2, "", f"fmkit: cannot write {log_path}: Permission denied\n")
+    assert log_path.read_text() == before

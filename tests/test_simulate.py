@@ -15,6 +15,7 @@ from fmkit.simulate import (
     Injection,
     Scenario,
     SimConfig,
+    SimError,
     Simulation,
     Thing,
     check_scenario,
@@ -25,11 +26,7 @@ from fmkit.simulate import (
 from fmkit.validate import validate
 
 
-def make_thing(attrs):
-    return Thing(1, "cash", attrs, Endpoint(("s", "m"), Stage.PROCESS), 0, 0)
-
-
-def guard(text):
+def guard_model(text):
     # Parse a guard through the arc grammar to keep one expression parser.
     source = (
         "thing cash { amount: int, fare: int, x: int = 1, y: int = 0 }\n"
@@ -38,7 +35,23 @@ def guard(text):
     )
     model, diags = load_model(source)
     assert not any(d.is_error for d in diags), [d.render() for d in diags]
-    return model.flow("g").guard
+    return model
+
+
+def guard(text):
+    return guard_model(text).flow("g").guard
+
+
+def make_thing(attrs):
+    """A cash thing at the guard model's s/a.process, at the head of no chain."""
+    site = guard_model("x > 0").index.site(Endpoint(("s", "a"), Stage.PROCESS))
+    return Thing(1, "cash", attrs, arrival_tick=0, site=site)
+
+
+def test_make_thing_stands_at_the_guarded_stage():
+    thing = make_thing({"amount": 1, "fare": 1})
+    assert (thing.arrival_tick, thing.site.text, thing.next) == (0, "s/a.process", None)
+    assert [hop.label for hop in thing.site.heads] == ["g"]
 
 
 def test_eval_guard_boundary_true():
@@ -486,3 +499,56 @@ def test_blocked_thing_is_not_parked():
     trace = run(model, scenario, SimConfig(max_ticks=20))
     assert [e.tick for e in trace if e.action == "blocked"] == [2, 3]
     assert write_trace(trace) == run_oracle(model, scenario, max_ticks=20)
+
+
+# An int stored in a dec attribute becomes a float, so `a / 2` divides
+# exactly: with a = 5, 2.5 > 2 opens each guard, where floor division of
+# the int (5 / 2 == 2) would keep it shut.
+DEC_STORES = (
+    "thing w { a: dec = 0.0, n: int = 5 }\n"
+    "sphere s {\n"
+    "  machine inj: w { create process release }\n"
+    "  machine asg: w { create process release assign { a = n } }\n"
+    "  machine src: w { create process }\n"
+    "  machine sp: w { create process release }\n"
+    "  flow s/inj.create -> s/inj.process #i\n"
+    "  flow s/inj.process -> s/inj.release when a / 2 > 2 #injected\n"
+    "  flow s/asg.create -> s/asg.process #a\n"
+    "  flow s/asg.process -> s/asg.release when a / 2 > 2 #assigned\n"
+    "  flow s/src.create -> s/src.process #s\n"
+    "  trigger s/src.process => s/sp.create spawn { a = n } #t\n"
+    "  flow s/sp.create -> s/sp.process #p\n"
+    "  flow s/sp.process -> s/sp.release when a / 2 > 2 #spawned\n"
+    "}\n"
+)
+
+
+def test_int_stored_in_a_dec_attribute_becomes_a_float():
+    model, diags = load_model(DEC_STORES)
+    assert not any(d.is_error for d in diags) and validate(model).ok
+    scenario = Scenario(
+        (
+            Injection(0, "w", Endpoint(("s", "inj"), Stage.CREATE), (("a", 5),)),
+            Injection(0, "w", Endpoint(("s", "asg"), Stage.CREATE), ()),
+            Injection(0, "w", Endpoint(("s", "src"), Stage.CREATE), ()),
+        )
+    )
+    sim = Simulation(model, scenario, SimConfig(max_ticks=20))
+    assert sim.things[1].attrs["a"] == 5.0 and type(sim.things[1].attrs["a"]) is float
+    while sim.tick < 20 and sim.live():
+        sim.step()
+    moves = {e.arc for e in sim.trace if e.action == "move"}
+    assert {"injected", "assigned", "spawned"} <= moves
+    assert all(type(thing.attrs["a"]) is float for thing in sim.things.values())
+    trace = run(model, scenario, SimConfig(max_ticks=20))
+    assert write_trace(trace) == run_oracle(model, scenario, max_ticks=20)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [({"max_ticks": -1}, "max_ticks must be >= 0"), ({"stage_dwell": 0}, "stage_dwell must be >= 1")],
+)
+def test_sim_config_rejects_out_of_range_values(fields, message):
+    with pytest.raises(SimError) as info:
+        SimConfig(**fields)
+    assert str(info.value) == message

@@ -36,7 +36,7 @@ def outcome(read, text):
 def assert_same_as_reference(text: str) -> None:
     expected = outcome(trace_reference.read_trace, text)
     assert outcome(read_trace, text) == expected
-    # Lines from a file keep their "\n", so none is in the writer's shape.
+    # Lines from a file keep their "\n": the same records and errors.
     assert outcome(read_trace, io.StringIO(text)) == outcome(trace_reference.read_trace, io.StringIO(text))
 
 
@@ -165,8 +165,10 @@ def test_writer_output_never_reaches_the_fallback_decoder(monkeypatch):
 
     monkeypatch.setattr(jsonl, "decode", fallback_decoder)
     traces = [read_trace(text) for text in texts]
+    # Lines that keep their line end, as a file object gives them.
+    from_lines = [read_trace(io.StringIO(text)) for text in texts]
     assert calls == []
-    assert traces == expected
+    assert traces == expected and from_lines == expected
     # Records share their strings: one object per distinct value.
     strings = [s for event in traces[-1] for s in event[3:] if s is not None]
     assert len({id(s) for s in strings}) == len(set(strings))
