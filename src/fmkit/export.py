@@ -29,27 +29,8 @@ def model_to_dot(model: Model, show_implicit: bool = True) -> str:
     its authored shorthand edge."""
     lines: list[str] = ["digraph model {", "  rankdir=LR;", "  node [shape=box];"]
 
-    def emit_sphere(sphere: Sphere, prefix: tuple[str, ...], depth: int) -> None:
-        pad = "  " * (depth + 1)
-        path = prefix + (sphere.name,)
-        lines.append(f"{pad}subgraph {_q('cluster_' + '.'.join(path))} {{")
-        lines.append(f"{pad}  label={_q(sphere.name)};")
-        node_lines: list[str] = []
-        for machine in sphere.machines:
-            stages = machine.stages() if show_implicit else machine.declared
-            for stage in stages:
-                node_id = ".".join(path) + f".{machine.name}.{stage.value}"
-                attrs = [f"label={_q(machine.name + '.' + stage.value)}"]
-                if stage in machine.implicit:
-                    attrs.append("style=dashed")
-                node_lines.append(f"{pad}  {_q(node_id)} [{', '.join(attrs)}];")
-        lines.extend(sorted(node_lines))
-        for child in sphere.children:
-            emit_sphere(child, path, depth + 1)
-        lines.append(f"{pad}}}")
-
     for root in model.roots:
-        emit_sphere(root, (), 0)
+        _dot_sphere(lines, root, (root.name,), 1, show_implicit)
 
     def node_of(ep) -> str:
         return ".".join(ep.path) + "." + ep.stage.value
@@ -79,6 +60,25 @@ def model_to_dot(model: Model, show_implicit: bool = True) -> str:
     lines.extend(sorted(edge_lines))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_sphere(lines: list[str], sphere: Sphere, path: tuple[str, ...], depth: int, show_implicit: bool) -> None:
+    pad = "  " * depth
+    lines.append(f"{pad}subgraph {_q('cluster_' + '.'.join(path))} {{")
+    lines.append(f"{pad}  label={_q(sphere.name)};")
+    node_lines: list[str] = []
+    for machine in sphere.machines:
+        stages = machine.stages() if show_implicit else machine.declared
+        for stage in stages:
+            node_id = ".".join(path) + f".{machine.name}.{stage.value}"
+            attrs = [f"label={_q(machine.name + '.' + stage.value)}"]
+            if stage in machine.implicit:
+                attrs.append("style=dashed")
+            node_lines.append(f"{pad}  {_q(node_id)} [{', '.join(attrs)}];")
+    lines.extend(sorted(node_lines))
+    for child in sphere.children:
+        _dot_sphere(lines, child, path + (child.name,), depth + 1, show_implicit)
+    lines.append(f"{pad}}}")
 
 
 def behavior_to_dot(automaton: BehaviorAutomaton) -> str:
@@ -283,91 +283,93 @@ def dot_check(text: str) -> list[str]:
     if problems:
         return problems
     tokens.append(("EOF", ""))  # nothing consumes it, so no index runs past
-
-    def expected(type_: str, pos: int) -> None:
-        found_type, found_text = tokens[pos]
-        problems.append(f"expected {type_}, found {found_text or found_type}")
-
-    def parse_attrs(pos: int) -> int:  # [ ID [= ID] [,] ... ] from the '['
-        pos += 1
-        while True:
-            type_ = tokens[pos][0]
-            if type_ == "]":
-                return pos + 1
-            if type_ != "ID":
-                expected("]" if type_ == "EOF" else "ID", pos)
-                return pos
-            pos += 1
-            if tokens[pos][0] == "=":
-                pos += 1
-                if tokens[pos][0] != "ID":
-                    problems.append("expected a value after '='")
-                    return pos
-                pos += 1
-            if tokens[pos][0] == ",":
-                pos += 1
-
-    def parse_body(pos: int, depth: int) -> int:  # statements up to a '}' or EOF
-        while True:
-            type_, value = tokens[pos]
-            if type_ == "}" or type_ == "EOF":
-                return pos
-            if type_ != "ID":
-                expected("ID", pos)
-                return pos
-            pos += 1
-            if value == "subgraph":
-                if tokens[pos][0] == "ID":
-                    pos += 1
-                pos = parse_block(pos, depth + 1)
-                continue
-            type_ = tokens[pos][0]
-            if type_ == "=":  # graph-level attribute like rankdir=LR
-                pos += 1
-                if tokens[pos][0] != "ID":
-                    problems.append("expected a value after '='")
-                    return pos
-                pos += 1
-            else:
-                while type_ == "->":
-                    pos += 1
-                    if tokens[pos][0] != "ID":
-                        expected("ID", pos)
-                        return pos
-                    pos += 1
-                    type_ = tokens[pos][0]
-                if type_ == "[":
-                    pos = parse_attrs(pos)
-            if tokens[pos][0] != ";":
-                expected(";", pos)
-                return pos
-            pos += 1
-
-    def parse_block(pos: int, depth: int) -> int:
-        """``{ body }`` from pos, ``depth`` subgraphs in; a problem in the
-        body does not stop it."""
-        if tokens[pos][0] != "{":
-            expected("{", pos)
-            return pos
-        if depth > MAX_NESTING:
-            raise RecursionError  # caught below: this one problem replaces any others
-        pos = parse_body(pos + 1, depth)
-        if tokens[pos][0] != "}":
-            expected("}", pos)
-            return pos
-        return pos + 1
-
     if tokens[0] != ("ID", "digraph"):
         problems.append("document must start with 'digraph'")
         return problems
     pos = 2 if tokens[1][0] == "ID" else 1
     try:
-        pos = parse_block(pos, 0)
+        pos = _dot_block(tokens, problems, pos, MAX_NESTING)
     except RecursionError:
         return [f"subgraphs nest deeper than {MAX_NESTING} levels"]
     if not problems and tokens[pos][0] != "EOF":
         problems.append("trailing content after closing brace")
     return problems
+
+
+def _dot_expected(tokens: list[tuple[str, str]], problems: list[str], type_: str, pos: int) -> None:
+    found_type, found_text = tokens[pos]
+    problems.append(f"expected {type_}, found {found_text or found_type}")
+
+
+def _dot_attrs(tokens: list[tuple[str, str]], problems: list[str], pos: int) -> int:  # [ ID [= ID] [,] ... ] from the '['
+    pos += 1
+    while True:
+        type_ = tokens[pos][0]
+        if type_ == "]":
+            return pos + 1
+        if type_ != "ID":
+            _dot_expected(tokens, problems, "]" if type_ == "EOF" else "ID", pos)
+            return pos
+        pos += 1
+        if tokens[pos][0] == "=":
+            pos += 1
+            if tokens[pos][0] != "ID":
+                problems.append("expected a value after '='")
+                return pos
+            pos += 1
+        if tokens[pos][0] == ",":
+            pos += 1
+
+
+def _dot_body(tokens: list[tuple[str, str]], problems: list[str], pos: int, room: int) -> int:  # statements to a '}' or EOF
+    while True:
+        type_, value = tokens[pos]
+        if type_ == "}" or type_ == "EOF":
+            return pos
+        if type_ != "ID":
+            _dot_expected(tokens, problems, "ID", pos)
+            return pos
+        pos += 1
+        if value == "subgraph":
+            if tokens[pos][0] == "ID":
+                pos += 1
+            pos = _dot_block(tokens, problems, pos, room - 1)
+            continue
+        type_ = tokens[pos][0]
+        if type_ == "=":  # graph-level attribute like rankdir=LR
+            pos += 1
+            if tokens[pos][0] != "ID":
+                problems.append("expected a value after '='")
+                return pos
+            pos += 1
+        else:
+            while type_ == "->":
+                pos += 1
+                if tokens[pos][0] != "ID":
+                    _dot_expected(tokens, problems, "ID", pos)
+                    return pos
+                pos += 1
+                type_ = tokens[pos][0]
+            if type_ == "[":
+                pos = _dot_attrs(tokens, problems, pos)
+        if tokens[pos][0] != ";":
+            _dot_expected(tokens, problems, ";", pos)
+            return pos
+        pos += 1
+
+
+def _dot_block(tokens: list[tuple[str, str]], problems: list[str], pos: int, room: int) -> int:
+    """``{ body }`` from pos, ``room`` more subgraph levels allowed in it; a problem in the body does not stop it."""
+    if tokens[pos][0] != "{":
+        _dot_expected(tokens, problems, "{", pos)
+        return pos
+    if room < 0:
+        raise RecursionError  # caught in dot_check: this one problem replaces any others
+    pos = _dot_body(tokens, problems, pos + 1, room)
+    if tokens[pos][0] != "}":
+        _dot_expected(tokens, problems, "}", pos)
+        return pos
+    return pos + 1
 
 
 def _dot_tokenize(text: str, problems: list[str]) -> list[tuple[str, str]]:

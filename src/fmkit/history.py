@@ -128,17 +128,15 @@ class ReplacementRecord:
         )
 
 
-def _step(
-    state: dict[str, str], occupant: Optional[str], rec: ReplacementRecord
-) -> tuple[str, Optional[str]]:
-    """Check one record against a slot's replay state (unit -> received |
-    installed | removed, plus the occupant) without changing it; returns
-    the unit's next state and the slot's next occupant.
+def _step(st: Optional[str], occupant: Optional[str], rec: ReplacementRecord) -> tuple[str, Optional[str]]:
+    """Check one record against its unit's state before it (received |
+    installed | removed, or None) and the slot's occupant then; returns the
+    unit's next state and the slot's next occupant.  An append steps the
+    new record and then each record dated after it, nothing earlier.
 
     Lifecycle per unit: receive -> install -> remove, with re-receive
     allowed after removal; at most one unit installed at any instant.
     """
-    st = state.get(rec.unit)
     if rec.action == "receive":
         if st in ("received", "installed"):
             raise AppendError("E_ORDER", f"unit '{rec.unit}' received twice")
@@ -152,6 +150,10 @@ def _step(
     if st != "installed":  # remove
         raise AppendError("E_ORDER", f"unit '{rec.unit}' removed before being installed")
     return "removed", None
+
+
+# A valid record's unit state just before it (None stands for "removed" too).
+_PRIOR = {"receive": None, "install": "received", "remove": "installed"}
 
 
 class _Slot:
@@ -170,9 +172,8 @@ class _Slot:
 class ReplacementLog:
     """Append-only event log across all slots.
 
-    Each slot keeps its own sorted timeline and the replay state at its end,
-    so an append dated after the slot's last record is checked against that
-    state alone; an earlier-dated one replays only its own slot."""
+    Each slot keeps its own sorted timeline and the replay state at its end;
+    an append replays only itself and the slot's records dated after it."""
 
     def __init__(self) -> None:
         self._records: list[ReplacementRecord] = []  # append order
@@ -192,17 +193,17 @@ class ReplacementLog:
         when = parse_timestamp(record.at)
         slot = self._slots.get(record.slot) or _Slot()
         i = bisect_right(slot.stamps, when)  # ties keep append order
-        if i == len(slot.stamps):
-            # The stored prefix already replayed cleanly, so its end state
-            # is all the new last record has to be checked against.
-            unit_state, occupant = _step(slot.state, slot.occupant, record)
-            slot.state[record.unit] = unit_state
-        else:
-            state: dict[str, str] = {}
-            occupant = None
-            for rec in slot.records[:i] + [record] + slot.records[i:]:
-                state[rec.unit], occupant = _step(state, occupant, rec)
-            slot.state = state
+        later = slot.records[i:]
+        # Undo the later records back to i: each valid record shows its unit's state and the occupant before it.
+        states: dict[str, Optional[str]] = {}
+        occupant = slot.occupant
+        for rec in reversed(later):
+            states[rec.unit] = _PRIOR[rec.action]
+            if rec.action != "receive":
+                occupant = rec.unit if rec.action == "remove" else None
+        for rec in [record, *later]:
+            states[rec.unit], occupant = _step(states.get(rec.unit, slot.state.get(rec.unit)), occupant, rec)
+        slot.state.update(states)
         slot.occupant = occupant
         slot.records.insert(i, record)
         slot.stamps.insert(i, when)

@@ -299,15 +299,11 @@ class Model:
 
     def spheres(self) -> Iterator[tuple[tuple[str, ...], Sphere]]:
         """Depth-first walk yielding (path, sphere) pairs."""
-
-        def walk(sphere: Sphere, prefix: tuple[str, ...]) -> Iterator[tuple[tuple[str, ...], Sphere]]:
-            path = prefix + (sphere.name,)
+        stack = [((root.name,), root) for root in reversed(self.roots)]
+        while stack:
+            path, sphere = stack.pop()
             yield path, sphere
-            for child in sphere.children:
-                yield from walk(child, path)
-
-        for root in self.roots:
-            yield from walk(root, ())
+            stack.extend((path + (child.name,), child) for child in reversed(sphere.children))
 
     def machines(self) -> Iterator[tuple[tuple[str, ...], Machine]]:
         """Yields (path-including-machine-name, machine) pairs, depth first."""

@@ -602,31 +602,29 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
     # Index machines by full path while checking sibling uniqueness.
     machines: dict[tuple[str, ...], Machine] = {}
 
-    def walk(sphere: Sphere, prefix: tuple[str, ...]) -> None:
-        path = prefix + (sphere.name,)
-        seen: set[str] = set()
-        for child in sphere.children:
-            if child.name in seen:
-                diags.append(error("duplicate-name", f"sphere '{child.name}' is already declared here", child.span))
-            seen.add(child.name)
-        for m in sphere.machines:
-            if m.name in seen:
-                diags.append(error("duplicate-name", f"machine '{m.name}' is already declared here", m.span))
-            seen.add(m.name)
-            machines[path + (m.name,)] = m
-            if m.kind not in kinds:
-                diags.append(error("unresolved-reference", f"unknown thing kind '{m.kind}'", m.kind_span))
-            for stage in m.repeats:
-                diags.append(error("duplicate-name", f"stage '{stage}' is already declared on '{m.name}'", m.span))
-        for child in sphere.children:
-            walk(child, path)
-
     top_seen: set[str] = set()
-    for sphere in tree.spheres:
-        if sphere.name in top_seen:
-            diags.append(error("duplicate-name", f"sphere '{sphere.name}' is already declared", sphere.span))
-        top_seen.add(sphere.name)
-        walk(sphere, ())
+    for root in tree.spheres:
+        if root.name in top_seen:
+            diags.append(error("duplicate-name", f"sphere '{root.name}' is already declared", root.span))
+        top_seen.add(root.name)
+        stack = [((root.name,), root)]  # depth first, children in source order
+        while stack:
+            path, sphere = stack.pop()
+            seen: set[str] = set()
+            for child in sphere.children:
+                if child.name in seen:
+                    diags.append(error("duplicate-name", f"sphere '{child.name}' is already declared here", child.span))
+                seen.add(child.name)
+            for m in sphere.machines:
+                if m.name in seen:
+                    diags.append(error("duplicate-name", f"machine '{m.name}' is already declared here", m.span))
+                seen.add(m.name)
+                machines[path + (m.name,)] = m
+                if m.kind not in kinds:
+                    diags.append(error("unresolved-reference", f"unknown thing kind '{m.kind}'", m.kind_span))
+                for stage in m.repeats:
+                    diags.append(error("duplicate-name", f"stage '{stage}' is already declared on '{m.name}'", m.span))
+            stack.extend((path + (child.name,), child) for child in reversed(sphere.children))
 
     def check_endpoint(ep: Endpoint, span: SourceSpan) -> Optional[Machine]:
         m = machines.get(ep.path)
@@ -640,16 +638,6 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
 
     kind_attrs = {name: kind.attr_types() for name, kind in kinds.items()}
 
-    def check_expr_refs(expr: exprs.Expr, names: dict[str, str], span: SourceSpan, role: str) -> None:
-        if isinstance(expr, exprs.Attr):
-            if expr.name not in names:
-                diags.append(error("unresolved-reference", f"unknown attribute '{expr.name}' in {role}", span))
-        elif isinstance(expr, exprs.Unary):
-            check_expr_refs(expr.operand, names, span, role)
-        elif isinstance(expr, exprs.Binary):
-            check_expr_refs(expr.left, names, span, role)
-            check_expr_refs(expr.right, names, span, role)
-
     labels: set[str] = set()
     for arc in tree.arcs:
         src_m = check_endpoint(arc.src, arc.src_span)
@@ -661,9 +649,9 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
         if src_m is not None:
             src_attrs = kind_attrs.get(src_m.kind, {})
             if arc.guard is not None:
-                check_expr_refs(arc.guard, src_attrs, arc.span, "guard")
+                _check_expr_refs(diags, arc.guard, src_attrs, arc.span, "guard")
             for _, expr, span in arc.spawn_attrs:
-                check_expr_refs(expr, src_attrs, span, "spawn expression")
+                _check_expr_refs(diags, expr, src_attrs, span, "spawn expression")
         if not arc.is_flow and dst_m is not None:
             target_attrs = kind_attrs.get(dst_m.kind, {})
             for name, _, span in arc.spawn_attrs:
@@ -677,7 +665,7 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
         for (name, expr), span in zip(m.assigns, m.assign_spans):
             if name not in names:
                 diags.append(error("unresolved-reference", f"'{m.kind}' has no attribute '{name}'", span))
-            check_expr_refs(expr, names, span, "assign expression")
+            _check_expr_refs(diags, expr, names, span, "assign expression")
 
     event_names: set[str] = set()
     for event in tree.events:
@@ -700,6 +688,17 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
                 )
 
     return diags
+
+
+def _check_expr_refs(diags: list[Diagnostic], expr: exprs.Expr, names: dict[str, str], span: SourceSpan, role: str) -> None:
+    if isinstance(expr, exprs.Attr):
+        if expr.name not in names:
+            diags.append(error("unresolved-reference", f"unknown attribute '{expr.name}' in {role}", span))
+    elif isinstance(expr, exprs.Unary):
+        _check_expr_refs(diags, expr.operand, names, span, role)
+    elif isinstance(expr, exprs.Binary):
+        _check_expr_refs(diags, expr.left, names, span, role)
+        _check_expr_refs(diags, expr.right, names, span, role)
 
 
 def _chrono_refs(node: Chrono) -> list[str]:

@@ -75,26 +75,8 @@ def print_model(model: Model) -> str:
     for trig in model.triggers:
         arcs_by_sphere.setdefault(trig.src.path[:-1], []).append(_arc_line(trig))
 
-    def emit_sphere(sphere: Sphere, prefix: tuple[str, ...], depth: int) -> None:
-        pad = "  " * depth
-        path = prefix + (sphere.name,)
-        lines.append(f"{pad}sphere {sphere.name} {{")
-        inner_pad = "  " * (depth + 1)
-        for m in sphere.machines:
-            stage_words = [s.value for s in m.declared] + [f"implicit {s.value}" for s in m.implicit]
-            body = " ".join(stage_words)
-            if m.assigns:
-                inner = ", ".join(f"{name} = {render_expr(expr)}" for name, expr in m.assigns)
-                body = (body + " " if body else "") + "assign { " + inner + " }"
-            lines.append(f"{inner_pad}machine {m.name}: {m.kind} {{ {body} }}")
-        for arc_line in arcs_by_sphere.get(path, []):
-            lines.append(f"{inner_pad}{arc_line}")
-        for child in sphere.children:
-            emit_sphere(child, path, depth + 1)
-        lines.append(f"{pad}}}")
-
     for root in model.roots:
-        emit_sphere(root, (), 0)
+        _emit_sphere(lines, arcs_by_sphere, root, (root.name,), 0)
         lines.append("")
 
     for event in model.events:
@@ -108,6 +90,24 @@ def print_model(model: Model) -> str:
         lines.append(f"behavior {behavior.name} {{ {render_chrono(behavior.program)} }}")
 
     return "\n".join(lines).rstrip() + "\n"
+
+
+def _emit_sphere(lines: list[str], arcs_by_sphere: dict, sphere: Sphere, path: tuple[str, ...], depth: int) -> None:
+    pad = "  " * depth
+    lines.append(f"{pad}sphere {sphere.name} {{")
+    inner_pad = "  " * (depth + 1)
+    for m in sphere.machines:
+        stage_words = [s.value for s in m.declared] + [f"implicit {s.value}" for s in m.implicit]
+        body = " ".join(stage_words)
+        if m.assigns:
+            inner = ", ".join(f"{name} = {render_expr(expr)}" for name, expr in m.assigns)
+            body = (body + " " if body else "") + "assign { " + inner + " }"
+        lines.append(f"{inner_pad}machine {m.name}: {m.kind} {{ {body} }}")
+    for arc_line in arcs_by_sphere.get(path, []):
+        lines.append(f"{inner_pad}{arc_line}")
+    for child in sphere.children:
+        _emit_sphere(lines, arcs_by_sphere, child, path + (child.name,), depth + 1)
+    lines.append(f"{pad}}}")
 
 
 def _region_families(model: Model, labels: frozenset[str]) -> set[str]:

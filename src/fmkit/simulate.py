@@ -172,17 +172,17 @@ class Simulation:
     # Spawning -------------------------------------------------------------
 
     def _spawn(self, kind_name: str, target: Endpoint, values: dict[str, Value]) -> tuple[Thing, TraceEvent]:
+        """Spawn with the given values (coerced already) and defaults for the rest."""
         kind = self.model.kinds[kind_name]
         dec = self.index.dec[kind_name]
         attrs: dict[str, Value] = {}
         for spec in kind.attrs:
             if spec.name in values:
-                v = values[spec.name]
+                attrs[spec.name] = values[spec.name]
             elif spec.default is not None:
-                v = spec.default
+                attrs[spec.name] = _coerce(spec.default, spec.name, dec)
             else:
                 raise SimError(f"spawn of {kind_name} lacks attribute '{spec.name}'")
-            attrs[spec.name] = _coerce(v, spec.name, dec)
         site = self.index.site(target)
         thing = Thing(self.next_id, kind_name, attrs, self.tick, site)
         self.next_id += 1
@@ -197,7 +197,8 @@ class Simulation:
             if inj.tick > self.tick:
                 break
             self._next_injection += 1
-            _, event = self._spawn(inj.kind, inj.target, dict(inj.attrs))
+            values = {name: _coerce(v, name, self.index.dec[inj.kind]) for name, v in inj.attrs}
+            _, event = self._spawn(inj.kind, inj.target, values)
             events.append(event)
         return events
 

@@ -223,6 +223,30 @@ def test_append_timestamped_between_existing_records():
     assert exc.value.code == "E_ORDER"
 
 
+@pytest.mark.parametrize("unit,action,at,code,message", [
+    # The occupant at the record's instant is the unit a later removal takes out.
+    ("u2", "install", "2021-03-01T11:00:00Z", "E_OCCUPIED", "slot 'P101' already holds 'u1'"),
+    # The unit's state there is the one its next record expects.
+    ("u1", "install", "2021-03-01T10:30:00Z", "E_ORDER", "unit 'u1' installed before being received"),
+    ("u2", "receive", "2021-03-01T09:30:00Z", "E_ORDER", "unit 'u2' received twice"),
+    # The record itself is fine; the later removal it doubles is the first to fail.
+    ("u1", "remove", "2021-03-01T10:30:00Z", "E_ORDER", "unit 'u1' removed before being installed"),
+])
+def test_late_record_is_checked_against_the_state_at_its_instant(unit, action, at, code, message):
+    log = ReplacementLog()
+    log.append(rec("P101", "u1", "receive", "2021-03-01T08:00:00Z"))
+    log.append(rec("P101", "u1", "install", "2021-03-01T09:00:00Z"))
+    log.append(rec("P101", "u1", "remove", "2021-03-01T12:00:00Z"))
+    log.append(rec("P101", "u2", "receive", "2021-03-01T10:00:00Z"))
+    before = log.to_lines()
+    with pytest.raises(AppendError) as exc:
+        log.append(rec("P101", unit, action, at))
+    assert (exc.value.code, exc.value.message) == (code, message)
+    assert log.to_lines() == before
+    log.append(rec("P101", "u2", "install", "2021-03-01T12:00:00Z"))  # the slot's state is unharmed
+    assert log.installed_at("P101", "2021-03-01T12:00:00Z") == "u2"
+
+
 def test_single_occupancy_sweep():
     log = pump_log()
     stamps = [r.timestamp for r in log.timeline("P101")]
@@ -294,8 +318,10 @@ def ledger_record(draw, ref, drawn):
     """A record for the next append: an exact repeat of an earlier draw, a
     fully random record (most break some lifecycle rule), or the unit's
     next lifecycle step, dated at or just after the slot's last record
-    (in-order and tied appends) or anywhere (late-arriving records)."""
-    kind = draw(st.sampled_from(["repeat", "random", "next", "next"]))
+    (in-order and tied appends), anywhere in the hour (late-arriving
+    records) or days after every record drawn so far (far-future records,
+    which the in-hour appends that follow land before)."""
+    kind = draw(st.sampled_from(["repeat", "random", "next", "next", "far"]))
     if kind == "repeat" and drawn:
         return draw(st.sampled_from(drawn))
     slot = draw(st.sampled_from(LEDGER_SLOTS))
@@ -310,7 +336,11 @@ def ledger_record(draw, ref, drawn):
             if r.unit == unit:
                 last = r.action
         action = NEXT_ACTION[last]
+        if kind == "far":
+            latest = max((r.timestamp for r in ref.records), default=LEDGER_START)
+            return rec(slot, unit, action, (latest + timedelta(days=draw(st.integers(1, 3)))).isoformat())
         end = int((timeline[-1].timestamp - LEDGER_START).total_seconds() // 60) if timeline else 0
+        end = min(end, 59)  # past the hour when the slot holds a far-future record
         minute = draw(st.integers(end, min(end + 3, 59)) | st.integers(0, 59))
     return rec(
         slot, unit, action, draw(st.sampled_from(STAMP_FORMS)).format(minute),
@@ -390,6 +420,31 @@ def test_in_order_load_parses_each_stamp_at_most_twice(monkeypatch):
     monkeypatch.setattr(history, "parse_timestamp", counting)
     log = ReplacementLog.from_lines(text)
     assert len(log.records) == n
+    assert calls <= 2 * n
+
+
+def test_far_future_record_leaves_in_order_appends_a_fixed_cost(monkeypatch):
+    # An append replays only the records dated after it, so after one
+    # far-future record every in-order append checks two records: itself
+    # and that one.  Replaying the whole slot would check about n * n / 2.
+    n = 1000
+    log = ReplacementLog().append(rec("P101", "spare", "receive", "2099-01-01T00:00:00Z"))
+    start = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    calls = 0
+    real = history._step
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(history, "_step", counting)
+    for k in range(n):
+        log.append(rec(
+            "P101", f"u{k // 3}", ("receive", "install", "remove")[k % 3], (start + timedelta(minutes=k)).isoformat()
+        ))
+    assert len(log.timeline("P101")) == n + 1
+    assert log.timeline("P101")[-1].unit == "spare"
     assert calls <= 2 * n
 
 
