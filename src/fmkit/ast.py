@@ -4,16 +4,14 @@ Spheres, machines, endpoints, thing kinds and behaviors need no rewriting,
 so the parser builds their ``model`` records directly."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .diagnostics import SourceSpan
+from .diagnostics import FrozenRecord, Record, SourceSpan, _set
 from .exprs import Expr, Value
 from .model import BehaviorDecl, Endpoint, Sphere, ThingKind
 
 
-@dataclass(frozen=True)
-class ArcDecl:
+class ArcDecl(NamedTuple):
     is_flow: bool
     src: Endpoint
     dst: Endpoint
@@ -26,33 +24,43 @@ class ArcDecl:
     dst_span: SourceSpan
 
 
-@dataclass(frozen=True)
-class EventDecl:
+class EventDecl(NamedTuple):
     name: str
     labels: tuple[str, ...]
     span: SourceSpan
 
 
-@dataclass
-class ModelAst:
-    file: str
-    kinds: list[ThingKind] = field(default_factory=list)
-    spheres: list[Sphere] = field(default_factory=list)
-    # Every sphere's arcs: a sphere's own in source order, then each child's.
-    arcs: list[ArcDecl] = field(default_factory=list)
-    events: list[EventDecl] = field(default_factory=list)
-    behaviors: list[BehaviorDecl] = field(default_factory=list)
+class ModelAst(Record):
+    # arcs holds every sphere's arcs: a sphere's own in source order, then each child's.
+    __slots__ = _fields = ("file", "kinds", "spheres", "arcs", "events", "behaviors")
+
+    def __init__(
+        self, file: str, kinds: Optional[list[ThingKind]] = None, spheres: Optional[list[Sphere]] = None,
+        arcs: Optional[list[ArcDecl]] = None, events: Optional[list[EventDecl]] = None,
+        behaviors: Optional[list[BehaviorDecl]] = None,
+    ) -> None:
+        self.file = file
+        self.kinds = [] if kinds is None else kinds
+        self.spheres = [] if spheres is None else spheres
+        self.arcs = [] if arcs is None else arcs
+        self.events = [] if events is None else events
+        self.behaviors = [] if behaviors is None else behaviors
 
 
-@dataclass(frozen=True)
-class Injection:
-    tick: int
-    kind: str
-    target: Endpoint
-    attrs: tuple[tuple[str, Value], ...]
-    span: Optional[SourceSpan] = field(default=None, compare=False)  # the 'inject' token
+class Injection(FrozenRecord):
+    __slots__ = ("tick", "kind", "target", "attrs", "span")
+    _fields = ("tick", "kind", "target", "attrs")
+
+    def __init__(
+        self, tick: int, kind: str, target: Endpoint, attrs: tuple[tuple[str, Value], ...],
+        span: Optional[SourceSpan] = None,  # the 'inject' token
+    ) -> None:
+        _set(self, "tick", tick)
+        _set(self, "kind", kind)
+        _set(self, "target", target)
+        _set(self, "attrs", attrs)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     injections: tuple[Injection, ...] = ()

@@ -9,10 +9,10 @@ the automaton: a trace conforms while no occurrence deviates from it
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
+from .diagnostics import FrozenRecord, Record, _set
 from .model import (
     Choice,
     Chrono,
@@ -36,8 +36,7 @@ class BehaviorError(Exception):
         return type(self), (self.code, *self.args)
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     event: str
     start: int
     end: int
@@ -129,11 +128,11 @@ def _too_large() -> BehaviorError:
     return BehaviorError("behavior-too-large", f"the behavior's automaton needs more than {MAX_STATES} states")
 
 
-@dataclass
-class _Fragment:
-    start: int
-    finals: frozenset[int]
-    nodes: frozenset[int]
+class _Fragment(Record):
+    __slots__ = _fields = ("start", "finals", "nodes")
+
+    def __init__(self, start: int, finals: frozenset[int], nodes: frozenset[int]) -> None:
+        self.start, self.finals, self.nodes = start, finals, nodes
 
 
 class _NfaBuilder:
@@ -310,16 +309,23 @@ def _determinize(
     return rows, accepting
 
 
-@dataclass(frozen=True)
-class BehaviorAutomaton:
+class BehaviorAutomaton(FrozenRecord):
     """Deterministic automaton over event names; every live state accepts a
-    valid prefix, `accepting` marks complete executions."""
+    valid prefix, `accepting` marks complete executions.  Its ``__dict__``
+    holds ``labels_at`` once built."""
 
-    n_states: int
-    start: int
-    transitions: dict[tuple[int, str], int]
-    accepting: frozenset[int]
-    watcher_edges: frozenset[tuple[int, str]]
+    _fields = ("n_states", "start", "transitions", "accepting", "watcher_edges")
+    __slots__ = (*_fields, "__dict__")
+
+    def __init__(
+        self, n_states: int, start: int, transitions: dict[tuple[int, str], int], accepting: frozenset[int],
+        watcher_edges: frozenset[tuple[int, str]],
+    ) -> None:
+        _set(self, "n_states", n_states)
+        _set(self, "start", start)
+        _set(self, "transitions", transitions)
+        _set(self, "accepting", accepting)
+        _set(self, "watcher_edges", watcher_edges)
 
     @cached_property
     def labels_at(self) -> dict[int, frozenset[str]]:
@@ -366,8 +372,7 @@ def compile_program(program: Chrono, event_names: Optional[Iterable[str]] = None
 # Conformance ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     tick: int
     expected: tuple[str, ...]
     observed: str
@@ -376,8 +381,7 @@ class Violation:
         return {"tick": self.tick, "expected": list(self.expected), "observed": self.observed}
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     conforms: bool
     first_violation: Optional[Violation]
     occurrences: tuple[Occurrence, ...]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import TYPE_CHECKING, Iterable, NoReturn, Optional
 
 from . import jsonl
@@ -172,7 +173,10 @@ def cmd_history(args: argparse.Namespace) -> int:
     return OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's argument parser, built on the first call only: it is
+    the same for every ``main`` call, and building it makes reference cycles."""
     parser = argparse.ArgumentParser(prog="fmkit", description="Flow-machine model toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 

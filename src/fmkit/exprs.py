@@ -7,8 +7,9 @@ raises :class:`EvalError`, which the simulator maps to guard-false plus a
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
+
+from .diagnostics import FrozenRecord, _set
 
 Value = Union[int, float, str, bool]
 
@@ -39,9 +40,11 @@ class EvalError(Exception):
     """Evaluation failed (division by zero, or an int too large for a dec)."""
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: Value
+class Lit(FrozenRecord):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Value) -> None:
+        _set(self, "value", value)
 
     @property
     def type(self) -> str:
@@ -54,22 +57,28 @@ class Lit:
         return "str"
 
 
-@dataclass(frozen=True)
-class Attr:
-    name: str
+class Attr(FrozenRecord):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str  # "not" | "-"
-    operand: "Expr"
+class Unary(FrozenRecord):
+    __slots__ = _fields = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expr) -> None:  # op is "not" or "-"
+        _set(self, "op", op)
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: "Expr"
-    right: "Expr"
+class Binary(FrozenRecord):
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr) -> None:
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 Expr = Union[Lit, Attr, Unary, Binary]

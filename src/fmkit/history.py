@@ -192,20 +192,31 @@ class ReplacementLog:
             raise AppendError("E_DUP", "identical record already present")
         when = parse_timestamp(record.at)
         slot = self._slots.get(record.slot) or _Slot()
+        records, unit = slot.records, record.unit
         i = bisect_right(slot.stamps, when)  # ties keep append order
-        later = slot.records[i:]
-        # Undo the later records back to i: each valid record shows its unit's state and the occupant before it.
-        states: dict[str, Optional[str]] = {}
-        occupant = slot.occupant
-        for rec in reversed(later):
-            states[rec.unit] = _PRIOR[rec.action]
+        # Undo the records dated after it, latest first, back to i: each
+        # valid record shows its unit's state and the occupant before it.
+        state, occupant = slot.state.get(unit), slot.occupant
+        k = len(records)
+        while k > i:
+            k -= 1
+            rec = records[k]
+            if rec.unit == unit:
+                state = _PRIOR[rec.action]
             if rec.action != "receive":
                 occupant = rec.unit if rec.action == "remove" else None
-        for rec in [record, *later]:
-            states[rec.unit], occupant = _step(states.get(rec.unit, slot.state.get(rec.unit)), occupant, rec)
-        slot.state.update(states)
+        # Step it, then them.  It changes only its unit's states and the
+        # occupant, so a later record of another unit finds its unit in the
+        # state _PRIOR gives, and a later one of its own unit fails: a state
+        # allows one action only, the new record's.
+        state, occupant = _step(state, occupant, record)
+        while k < len(records):
+            rec = records[k]
+            k += 1
+            _, occupant = _step(state if rec.unit == unit else _PRIOR[rec.action], occupant, rec)
+        slot.state[unit] = state
         slot.occupant = occupant
-        slot.records.insert(i, record)
+        records.insert(i, record)
         slot.stamps.insert(i, when)
         self._slots[record.slot] = slot
         self._seen.add(record)

@@ -10,12 +10,11 @@ equality and repr ignore; the canonicalizer builds the arcs and events.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
-from .diagnostics import SourceSpan
+from .diagnostics import FrozenRecord, Record, SourceSpan, _set
 from .exprs import Expr
 
 
@@ -78,19 +77,27 @@ class UnknownLabelError(ModelError):
         return type(self), (self.missing,)
 
 
-@dataclass(frozen=True)
-class AttrSpec:
-    name: str
-    type: str  # one of exprs.SCALAR_TYPES
-    default: object = None  # literal value, or None when the attr has no default
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)  # the name
+class AttrSpec(FrozenRecord):
+    # type is one of exprs.SCALAR_TYPES, default a literal value (None when
+    # the attribute has none), span the name's.
+    __slots__ = ("name", "type", "default", "span")
+    _fields = ("name", "type", "default")
+
+    def __init__(self, name: str, type: str, default: object = None, span: Optional[SourceSpan] = None) -> None:
+        _set(self, "name", name)
+        _set(self, "type", type)
+        _set(self, "default", default)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class ThingKind:
-    name: str
-    attrs: tuple[AttrSpec, ...] = ()
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)  # the name
+class ThingKind(FrozenRecord):
+    __slots__ = ("name", "attrs", "span")
+    _fields = ("name", "attrs")
+
+    def __init__(self, name: str, attrs: tuple[AttrSpec, ...] = (), span: Optional[SourceSpan] = None) -> None:
+        _set(self, "name", name)
+        _set(self, "attrs", attrs)
+        _set(self, "span", span)  # the name
 
     def attr_types(self) -> dict[str, str]:
         return {a.name: a.type for a in self.attrs}
@@ -102,8 +109,7 @@ class ThingKind:
         return None
 
 
-@dataclass(frozen=True)
-class Endpoint:
+class Endpoint(NamedTuple):
     """A (machine, stage) location addressed by its sphere path."""
 
     path: tuple[str, ...]  # sphere names followed by the machine name
@@ -113,20 +119,21 @@ class Endpoint:
         return "/".join(self.path) + "." + self.stage.value
 
 
-@dataclass
-class Machine:
-    name: str
-    kind: str
-    declared: tuple[Stage, ...]
-    implicit: tuple[Stage, ...] = ()
-    assigns: tuple[tuple[str, Expr], ...] = ()
-    # Source spans of the 'machine' token, the kind name and each assign's
-    # attribute name, and the stages written again after their first
-    # mention (in source order), which the binder reports.
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
-    kind_span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
-    assign_spans: tuple[SourceSpan, ...] = field(default=(), compare=False, repr=False)
-    repeats: tuple[Stage, ...] = field(default=(), compare=False, repr=False)
+class Machine(Record):
+    # The spans are those of the 'machine' token, the kind name and each
+    # assign's attribute name; repeats are the stages written again after
+    # their first mention (in source order), which the binder reports.
+    __slots__ = ("name", "kind", "declared", "implicit", "assigns", "span", "kind_span", "assign_spans", "repeats")
+    _fields = ("name", "kind", "declared", "implicit", "assigns")
+
+    def __init__(
+        self, name: str, kind: str, declared: tuple[Stage, ...], implicit: tuple[Stage, ...] = (),
+        assigns: tuple[tuple[str, Expr], ...] = (), span: Optional[SourceSpan] = None,
+        kind_span: Optional[SourceSpan] = None, assign_spans: tuple[SourceSpan, ...] = (),
+        repeats: tuple[Stage, ...] = (),
+    ) -> None:
+        self.name, self.kind, self.declared, self.implicit, self.assigns = name, kind, declared, implicit, assigns
+        self.span, self.kind_span, self.assign_spans, self.repeats = span, kind_span, assign_spans, repeats
 
     def stages(self) -> tuple[Stage, ...]:
         return tuple(self.declared) + tuple(s for s in self.implicit if s not in self.declared)
@@ -135,25 +142,30 @@ class Machine:
         return stage in self.declared or stage in self.implicit
 
 
-@dataclass
-class Sphere:
-    name: str
-    children: list["Sphere"] = field(default_factory=list)
-    machines: list[Machine] = field(default_factory=list)
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)  # 'sphere'
+class Sphere(Record):
+    __slots__ = ("name", "children", "machines", "span")
+    _fields = ("name", "children", "machines")
+
+    def __init__(
+        self, name: str, children: Optional[list[Sphere]] = None, machines: Optional[list[Machine]] = None,
+        span: Optional[SourceSpan] = None,  # the 'sphere' token
+    ) -> None:
+        self.name, self.span = name, span
+        self.children = [] if children is None else children
+        self.machines = [] if machines is None else machines
 
 
-@dataclass
-class FlowArc:
-    src: Endpoint
-    dst: Endpoint
-    label: str
-    guard: Optional[Expr] = None
-    # Expansion bookkeeping: which authored arc this step belongs to.
-    family: str = ""
-    index: int = 0
-    chain_len: int = 1
-    authored_dst: Optional[Endpoint] = None
+class FlowArc(Record):
+    # family, index, chain_len and authored_dst are expansion bookkeeping:
+    # which authored arc this step belongs to.
+    __slots__ = _fields = ("src", "dst", "label", "guard", "family", "index", "chain_len", "authored_dst")
+
+    def __init__(
+        self, src: Endpoint, dst: Endpoint, label: str, guard: Optional[Expr] = None, family: str = "",
+        index: int = 0, chain_len: int = 1, authored_dst: Optional[Endpoint] = None,
+    ) -> None:
+        self.src, self.dst, self.label, self.guard = src, dst, label, guard
+        self.family, self.index, self.chain_len, self.authored_dst = family, index, chain_len, authored_dst
 
     @property
     def is_implicit(self) -> bool:
@@ -164,18 +176,18 @@ class FlowArc:
         return self.index == 0
 
 
-@dataclass
-class TriggerArc:
-    src: Endpoint
-    dst: Endpoint
-    label: str
-    guard: Optional[Expr] = None
-    spawn_attrs: tuple[tuple[str, Expr], ...] = ()
-    consuming: bool = False
+class TriggerArc(Record):
+    __slots__ = _fields = ("src", "dst", "label", "guard", "spawn_attrs", "consuming")
+
+    def __init__(
+        self, src: Endpoint, dst: Endpoint, label: str, guard: Optional[Expr] = None,
+        spawn_attrs: tuple[tuple[str, Expr], ...] = (), consuming: bool = False,
+    ) -> None:
+        self.src, self.dst, self.label, self.guard = src, dst, label, guard
+        self.spawn_attrs, self.consuming = spawn_attrs, consuming
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A subdiagram: a set of arcs (by label) plus their endpoint stages."""
 
     arc_labels: frozenset[str]
@@ -187,8 +199,7 @@ class Region:
         return not self.arc_labels
 
 
-@dataclass(frozen=True)
-class EventDef:
+class EventDef(NamedTuple):
     name: str
     region: Region
 
@@ -196,67 +207,84 @@ class EventDef:
 # Chronology tree for behavior programs.
 
 
-@dataclass(frozen=True)
-class Ref:
-    event: str
+class Ref(FrozenRecord):
+    __slots__ = _fields = ("event",)
+
+    def __init__(self, event: str) -> None:
+        _set(self, "event", event)
 
 
-@dataclass(frozen=True)
-class Seq:
-    children: tuple["Chrono", ...]
+class _Group(FrozenRecord):
+    __slots__ = ()
+
+    def __init__(self, children: tuple[Chrono, ...]) -> None:
+        _set(self, "children", children)
 
 
-@dataclass(frozen=True)
-class Choice:
-    children: tuple["Chrono", ...]
+class Seq(_Group):
+    __slots__ = _fields = ("children",)
 
 
-@dataclass(frozen=True)
-class Par:
-    children: tuple["Chrono", ...]
+class Choice(_Group):
+    __slots__ = _fields = ("children",)
 
 
-@dataclass(frozen=True)
-class Repeat:
-    child: "Chrono"
-    possible: bool = False
+class Par(_Group):
+    __slots__ = _fields = ("children",)
 
 
-@dataclass(frozen=True)
-class Interrupt:
-    watcher: "Chrono"
-    handler: "Chrono"
-    body: "Chrono"
+class Repeat(FrozenRecord):
+    __slots__ = _fields = ("child", "possible")
+
+    def __init__(self, child: Chrono, possible: bool = False) -> None:
+        _set(self, "child", child)
+        _set(self, "possible", possible)
+
+
+class Interrupt(FrozenRecord):
+    __slots__ = _fields = ("watcher", "handler", "body")
+
+    def __init__(self, watcher: Chrono, handler: Chrono, body: Chrono) -> None:
+        _set(self, "watcher", watcher)
+        _set(self, "handler", handler)
+        _set(self, "body", body)
 
 
 Chrono = Union[Ref, Seq, Choice, Par, Repeat, Interrupt]
 
 
-@dataclass(frozen=True)
-class BehaviorDecl:
-    name: str
-    program: Chrono
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)  # 'behavior'
+class BehaviorDecl(FrozenRecord):
+    __slots__ = ("name", "program", "span")
+    _fields = ("name", "program")
+
+    def __init__(self, name: str, program: Chrono, span: Optional[SourceSpan] = None) -> None:
+        _set(self, "name", name)
+        _set(self, "program", program)
+        _set(self, "span", span)  # the 'behavior' token
 
 
-@dataclass
-class Model:
-    kinds: dict[str, ThingKind]
-    roots: list[Sphere]
-    flows: list[FlowArc]
-    triggers: list[TriggerArc]
-    events: list[EventDef]
-    behaviors: list[BehaviorDecl]
-    canonical: bool = False
+class Model(Record):
+    # After the seven fields, the lookup maps built by reindex, through
+    # which every name lookup goes; they stay out of equality and repr.
+    __slots__ = (
+        "kinds", "roots", "flows", "triggers", "events", "behaviors", "canonical",
+        "_machines", "_flows_by_label", "_triggers_by_label", "_families", "_index",
+    )
+    _fields = __slots__[:7]
 
-    # Lookup maps built by reindex; every name lookup reads one of them.
-    _machines: dict[tuple[str, ...], Machine] = field(default_factory=dict, repr=False)
-    _flows_by_label: dict[str, FlowArc] = field(default_factory=dict, repr=False)
-    _triggers_by_label: dict[str, TriggerArc] = field(default_factory=dict, repr=False)
-    # Chain families: each flow label's text before one of its '.'s, mapped
-    # to the flow labels that extend it there, in flow order.
-    _families: dict[str, list[str]] = field(default_factory=dict, repr=False)
-    _index: Optional["ModelIndex"] = field(default=None, repr=False, compare=False)
+    def __init__(
+        self, kinds: dict[str, ThingKind], roots: list[Sphere], flows: list[FlowArc], triggers: list[TriggerArc],
+        events: list[EventDef], behaviors: list[BehaviorDecl], canonical: bool = False,
+    ) -> None:
+        self.kinds, self.roots, self.flows, self.triggers = kinds, roots, flows, triggers
+        self.events, self.behaviors, self.canonical = events, behaviors, canonical
+        self._machines: dict[tuple[str, ...], Machine] = {}
+        self._flows_by_label: dict[str, FlowArc] = {}
+        self._triggers_by_label: dict[str, TriggerArc] = {}
+        # Chain families: each flow label's text before one of its '.'s,
+        # mapped to the flow labels that extend it there, in flow order.
+        self._families: dict[str, list[str]] = {}
+        self._index: Optional[ModelIndex] = None
 
     @property
     def index(self) -> "ModelIndex":

@@ -41,13 +41,12 @@ A tick touches only the things that can change:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple, Optional, Protocol
 
 from . import exprs
 from .ast import Injection, Scenario  # noqa: F401  (Injection re-exported)
-from .diagnostics import Diagnostic, SourceSpan, error
+from .diagnostics import Diagnostic, Record, SourceSpan, error
 from .model import Endpoint, Hop, Model, ResolutionError, Site, Stage, TriggerArc, resolve_path
 from .parser import parse_scenario  # noqa: F401  (re-exported)
 
@@ -92,28 +91,26 @@ class Gate(Protocol):
     def observe(self, event: TraceEvent) -> None: ...
 
 
-@dataclass
-class SimConfig:
-    max_ticks: int = 1000
-    stage_dwell: int = 1
-    gate: Optional[Gate] = None
+class SimConfig(Record):
+    __slots__ = _fields = ("max_ticks", "stage_dwell", "gate")
 
-    def __post_init__(self) -> None:
-        if self.max_ticks < 0:
+    def __init__(self, max_ticks: int = 1000, stage_dwell: int = 1, gate: Optional[Gate] = None) -> None:
+        if max_ticks < 0:
             raise SimError("max_ticks must be >= 0")
-        if self.stage_dwell < 1:
+        if stage_dwell < 1:
             raise SimError("stage_dwell must be >= 1")
+        self.max_ticks, self.stage_dwell, self.gate = max_ticks, stage_dwell, gate
 
 
-@dataclass
-class Thing:
-    id: int
-    kind: str
-    attrs: dict[str, Value]
-    arrival_tick: int
-    # Where the thing is, and the next hop of its chain (None at the end).
-    site: Site
-    next: Optional[Hop] = None
+class Thing(Record):
+    # site is where the thing is, and next the next hop of its chain (None at the end).
+    __slots__ = _fields = ("id", "kind", "attrs", "arrival_tick", "site", "next")
+
+    def __init__(
+        self, id: int, kind: str, attrs: dict[str, Value], arrival_tick: int, site: Site, next: Optional[Hop] = None
+    ) -> None:
+        self.id, self.kind, self.attrs, self.arrival_tick = id, kind, attrs, arrival_tick
+        self.site, self.next = site, next
 
 
 def eval_guard(guard: exprs.Expr, thing: Thing) -> bool:

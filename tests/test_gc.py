@@ -1,6 +1,7 @@
-"""Loading, validating, printing and exporting a model leave no reference
-cycles: reference counting frees everything they build, so none of them
-leaves work (or memory) for the cyclic collector."""
+"""Loading, validating, printing and exporting a model, and a whole
+``fmkit check``, leave no reference cycles: reference counting frees
+everything they build, so none of them leaves work (or memory) for the
+cyclic collector."""
 from __future__ import annotations
 
 import gc
@@ -10,6 +11,7 @@ import pytest
 from conftest import CORPUS
 
 from fmkit.canon import load_model
+from fmkit.cli import main
 from fmkit.export import dot_check, model_to_dot
 from fmkit.printer import print_model
 from fmkit.validate import validate
@@ -26,18 +28,32 @@ CALLS = {
 }
 
 
+def cyclic_garbage(call) -> int:
+    """What the cyclic collector finds after ``call()``, with the collector
+    off while it runs.  Call it once first: first-use caches are not garbage."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 @pytest.mark.parametrize("call", CALLS)
 @pytest.mark.parametrize("path", MODELS, ids=lambda path: path.stem)
 def test_call_leaves_no_cyclic_garbage(path, call):
     model, _ = load_model(path.read_text(), str(path))
     dot = model_to_dot(model)
-    CALLS[call](path, model, dot)  # warm-up: first-use caches are not garbage
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        gc.collect()
-        CALLS[call](path, model, dot)
-        assert gc.collect() == 0
-    finally:
-        if was_enabled:
-            gc.enable()
+    CALLS[call](path, model, dot)
+    assert cyclic_garbage(lambda: CALLS[call](path, model, dot)) == 0
+
+
+@pytest.mark.parametrize("path", MODELS, ids=lambda path: path.stem)
+def test_check_command_leaves_no_cyclic_garbage(path, capsys):
+    argv = ["check", str(path)]
+    assert main(argv) == 0  # the first call builds the argument parser
+    assert cyclic_garbage(lambda: main(argv)) == 0
+    assert capsys.readouterr().out.count('"ok":true') == 2

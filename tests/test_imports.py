@@ -79,6 +79,26 @@ def test_dot_without_behavior_loads_no_behavior():
     assert "fmkit.behavior" not in modules
 
 
+TVM = str(CORPUS / "tvm.fm")
+TOOLKIT_COMMANDS = {
+    "check": ["check", TVM],
+    "sim": ["sim", TVM, "--scenario", str(CORPUS / "tvm_exact.fms"), "--ticks", "200", "--behavior", "cash_purchase"],
+    "dot": ["dot", TVM, "--behavior", "cash_purchase"],
+    "conform": ["conform", TVM, "--behavior", "cash_purchase", "--trace", str(ROOT / "tests/golden/tvm_exact.jsonl")],
+}
+
+
+@pytest.mark.parametrize("command", TOOLKIT_COMMANDS)
+def test_commands_load_no_dataclasses_or_inspect(command):
+    # Each dataclass decoration execs its generated methods at import, and
+    # dataclasses itself imports inspect: records are NamedTuples or
+    # __slots__ classes instead.
+    code, modules = loaded_modules(TOOLKIT_COMMANDS[command])
+    assert code == 0
+    assert "fmkit.model" in modules
+    assert modules & {"dataclasses", "inspect"} == set()
+
+
 def test_every_exported_name_imports():
     import fmkit
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import pathlib
 import pickle
@@ -205,9 +204,10 @@ def test_endpoint_cached_text_and_hash_keep_value_semantics():
     assert hash(ep) == hash(twin) == hash((("tvm", "cash"), Stage.RECEIVE))
     assert ep == twin and repr(ep) == repr(twin)
     assert ep != Endpoint(("tvm", "cash"), Stage.PROCESS)
-    # A string's hash differs between processes, so a pickle carries no cache.
+    # A string's hash differs between processes, so a pickle carries no
+    # cache: an endpoint is a tuple, with no instance dict to hold one.
     clone = pickle.loads(pickle.dumps(ep))
-    assert clone == ep and "_hash" not in vars(clone) and "_text" not in vars(clone)
+    assert clone == ep and not hasattr(clone, "__dict__")
 
 
 def expand_label_by_scan(model, label):
@@ -274,7 +274,7 @@ def test_records_ignore_their_span(one, same, other, text):
     assert one == same and hash(one) == hash(same)
     assert one != other
     assert repr(one) == repr(same) == text
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         one.span = SPAN_B
 
 
