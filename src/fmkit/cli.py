@@ -1,22 +1,24 @@
 """Command-line interface: check, sim, dot, conform, history.
 
 Exit codes: 0 success/valid/conforms, 1 validation or conformance failure,
-2 usage or IO error.  Diagnostics go to stderr; artifacts go to stdout or
-to the files named by flags.
+2 usage or IO error (a reader closing stdout early among them).  Diagnostics
+go to stderr; artifacts go to stdout or to the files named by flags.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
-from typing import TYPE_CHECKING, Iterable, NoReturn, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional
 
 from . import jsonl
 
 if TYPE_CHECKING:
-    from .behavior import BehaviorAutomaton
+    from .behavior import BehaviorAutomaton, EnforcementGate
     from .diagnostics import Diagnostic
     from .model import Model
+    from .simulate import TraceEvent
 
 OK, FAIL, USAGE = 0, 1, 2
 
@@ -89,6 +91,13 @@ def _behavior_automaton(model: Model, name: str) -> BehaviorAutomaton:
         raise SystemExit(FAIL)
 
 
+def _observed(records: Iterator[TraceEvent], run: EnforcementGate) -> Iterator[TraceEvent]:
+    """Pass each record on after the run has observed it."""
+    for record in records:
+        run.observe(record)
+        yield record
+
+
 def cmd_sim(args: argparse.Namespace) -> int:
     from . import export, simulate
     for flag, value, least in (("--ticks", args.ticks, 0), ("--dwell", args.dwell, 1)):
@@ -100,21 +109,25 @@ def cmd_sim(args: argparse.Namespace) -> int:
     if any(d.is_error for d in diags):
         _report(diags)
         raise SystemExit(USAGE)
-    automaton = gate = None
+    gate = run = None
     if args.behavior is not None:
         from . import behavior as bhv
-        automaton = _behavior_automaton(model, args.behavior)
+        run = bhv.enforce(model, _behavior_automaton(model, args.behavior))
         if args.mode == "enforce":
-            gate = bhv.enforce(model, automaton)
+            gate = run
     config = simulate.SimConfig(max_ticks=args.ticks, stage_dwell=args.dwell, gate=gate)
-    trace = simulate.run(model, scenario, config)
+    records = simulate.stream(model, scenario, config)
+    if run is not None and gate is None:
+        # Observe: the run sees each record on its way out and is never
+        # asked to permit; its verdict is `check` of the trace written.
+        records = _observed(records, run)
+    lines = export.trace_lines(records)
     if args.trace is not None:
-        _write(args.trace, export.trace_lines(trace))
+        _write(args.trace, lines)
     else:
-        sys.stdout.writelines(export.trace_lines(trace))
-    if automaton is not None:
-        # An enforcing gate has run the automaton over the trace already.
-        verdict = gate.verdict() if gate is not None else bhv.check(trace, model.events, automaton)
+        sys.stdout.writelines(lines)
+    if run is not None:
+        verdict = run.verdict()
         print(jsonl.dumps(verdict.to_json()))
         if args.mode == "observe" and not verdict.conforms:
             return FAIL
@@ -217,13 +230,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _detach_closed_streams() -> None:
+    """Point each standard stream whose reader has gone at os.devnull, so
+    that the interpreter's last flush of what it still holds cannot fail."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:  # argparse's, or a command's that printed its reason
-        return exc.code or OK
+        try:
+            args = parser.parse_args(argv)
+            code = args.func(args)
+        except SystemExit as exc:  # argparse's, or a command's that printed its reason
+            code = exc.code or OK
+        sys.stdout.flush()
+    except BrokenPipeError as exc:  # a reader of stdout or stderr (say `| head`) left early
+        _detach_closed_streams()
+        print(f"fmkit: cannot write output: {exc.strerror}", file=sys.stderr)
+        code = USAGE
+    return code
 
 
 if __name__ == "__main__":

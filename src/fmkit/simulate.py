@@ -42,7 +42,7 @@ A tick touches only the things that can change:
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import NamedTuple, Optional, Protocol
+from typing import Iterator, NamedTuple, Optional, Protocol
 
 from . import exprs
 from .ast import Injection, Scenario  # noqa: F401  (Injection re-exported)
@@ -138,7 +138,11 @@ _by_label = attrgetter("label")
 
 
 class Simulation:
-    """One run's worth of mutable state over an immutable model."""
+    """One run's worth of mutable state over an immutable model.
+
+    ``trace`` gathers every record the run emits, in order, until its
+    owner clears it: a loop of ``step()`` and ``live()`` finds the whole
+    trace there, while `stream` hands each tick's records on and clears it."""
 
     def __init__(self, model: Model, scenario: Scenario, config: SimConfig) -> None:
         self.model = model
@@ -388,16 +392,28 @@ class Simulation:
         return False
 
 
-def run(model: Model, scenario: Scenario, config: Optional[SimConfig] = None) -> Trace:
-    """Step until quiescence or max_ticks; quiescence is recorded as a final
-    trace event."""
+def stream(model: Model, scenario: Scenario, config: Optional[SimConfig] = None) -> Iterator[TraceEvent]:
+    """Step until quiescence or max_ticks, yielding each tick's records as
+    the tick makes them; quiescence is recorded as a final record.  The
+    records leave ``sim.trace`` once yielded, so a run keeps none of them:
+    its memory follows the live things, not the length of the run."""
     config = config or SimConfig()
     sim = Simulation(model, scenario, config)
-    while sim.tick < config.max_ticks and sim.live():
+    trace = sim.trace
+    while True:
+        yield from trace
+        trace.clear()
+        if sim.tick >= config.max_ticks or not sim.live():
+            break
         sim.step()
     if not sim.live():
         sim._emit(TraceEvent(sim.tick, "quiescent", None, None, None, None))
-    return sim.trace
+        yield from trace
+
+
+def run(model: Model, scenario: Scenario, config: Optional[SimConfig] = None) -> Trace:
+    """The whole trace of `stream`, as one list."""
+    return list(stream(model, scenario, config))
 
 
 # Scenario checks -----------------------------------------------------------

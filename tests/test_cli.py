@@ -7,7 +7,7 @@ import pathlib
 import sys
 
 import pytest
-from conftest import golden_text, load_corpus_model, load_corpus_scenario
+from conftest import golden_text
 from oracle import run_oracle
 
 from fmkit import behavior, cli
@@ -421,19 +421,6 @@ def test_conform_rejects_mistyped_field(capsys, tmp_path, field, value):
     assert code == 2
     assert "line 2" in err and field in err
     assert out == ""
-
-
-def test_sim_streams_the_trace_write_trace_gives(capsys, tmp_path):
-    model = load_corpus_model("plant")
-    expected = write_trace(run(model, load_corpus_scenario(model, "plant_water"), SimConfig(max_ticks=60)))
-    argv = ["sim", str(CORPUS / "plant.fm"), "--scenario", str(CORPUS / "plant_water.fms"), "--ticks", "60"]
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 0 and err == ""
-    assert out == expected
-    trace_path = tmp_path / "out.jsonl"
-    code, out, err = run_cli(capsys, *argv, "--trace", str(trace_path))
-    assert code == 0 and out == ""
-    assert trace_path.read_bytes() == expected.encode("utf-8")
 
 
 DEEP = "[" * 100_000
