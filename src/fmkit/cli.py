@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional
 from . import jsonl
 
 if TYPE_CHECKING:
-    from .behavior import BehaviorAutomaton, EnforcementGate
+    from .behavior import BehaviorAutomaton, EnforcementGate, Verdict
     from .diagnostics import Diagnostic
     from .model import Model
     from .simulate import TraceEvent
@@ -29,12 +29,17 @@ def _fail(message: str, code: int = USAGE) -> NoReturn:
     raise SystemExit(code)
 
 
+def _cannot_read(path: str, exc: OSError | UnicodeDecodeError) -> NoReturn:
+    reason = "not valid UTF-8" if isinstance(exc, UnicodeDecodeError) else exc.strerror
+    _fail(f"cannot read {path}: {reason}")
+
+
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
-        _fail(f"cannot read {path}: {exc.strerror}")
+    except (OSError, UnicodeDecodeError) as exc:
+        _cannot_read(path, exc)
 
 
 def _write(path: str, lines: Iterable[str]) -> None:
@@ -91,6 +96,26 @@ def _behavior_automaton(model: Model, name: str) -> BehaviorAutomaton:
         raise SystemExit(FAIL)
 
 
+# Occurrences per write of a verdict: few enough that a long verdict's dicts
+# and text never exist all at once, many enough that an unbuffered stdout
+# (python -u) is not one system call per occurrence.
+_VERDICT_CHUNK = 256
+
+
+def _print_verdict(verdict: Verdict) -> None:
+    """Print ``jsonl.dumps(verdict.to_json())`` and a newline, writing the
+    occurrences a chunk at a time."""
+    head = jsonl.dumps(verdict._replace(occurrences=()).to_json())  # sorted: ends '"occurrences":[]}'
+    write = sys.stdout.write
+    write(head[:-2])
+    occurrences = verdict.occurrences
+    for start in range(0, len(occurrences), _VERDICT_CHUNK):
+        chunk = occurrences[start:start + _VERDICT_CHUNK]
+        text = jsonl.dumps([occ.to_json() for occ in chunk])[1:-1]  # without the list's brackets
+        write("," + text if start else text)
+    write("]}\n")
+
+
 def _observed(records: Iterator[TraceEvent], run: EnforcementGate) -> Iterator[TraceEvent]:
     """Pass each record on after the run has observed it."""
     for record in records:
@@ -128,7 +153,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
         sys.stdout.writelines(lines)
     if run is not None:
         verdict = run.verdict()
-        print(jsonl.dumps(verdict.to_json()))
+        _print_verdict(verdict)
         if args.mode == "observe" and not verdict.conforms:
             return FAIL
     return OK
@@ -149,11 +174,14 @@ def cmd_conform(args: argparse.Namespace) -> int:
     model = _validated_model(args.file)
     automaton = _behavior_automaton(model, args.behavior)
     try:
-        trace = export.read_trace(_read(args.trace))
+        with open(args.trace, "r", encoding="utf-8") as handle:
+            # Each line is scanned as it is read, and none is kept.
+            verdict = bhv.check(export.trace_records(handle), model.events, automaton)
+    except (OSError, UnicodeDecodeError) as exc:
+        _cannot_read(args.trace, exc)
     except export.TraceParseError as exc:
         _fail(f"{args.trace}: {exc}")
-    verdict = bhv.check(trace, model.events, automaton)
-    print(jsonl.dumps(verdict.to_json()))
+    _print_verdict(verdict)
     return OK if verdict.conforms else FAIL
 
 

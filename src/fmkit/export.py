@@ -204,6 +204,27 @@ def _decode_line(i: int, line: str) -> TraceEvent | None:
 def read_trace(text: str | Iterable[str]) -> Trace:
     """Inverse of write_trace; raises TraceParseError naming the bad line.
 
+    The records of ``trace_records`` over the text's lines (split as
+    ``jsonl.split_lines`` splits them), or over the given lines, as a list."""
+    lines = jsonl.split_lines(text) if isinstance(text, str) else text
+    # The cyclic collector never untracks a tuple subclass, so each
+    # collection during the read would walk every record read so far.
+    # Records of strings, integers and None form no cycle: pause it.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return list(trace_records(lines))
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def trace_records(lines: Iterable[str]) -> Iterator[TraceEvent]:
+    """Each record of a trace's lines as it is read; raises TraceParseError
+    naming the bad line.  A line may keep its final ``\\n`` (a file opened in
+    text mode gives its lines so, broken where ``jsonl.split_lines`` breaks
+    them); the line end is never part of what is decoded.
+
     One fast path reads the writer's own line shape: each distinct head
     (the text before ``,"thing":``) is checked by one pattern once per
     call, so records with the same head share its interned strings, and
@@ -212,22 +233,6 @@ def read_trace(text: str | Iterable[str]) -> Trace:
     integers past ``sys.get_int_max_str_digits``) goes through the full
     decoder, which gives the same record, or the same error with the same
     line number, as it would for a line in the writer's shape."""
-    lines = jsonl.split_lines(text) if isinstance(text, str) else list(text)
-    # The cyclic collector never untracks a tuple subclass, so each
-    # collection during the read would walk every record read so far.
-    # Records of strings, integers and None form no cycle: pause it.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _records(lines)
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def _records(lines: Iterable[str]) -> Trace:
-    trace: Trace = []
-    append = trace.append
     new = tuple.__new__
     heads: dict[str, tuple[str, str | None, str | None, str | None]] = {}
     for i, line in enumerate(lines, start=1):
@@ -242,14 +247,15 @@ def _records(lines: Iterable[str]) -> Trace:
             thing, tick = match.groups()
             action, kind, at, arc = fields
             try:
-                append(new(TraceEvent, (int(tick), action, None if thing == "null" else int(thing), kind, at, arc)))
-                continue
+                record = new(TraceEvent, (int(tick), action, None if thing == "null" else int(thing), kind, at, arc))
             except ValueError:  # past sys.get_int_max_str_digits
                 pass
-        event = _decode_line(i, line)
+            else:
+                yield record
+                continue
+        event = _decode_line(i, line[:-1] if line[-1:] == "\n" else line)
         if event is not None:
-            append(event)
-    return trace
+            yield event
 
 
 # DOT mini-grammar ------------------------------------------------------------

@@ -320,6 +320,17 @@ def test_conform_malformed_trace_exits_two(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_conform_trace_with_a_late_bad_byte_prints_no_verdict(capsys, tmp_path):
+    # The trace is scanned as it is read: thousands of valid lines, read
+    # and scanned, come before the byte that is not UTF-8.
+    trace_path = tmp_path / "late.jsonl"
+    trace_path.write_bytes(golden_text("tvm_exact").encode("utf-8") * 100 + b'{"action":"\xff"}\n')
+    code, out, err = run_cli(
+        capsys, "conform", str(CORPUS / "tvm.fm"), "--behavior", "cash_purchase", "--trace", str(trace_path)
+    )
+    assert (code, out, err) == (2, "", f"fmkit: cannot read {trace_path}: not valid UTF-8\n")
+
+
 def test_history_point_query(capsys):
     code, out, err = run_cli(
         capsys,
@@ -771,6 +782,23 @@ EXIT_TWO = {
         ["history", "{ledger}", "--slot", "P101"],
         "fmkit: history --slot needs --at or --timeline",
     ),
+    # A file holding the byte 0xff, which no UTF-8 text holds.
+    "check-model-not-utf-8": (
+        ["check", "{binary}"],
+        "fmkit: cannot read {binary}: not valid UTF-8",
+    ),
+    "sim-scenario-not-utf-8": (
+        ["sim", "{tvm}", "--scenario", "{binary}"],
+        "fmkit: cannot read {binary}: not valid UTF-8",
+    ),
+    "conform-trace-not-utf-8": (
+        ["conform", "{tvm}", "--behavior", "cash_purchase", "--trace", "{binary}"],
+        "fmkit: cannot read {binary}: not valid UTF-8",
+    ),
+    "history-log-not-utf-8": (
+        ["history", "{binary}", "--slot", "P101", "--timeline"],
+        "fmkit: cannot read {binary}: not valid UTF-8",
+    ),
 }
 
 
@@ -782,7 +810,9 @@ def test_exit_two_path_prints_one_line(capsys, tmp_path, case):
         "ledger": str(CORPUS / "pump_history.fmh"),
         "missing": str(tmp_path / "missing"),
         "dir": str(tmp_path),
+        "binary": str(tmp_path / "binary"),
     }
+    (tmp_path / "binary").write_bytes(b"\xff\n")
     argv, line = EXIT_TWO[case]
     argv = [arg.format(**names) for arg in argv]
     assert run_cli(capsys, *argv) == (2, "", line.format(**names) + "\n")

@@ -1,14 +1,17 @@
 """The trace reader against its reference (``trace_reference``, the reader
 before the fast path): the same records, or the same TraceParseError with
 the same line number and message, on writer output, on mutants of it and on
-fixed edge lines; and the writer's own output never reaches the fallback
-decoder."""
+fixed edge lines, whether the reader is given the text or streams the lines
+of a file opened as ``fmkit conform`` opens it; and the writer's own output
+never reaches the fallback decoder."""
 from __future__ import annotations
 
 import gc
 import io
+import os
 import pathlib
 import re
+import tempfile
 
 import pytest
 import trace_reference
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 from test_cli_fuzz import mutate
 
 from fmkit import jsonl
-from fmkit.export import TraceParseError, read_trace, write_trace
+from fmkit.export import TraceParseError, read_trace, trace_records, write_trace
 from fmkit.simulate import TraceEvent
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -33,9 +36,22 @@ def outcome(read, text):
         return ("error", exc.line_no, str(exc))
 
 
+def streamed(text: str) -> list[TraceEvent]:
+    """``trace_records`` over a file holding ``text``, written in binary and
+    opened in text mode as ``fmkit conform`` opens its trace: the file
+    object breaks lines at \\n, \\r\\n and \\r and gives each with a \\n."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "trace.jsonl")
+        with open(path, "wb") as handle:
+            handle.write(text.encode("utf-8"))
+        with open(path, "r", encoding="utf-8") as handle:
+            return list(trace_records(handle))
+
+
 def assert_same_as_reference(text: str) -> None:
     expected = outcome(trace_reference.read_trace, text)
     assert outcome(read_trace, text) == expected
+    assert outcome(streamed, text) == expected
     # Lines from a file keep their "\n": the same records and errors.
     assert outcome(read_trace, io.StringIO(text)) == outcome(trace_reference.read_trace, io.StringIO(text))
 
@@ -81,7 +97,7 @@ def writer_text(trace: list[TraceEvent], rewrites) -> str:
 def test_reader_matches_reference_on_writer_output(trace, rewrites):
     text = writer_text(trace, rewrites)
     if not rewrites:
-        assert read_trace(text) == trace
+        assert read_trace(text) == trace == streamed(text)
     assert_same_as_reference(text)
 
 
@@ -125,6 +141,8 @@ EDGE_LINES = {
     "array": f"[{GOOD}]",
     "raw-control-character": GOOD.replace('"kind":"cash"', '"kind":"ca\x1fsh"'),
     "raw-line-separator": GOOD.replace('"kind":"cash"', '"kind":"ca\u2028sh"'),
+    "raw-next-line": GOOD.replace('"kind":"cash"', '"kind":"ca\x85sh"'),
+    "unterminated-string": GOOD[: GOOD.index('"cash"') + 3],
     "deep-nesting": "[" * 100_000,
     "long-tick": GOOD.replace('"tick":1', '"tick":' + "9" * 5000),
     "blank": "",
@@ -167,8 +185,9 @@ def test_writer_output_never_reaches_the_fallback_decoder(monkeypatch):
     traces = [read_trace(text) for text in texts]
     # Lines that keep their line end, as a file object gives them.
     from_lines = [read_trace(io.StringIO(text)) for text in texts]
+    from_files = [streamed(text) for text in texts]
     assert calls == []
-    assert traces == expected and from_lines == expected
+    assert traces == expected and from_lines == expected and from_files == expected
     # Records share their strings: one object per distinct value.
     strings = [s for event in traces[-1] for s in event[3:] if s is not None]
     assert len({id(s) for s in strings}) == len(set(strings))

@@ -3,11 +3,16 @@ had a fast path for the writer's line shape.
 
 Every line is scanned as one JSON value from its first character; a line
 the scan does not consume whole is skipped when blank and otherwise goes
-through the full decoder, so every error message is the decoder's.  The
-one change from the original is the bugfix both readers share: an integer
-longer than ``sys.get_int_max_str_digits``, on which the decoder raises a
-plain ValueError, is the error ``not valid JSON: number is out of range``
-instead of an escaping ValueError.
+through the full decoder, so every error message is the decoder's.  Two
+changes from the original are fixes both readers share:
+
+- an integer longer than ``sys.get_int_max_str_digits``, on which the
+  decoder raises a plain ValueError, is the error ``not valid JSON: number
+  is out of range`` instead of an escaping ValueError;
+- a line given with its final ``\n`` (as a file gives its lines) is read
+  without it, so an unterminated string is ``Unterminated string`` whether
+  the lines came from a text or from a file, not ``Invalid control
+  character`` from the line end.
 """
 from __future__ import annotations
 
@@ -26,7 +31,10 @@ _scan = _DECODER.scan_once
 
 
 def read_trace(text: str | Iterable[str]) -> Trace:
-    lines = jsonl.split_lines(text) if isinstance(text, str) else list(text)
+    if isinstance(text, str):
+        lines = jsonl.split_lines(text)
+    else:
+        lines = [line[:-1] if line.endswith("\n") else line for line in text]
     trace: Trace = []
     append = trace.append
     for i, line in enumerate(lines, start=1):
