@@ -163,9 +163,14 @@ def cmd_dot(args: argparse.Namespace) -> int:
     from . import export
     model = _validated_model(args.file)
     if args.behavior is not None:
-        sys.stdout.write(export.behavior_to_dot(_behavior_automaton(model, args.behavior)))
+        text = export.behavior_to_dot(_behavior_automaton(model, args.behavior))
     else:
-        sys.stdout.write(export.model_to_dot(model, show_implicit=args.show_implicit))
+        text = export.model_to_dot(model, show_implicit=args.show_implicit)
+    # In pieces: unbuffered (python -u), a write that a closing pipe cuts
+    # short returns as if whole and only the next one raises BrokenPipeError,
+    # so a short write of the last piece still goes unseen.
+    for start in range(0, len(text), 1 << 16):
+        sys.stdout.write(text[start:start + (1 << 16)])
     return OK
 
 

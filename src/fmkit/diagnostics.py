@@ -11,15 +11,16 @@ _set = object.__setattr__  # how a frozen record sets its fields
 
 class Record:
     """A record with ``__slots__``: equal only to a record of its own class
-    whose ``_fields`` are equal, and printed with them.  Slots not named in
-    ``_fields`` (source spans) stay out of equality and repr.  A plain
-    record is mutable and unhashable; see ``FrozenRecord``."""
+    whose ``_key`` (its ``_fields``, unless it defines one) is equal, and
+    printed with ``_fields``.  Slots not named there (source spans) stay out
+    of equality and repr.  A plain record is mutable and unhashable; see
+    ``FrozenRecord``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        if cls._fields:  # an attrgetter is no descriptor: called as self._key(self)
+        if cls._fields and "_key" not in cls.__dict__:  # an attrgetter is no descriptor: called as self._key(self)
             cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other: object) -> bool:

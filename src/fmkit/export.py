@@ -36,22 +36,16 @@ def model_to_dot(model: Model, show_implicit: bool = True) -> str:
         return ".".join(ep.path) + "." + ep.stage.value
 
     edge_lines: list[str] = []
-    if show_implicit:
-        for arc in model.flows:
-            attrs = []
-            if not arc.label.startswith("@"):
-                attrs.append(f"label={_q(arc.label)}")
-            if arc.is_implicit:
-                attrs.append("color=gray")
-            suffix = f" [{', '.join(attrs)}]" if attrs else ""
-            edge_lines.append(f"  {_q(node_of(arc.src))} -> {_q(node_of(arc.dst))}{suffix};")
-    else:
-        for arc in model.flows:
-            if not arc.is_chain_head:
-                continue
-            dst = arc.authored_dst or arc.dst
-            suffix = f" [label={_q(arc.label)}]" if not arc.label.startswith("@") else ""
-            edge_lines.append(f"  {_q(node_of(arc.src))} -> {_q(node_of(dst))}{suffix};")
+    for arc in model.flows:
+        if not (show_implicit or arc.is_chain_head):
+            continue
+        # A chain head is never implicit: without implicit stages, no edge is gray.
+        dst = arc.dst if show_implicit else arc.authored_dst or arc.dst
+        attrs = [] if arc.label.startswith("@") else [f"label={_q(arc.label)}"]
+        if arc.is_implicit:
+            attrs.append("color=gray")
+        suffix = f" [{', '.join(attrs)}]" if attrs else ""
+        edge_lines.append(f"  {_q(node_of(arc.src))} -> {_q(node_of(dst))}{suffix};")
     for trig in model.triggers:
         attrs = ["style=dashed"]
         if not trig.label.startswith("@"):

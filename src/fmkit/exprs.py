@@ -7,6 +7,7 @@ raises :class:`EvalError`, which the simulator maps to guard-false plus a
 """
 from __future__ import annotations
 
+import operator
 from typing import Mapping, Union
 
 from .diagnostics import FrozenRecord, _set
@@ -31,6 +32,12 @@ NOT_PREC = 3
 CMP_PREC = 4
 ATOM_PREC = 7
 
+# ``evaluate``'s binary operators, but 'and' and 'or' (short-circuit) and '/' (floors, checks 0).
+_APPLY = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge, "+": operator.add, "-": operator.sub, "*": operator.mul,
+}
+
 
 class TypeError_(Exception):
     """An expression failed to type-check against a thing kind."""
@@ -42,6 +49,10 @@ class EvalError(Exception):
 
 class Lit(FrozenRecord):
     __slots__ = _fields = ("value",)
+
+    @staticmethod
+    def _key(lit: Lit) -> tuple:  # by type too: Lit(1), Lit(1.0) and Lit(True) print apart
+        return (type(lit.value), lit.value)
 
     def __init__(self, value: Value) -> None:
         _set(self, "value", value)
@@ -158,26 +169,9 @@ def evaluate(expr: Expr, attrs: Mapping[str, Value]) -> Value:
         return bool(evaluate(expr.left, attrs)) or bool(evaluate(expr.right, attrs))
     lv = evaluate(expr.left, attrs)
     rv = evaluate(expr.right, attrs)
-    op = expr.op
-    if op == "==":
-        return lv == rv
-    if op == "!=":
-        return lv != rv
-    if op == "<":
-        return lv < rv
-    if op == "<=":
-        return lv <= rv
-    if op == ">":
-        return lv > rv
-    if op == ">=":
-        return lv >= rv
     try:
-        if op == "+":
-            return lv + rv
-        if op == "-":
-            return lv - rv
-        if op == "*":
-            return lv * rv
+        if expr.op != "/":
+            return _APPLY[expr.op](lv, rv)
         if rv == 0:
             raise EvalError("division by zero")
         if isinstance(lv, int) and not isinstance(lv, bool) and isinstance(rv, int):

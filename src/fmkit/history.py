@@ -12,6 +12,7 @@ from datetime import datetime, timezone
 from typing import Iterable, Optional
 
 from . import jsonl
+from .diagnostics import FrozenRecord, _set
 
 ACTIONS = ("receive", "install", "remove")
 
@@ -53,10 +54,10 @@ def parse_timestamp(text: str) -> datetime:
         raise HistoryError("bad-timestamp", f"timestamp '{text}' is out of range in UTC") from exc
 
 
-class ReplacementRecord:
+class ReplacementRecord(FrozenRecord):
     """One ledger line: immutable, equal and hashed field by field."""
 
-    __slots__ = ("slot", "unit", "action", "at", "performer", "contractor", "note")
+    __slots__ = _fields = ("slot", "unit", "action", "at", "performer", "contractor", "note")
 
     def __init__(self, slot: str, unit: str, action: str, at: str, performer: str, contractor: str,
                  note: Optional[str] = None) -> None:
@@ -67,42 +68,20 @@ class ReplacementRecord:
         if action not in ACTIONS:
             raise HistoryError("bad-record", f"unknown action '{action}'")
         parse_timestamp(at)
-        set_field = object.__setattr__  # self.__setattr__ refuses every assignment
-        set_field(self, "slot", slot)
-        set_field(self, "unit", unit)
-        set_field(self, "action", action)
-        set_field(self, "at", at)
-        set_field(self, "performer", performer)
-        set_field(self, "contractor", contractor)
-        set_field(self, "note", note)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field '{name}'")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field '{name}'")
-
-    def _fields(self) -> tuple:
-        return (self.slot, self.unit, self.action, self.at, self.performer, self.contractor, self.note)
-
-    def __eq__(self, other: object) -> bool:
-        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.slot, self.unit, self.action, self.at, self.performer, self.contractor, self.note))
-
-    def __repr__(self) -> str:
-        return f"ReplacementRecord({', '.join(f'{n}={v!r}' for n, v in zip(self.__slots__, self._fields()))})"
-
-    def __reduce__(self):
-        return ReplacementRecord, self._fields()
+        _set(self, "slot", slot)
+        _set(self, "unit", unit)
+        _set(self, "action", action)
+        _set(self, "at", at)
+        _set(self, "performer", performer)
+        _set(self, "contractor", contractor)
+        _set(self, "note", note)
 
     @property
     def timestamp(self) -> datetime:
         return parse_timestamp(self.at)
 
     def to_json(self) -> dict:
-        obj = dict(zip(self.__slots__, self._fields()))
+        obj = dict(zip(self._fields, self._key(self)))
         if self.note is None:
             del obj["note"]
         return obj

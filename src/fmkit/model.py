@@ -475,45 +475,27 @@ def shortest_chain(src_stage: Stage, dst_stage: Stage, same_machine: bool) -> Op
     Nodes are (machine-side, stage) with side 0 = source machine and side 1 =
     destination machine; for same-machine arcs only side 0 exists.  Returns
     the node tuple including both ends, or None when no legal chain exists.
-    There are only 5 x 5 x 2 inputs, so each answer is computed once.
-    Raises ModelError if several shortest chains tie (the legality table is
-    built so that this cannot happen; a meta-test asserts it).
+    There are only 5 x 5 x 2 inputs, so each answer is computed once.  No two
+    shortest chains tie, so the first one the search reaches is the answer:
+    test_shortest_chain_unique_for_every_stage_pair (tests/test_model_core.py)
+    lists every shortest chain of all 50 inputs to prove it.
     """
     start = (0, src_stage)
     goal = (0 if same_machine else 1, dst_stage)
-
-    def successors(node: tuple[int, Stage]) -> list[tuple[int, Stage]]:
-        side, stage = node
-        out = [(side, b) for (a, b) in INTRA_EDGES if a is stage]
-        if not same_machine and side == 0 and stage is Stage.TRANSFER:
-            out.append((1, Stage.TRANSFER))
-        return out
-
-    # BFS collecting every shortest path; a chain must have at least one arc.
-    best: Optional[int] = None
-    paths: list[list[tuple[int, Stage]]] = []
-    queue: deque[list[tuple[int, Stage]]] = deque([[start]])
+    chains = {start: (start,)}  # node reached -> shortest chain from start to it
+    queue = deque([start])
     while queue:
-        path = queue.popleft()
-        if best is not None and len(path) > best + 1:
-            break
-        node = path[-1]
-        if node == goal and len(path) > 1:
-            if best is None:
-                best = len(path) - 1
-            if len(path) - 1 == best:
-                paths.append(path)
-            continue
-        if best is not None and len(path) - 1 >= best:
-            continue
-        for nxt in successors(node):
-            if nxt in path and nxt != goal:
-                continue  # no revisits except to close a loop at the goal
-            queue.append(path + [nxt])
-    if not paths:
-        return None
-    if len(paths) > 1:
-        raise ModelError(
-            f"ambiguous expansion {src_stage}->{dst_stage} (same_machine={same_machine})"
-        )
-    return tuple(paths[0])
+        node = queue.popleft()
+        side, stage = node
+        succs = [(side, b) for (a, b) in INTRA_EDGES if a is stage]
+        if not same_machine and side == 0 and stage is Stage.TRANSFER:
+            succs.append((1, Stage.TRANSFER))
+        for nxt in succs:
+            # The goal is tested before the visited set: a chain has at least
+            # one arc, so it may end on the node where it starts.
+            if nxt == goal:
+                return chains[node] + (nxt,)
+            if nxt not in chains:
+                chains[nxt] = chains[node] + (nxt,)
+                queue.append(nxt)
+    return None

@@ -38,9 +38,14 @@ A tick touches only the things that can change:
   renders nor hashes one per thing: every record's ``at`` is the text of a
   site, built once per endpoint (the records at one endpoint share one
   string), and pending enables are kept by site.
+* Enables.  A gated site's pending enables are a queue of deposit ticks,
+  oldest first.  An enable deposited at tick t is usable from t+1, and the
+  oldest is used first; every pending enable is usable by the next tick, so
+  ``live()`` asks only whether the site holds one.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional, Protocol
 
@@ -151,7 +156,7 @@ class Simulation:
         self.tick = 0
         self.things: dict[int, Thing] = {}
         self.next_id = 1
-        self.pending_enables: dict[Site, list[int]] = {}  # enable ticks by gated site
+        self.pending_enables: dict[Site, list[int]] = {}  # gated site -> enable ticks, oldest first
         self.pending_firings: list[_Firing] = []
         self._calendar: dict[int, list[int]] = {}  # completion tick -> thing ids
         self._parked: set[int] = set()
@@ -233,7 +238,7 @@ class Simulation:
         if blocked is None:
             blocked = []  # parking must see blocked records the caller drops
         by_hop: dict[Hop, list[Thing]] = {}
-        budget = {site: sum(1 for t in ticks if t < tick) for site, ticks in self.pending_enables.items()}
+        budget = {site: bisect_left(ticks, tick) for site, ticks in self.pending_enables.items()}
         claimed: dict[Site, int] = {}
         for thing in self.things.values():
             if thing.id in parked:
@@ -343,11 +348,9 @@ class Simulation:
                 continue
             site = thing.site
             if site.gated:
-                ticks = self.pending_enables.get(site, [])
-                idx = next((i for i, t in enumerate(ticks) if t < tick), None)
-                if idx is None:
-                    continue
-                ticks.pop(idx)
+                # Within the budget, so the head is from an earlier tick.
+                ticks = self.pending_enables[site]
+                del ticks[0]
                 if not ticks:
                     del self.pending_enables[site]
             moved.add(thing.id)
@@ -385,7 +388,7 @@ class Simulation:
             hops = [thing.next] if thing.next is not None else self._open_heads(thing, None)
             if not hops:
                 continue
-            if site.gated and not any(t <= self.tick for t in self.pending_enables.get(site, [])):
+            if site.gated and site not in self.pending_enables:
                 continue
             if gate is None or any(gate.permits(hop.label) for hop in hops):
                 return True

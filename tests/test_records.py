@@ -380,8 +380,13 @@ def test_span_stays_out_of_equality():
         assert one == twin and one.span != twin.span
 
 
-def test_lit_equality_is_by_value_and_repr_keeps_the_type():
-    assert Lit(1) == Lit(1.0) == Lit(True)
+def test_lit_equality_is_by_type_and_value_and_repr_keeps_the_type():
+    assert Lit(1) != Lit(1.0) and Lit(1) != Lit(True) and Lit(1.0) != Lit(True)
+    assert len({Lit(1), Lit(1.0), Lit(True)}) == 3
+    assert Lit(1) == Lit(1) and hash(Lit(2.5)) == hash(Lit(2.5))
+    # So machines whose assigns print differently (`1`, `1.0`) differ too.
+    machines = [Machine("m", "w", (Stage.PROCESS,), assigns=(("x", Lit(v)),)) for v in (1, 1.0)]
+    assert machines[0] != machines[1]
     assert [repr(Lit(v)) for v in (1, 1.0, True)] == ["Lit(value=1)", "Lit(value=1.0)", "Lit(value=True)"]
 
 

@@ -200,10 +200,12 @@ def test_sim_memory_follows_the_live_things_not_the_run_length(tmp_path):
     assert long_peak < 1.5 * short_peak, (short_peak, long_peak)
 
 
-def _python(*argv: str) -> subprocess.Popen:
-    # Without PYTHONUNBUFFERED: unbuffered, a write larger than the pipe
-    # can be cut short with no error, so a closed reader would go unseen.
+def _python(*argv: str, unbuffered: bool) -> subprocess.Popen:
+    # Unbuffered, a write larger than the pipe can be cut short with no
+    # error; the command must still see the closed reader on a later write.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = str(ROOT / "src")
     return subprocess.Popen(
         [sys.executable, "-m", "fmkit.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
@@ -226,14 +228,15 @@ def test_reader_closing_stdout_early_exits_two_without_a_traceback(tmp_path, com
         argv = ["sim", str(CORPUS / "plant.fm"), "--scenario", str(CORPUS / "plant_water.fms"), "--ticks", "1000"]
     else:
         argv = ["dot", str(_long_line_model(tmp_path / "line.fm"))]
-    proc = _python(*argv)
-    first = proc.stdout.readline()
-    proc.stdout.close()  # as `| head -n 1` does
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 2
-    assert first.startswith(b"{" if command == "sim" else b"digraph")
-    assert err == "fmkit: cannot write output: Broken pipe\n"
+    for unbuffered in (False, True):
+        proc = _python(*argv, unbuffered=unbuffered)
+        first = proc.stdout.readline()
+        proc.stdout.close()  # as `| head -n 1` does
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2, unbuffered
+        assert first.startswith(b"{" if command == "sim" else b"digraph")
+        assert err == "fmkit: cannot write output: Broken pipe\n", unbuffered
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -250,8 +250,8 @@ def test_run_deterministic(tvm):
     assert first == second
 
 
-def test_enable_gates_targeted_stage():
-    # A stage targeted by a trigger holds things until the trigger fires.
+def gated_model():
+    """A ``go`` thing's completion at s/ctl.process enables s/held.process."""
     source = (
         "thing w\n"
         "thing go\n"
@@ -266,16 +266,46 @@ def test_enable_gates_targeted_stage():
     )
     model, diags = load_model(source)
     assert not any(d.is_error for d in diags)
+    return model
+
+
+def test_enable_gates_targeted_stage():
+    # A stage targeted by a trigger holds things until the trigger fires.
     scenario = Scenario(
         (
             Injection(0, "w", Endpoint(("s", "held"), Stage.CREATE), ()),
             Injection(5, "go", Endpoint(("s", "ctl"), Stage.CREATE), ()),
         )
     )
-    trace = run(model, scenario, SimConfig(max_ticks=30))
+    trace = run(gated_model(), scenario, SimConfig(max_ticks=30))
     out_move = next(e for e in trace if e.action == "move" and e.arc == "out")
     fire = next(e for e in trace if e.action == "trigger-fired")
     assert out_move.tick == fire.tick + 1  # released on the tick after the enable
+
+
+def test_a_move_uses_the_oldest_pending_enable():
+    # Enables reach s/held.process at ticks 2 and 3.  The w thing waiting
+    # there moves at tick 3 on the enable of tick 2, and the one of tick 3
+    # stays queued: traces cannot show which one a move takes.
+    model = gated_model()
+    go = Endpoint(("s", "ctl"), Stage.CREATE)
+    scenario = Scenario(
+        (
+            Injection(0, "w", Endpoint(("s", "held"), Stage.CREATE), ()),
+            Injection(0, "go", go, ()),
+            Injection(1, "go", go, ()),
+        )
+    )
+    sim = Simulation(model, scenario, SimConfig(max_ticks=30))
+    site = model.index.site(Endpoint(("s", "held"), Stage.PROCESS))
+    queues = []
+    for _ in range(3):
+        sim.step()
+        queues.append(list(sim.pending_enables.get(site, ())))
+    assert queues == [[], [2], [3]]
+    assert [(e.tick, e.thing) for e in sim.trace if e.arc == "out"] == [(3, 1)]
+    got = write_trace(run(model, scenario, SimConfig(max_ticks=30)))
+    assert got == run_oracle(model, scenario, max_ticks=30)
 
 
 def test_dwell_two_slows_movement():
