@@ -128,6 +128,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
     for flag, value, least in (("--ticks", args.ticks, 0), ("--dwell", args.dwell, 1)):
         if value < least:
             _fail(f"sim {flag} must be >= {least}, got {value}")
+    if args.mode == "enforce" and args.behavior is None:
+        _fail("sim --mode enforce needs --behavior")
     model = _validated_model(args.file)
     scenario, diags = simulate.parse_scenario(_read(args.scenario), args.scenario)
     diags.extend(simulate.check_scenario(model, scenario))

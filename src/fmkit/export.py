@@ -5,7 +5,6 @@ emitted sorted, so output is byte-stable across runs and platforms.
 """
 from __future__ import annotations
 
-import gc
 import re
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -200,17 +199,7 @@ def read_trace(text: str | Iterable[str]) -> Trace:
 
     The records of ``trace_records`` over the text's lines (split as
     ``jsonl.split_lines`` splits them), or over the given lines, as a list."""
-    lines = jsonl.split_lines(text) if isinstance(text, str) else text
-    # The cyclic collector never untracks a tuple subclass, so each
-    # collection during the read would walk every record read so far.
-    # Records of strings, integers and None form no cycle: pause it.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return list(trace_records(lines))
-    finally:
-        if collecting:
-            gc.enable()
+    return list(trace_records(jsonl.split_lines(text) if isinstance(text, str) else text))
 
 
 def trace_records(lines: Iterable[str]) -> Iterator[TraceEvent]:

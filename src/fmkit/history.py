@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from datetime import datetime, timezone
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import jsonl
 from .diagnostics import FrozenRecord, _set
@@ -235,10 +235,9 @@ class ReplacementLog:
         return jsonl.lines(r.to_json() for r in self._records)
 
     @classmethod
-    def from_lines(cls, text: str | Iterable[str]) -> "ReplacementLog":
-        lines = jsonl.split_lines(text) if isinstance(text, str) else list(text)
+    def from_lines(cls, text: str) -> "ReplacementLog":
         log = cls()
-        for i, line in enumerate(lines, start=1):
+        for i, line in enumerate(jsonl.split_lines(text), start=1):
             if not line.strip():
                 continue
             try:

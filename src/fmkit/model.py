@@ -327,11 +327,7 @@ class Model(Record):
 
     def spheres(self) -> Iterator[tuple[tuple[str, ...], Sphere]]:
         """Depth-first walk yielding (path, sphere) pairs."""
-        stack = [((root.name,), root) for root in reversed(self.roots)]
-        while stack:
-            path, sphere = stack.pop()
-            yield path, sphere
-            stack.extend((path + (child.name,), child) for child in reversed(sphere.children))
+        return walk_spheres(self.roots)
 
     def machines(self) -> Iterator[tuple[tuple[str, ...], Machine]]:
         """Yields (path-including-machine-name, machine) pairs, depth first."""
@@ -339,6 +335,16 @@ class Model(Record):
 
     def find_machine(self, path: tuple[str, ...]) -> Optional[Machine]:
         return self._machines.get(path)
+
+
+def walk_spheres(roots: Sequence[Sphere]) -> Iterator[tuple[tuple[str, ...], Sphere]]:
+    """(path, sphere) for each sphere under ``roots``, depth first, children
+    in source order."""
+    stack = [((root.name,), root) for root in reversed(roots)]
+    while stack:
+        path, sphere = stack.pop()
+        yield path, sphere
+        stack.extend((path + (child.name,), child) for child in reversed(sphere.children))
 
 
 class Hop:
@@ -353,7 +359,7 @@ class Hop:
 class Site:
     """An endpoint as the simulator reads it (see ``ModelIndex.site``)."""
 
-    __slots__ = ("ep", "text", "gated", "heads", "triggers", "assigns", "leaves")
+    __slots__ = ("ep", "text", "kind", "gated", "heads", "triggers", "assigns", "leaves")
 
 
 class ModelIndex:
@@ -379,19 +385,19 @@ class ModelIndex:
             hop.next = self._hops.get(f"{arc.family}.{arc.index + 1}") if arc.index + 1 < arc.chain_len else None
 
     def site(self, ep: Endpoint) -> Site:
-        """The text of ``ep``, whether it waits on an enable (a trigger into a
-        stage other than create targets it), its chain-head hops and triggers
-        in label order, its machine's assigns (process only), any arc out."""
+        """The text of ``ep``, its machine's kind, whether it waits on an enable (a trigger
+        into a stage other than create targets it), its chain-head hops and triggers in
+        label order, its machine's assigns (process only), any arc out."""
         site = self.sites.get(ep)
         if site is None:
-            model = self.model
             site = self.sites[ep] = Site()
             hops = self._hops_from.get(ep, ())
-            machine = model.find_machine(ep.path) if ep.stage is Stage.PROCESS else None
+            machine = self.model.find_machine(ep.path)
             site.ep, site.text, site.gated = ep, str(ep), ep in self._gated
+            site.kind = machine.kind if machine is not None else None
             site.heads = tuple(hop for hop in hops if hop.arc.is_chain_head)
             site.triggers = tuple(self._triggers_from.get(ep, ()))
-            site.assigns = machine.assigns if machine is not None else ()
+            site.assigns = machine.assigns if machine is not None and ep.stage is Stage.PROCESS else ()
             site.leaves = bool(hops or site.triggers)
         return site
 

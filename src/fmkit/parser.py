@@ -23,7 +23,7 @@ from .exprs import ATOM_PREC, BINARY_PREC, CMP_PREC, NOT_PREC
 from .lexer import Token, tokenize
 from .model import (
     AttrSpec, BehaviorDecl, Chrono, Choice, Endpoint, Interrupt, Machine, Par, Ref, Repeat, Seq, Sphere, Stage,
-    STAGES_BY_NAME, ThingKind,
+    STAGES_BY_NAME, ThingKind, walk_spheres,
 )
 
 STAGE_KEYWORDS = frozenset(STAGES_BY_NAME)
@@ -587,44 +587,40 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
     """Resolve every name in the AST, reporting duplicates and dangling refs."""
     diags: list[Diagnostic] = []
 
-    kinds: dict[str, ThingKind] = {}
+    def unique(seen: set[str], name: str, message: str, span: Optional[SourceSpan]) -> bool:
+        """Add ``name`` to ``seen``; one already there is a duplicate-name: ``message`` at ``span``."""
+        if name in seen:
+            diags.append(error("duplicate-name", message.format(name), span))
+            return False
+        seen.add(name)
+        return True
+
+    kind_names: set[str] = set()
+    kind_attrs: dict[str, dict[str, str]] = {}  # the first declaration's
     for kind in tree.kinds:
-        if kind.name in kinds:
-            diags.append(error("duplicate-name", f"thing kind '{kind.name}' is already declared", kind.span))
-        else:
-            kinds[kind.name] = kind
-        seen_attrs = set()
+        if unique(kind_names, kind.name, "thing kind '{}' is already declared", kind.span):
+            kind_attrs[kind.name] = kind.attr_types()
+        attr_names: set[str] = set()
         for attr in kind.attrs:
-            if attr.name in seen_attrs:
-                diags.append(error("duplicate-name", f"attribute '{attr.name}' is already declared", attr.span))
-            seen_attrs.add(attr.name)
+            unique(attr_names, attr.name, "attribute '{}' is already declared", attr.span)
 
     # Index machines by full path while checking sibling uniqueness.
     machines: dict[tuple[str, ...], Machine] = {}
 
-    top_seen: set[str] = set()
+    root_names: set[str] = set()
     for root in tree.spheres:
-        if root.name in top_seen:
-            diags.append(error("duplicate-name", f"sphere '{root.name}' is already declared", root.span))
-        top_seen.add(root.name)
-        stack = [((root.name,), root)]  # depth first, children in source order
-        while stack:
-            path, sphere = stack.pop()
+        unique(root_names, root.name, "sphere '{}' is already declared", root.span)
+        for path, sphere in walk_spheres((root,)):
             seen: set[str] = set()
             for child in sphere.children:
-                if child.name in seen:
-                    diags.append(error("duplicate-name", f"sphere '{child.name}' is already declared here", child.span))
-                seen.add(child.name)
+                unique(seen, child.name, "sphere '{}' is already declared here", child.span)
             for m in sphere.machines:
-                if m.name in seen:
-                    diags.append(error("duplicate-name", f"machine '{m.name}' is already declared here", m.span))
-                seen.add(m.name)
+                unique(seen, m.name, "machine '{}' is already declared here", m.span)
                 machines[path + (m.name,)] = m
-                if m.kind not in kinds:
+                if m.kind not in kind_attrs:
                     diags.append(error("unresolved-reference", f"unknown thing kind '{m.kind}'", m.kind_span))
                 for stage in m.repeats:
                     diags.append(error("duplicate-name", f"stage '{stage}' is already declared on '{m.name}'", m.span))
-            stack.extend((path + (child.name,), child) for child in reversed(sphere.children))
 
     def check_endpoint(ep: Endpoint, span: SourceSpan) -> Optional[Machine]:
         m = machines.get(ep.path)
@@ -636,16 +632,12 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
             return None
         return m
 
-    kind_attrs = {name: kind.attr_types() for name, kind in kinds.items()}
-
     labels: set[str] = set()
     for arc in tree.arcs:
         src_m = check_endpoint(arc.src, arc.src_span)
         dst_m = check_endpoint(arc.dst, arc.dst_span)
         if arc.label is not None:
-            if arc.label in labels:
-                diags.append(error("duplicate-name", f"arc label '{arc.label}' is already used", arc.span))
-            labels.add(arc.label)
+            unique(labels, arc.label, "arc label '{}' is already used", arc.span)
         if src_m is not None:
             src_attrs = kind_attrs.get(src_m.kind, {})
             if arc.guard is not None:
@@ -669,18 +661,14 @@ def _bind(tree: ast.ModelAst) -> list[Diagnostic]:
 
     event_names: set[str] = set()
     for event in tree.events:
-        if event.name in event_names:
-            diags.append(error("duplicate-name", f"event '{event.name}' is already declared", event.span))
-        event_names.add(event.name)
+        unique(event_names, event.name, "event '{}' is already declared", event.span)
         for label in event.labels:
             if label not in labels:
                 diags.append(error("unresolved-reference", f"no arc labeled '{label}'", event.span))
 
     behavior_names: set[str] = set()
     for behavior in tree.behaviors:
-        if behavior.name in behavior_names:
-            diags.append(error("duplicate-name", f"behavior '{behavior.name}' is already declared", behavior.span))
-        behavior_names.add(behavior.name)
+        unique(behavior_names, behavior.name, "behavior '{}' is already declared", behavior.span)
         for ref in _chrono_refs(behavior.program):
             if ref not in event_names:
                 diags.append(

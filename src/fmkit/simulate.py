@@ -32,12 +32,13 @@ A tick touches only the things that can change:
   monotone and a consumed thing is never re-inserted.
 * Sites.  Each thing carries the ``Site`` of its location from
   ``Model.index`` (set on spawn and on move) and the next ``Hop`` of the
-  chain it is on.  A step reads its text, gated flag, chain-head hops,
-  triggers and assigns from the site, and a move follows the hop to its
-  destination site.  ``Endpoint`` caches nothing, so a step neither
-  renders nor hashes one per thing: every record's ``at`` is the text of a
-  site, built once per endpoint (the records at one endpoint share one
-  string), and pending enables are kept by site.
+  chain it is on.  A site carries its text, its machine's kind, gated
+  flag, chain-head hops, triggers and assigns, which a step reads, and a
+  move follows the hop to its destination site.  ``Endpoint`` caches
+  nothing, so a step neither renders nor hashes one per thing: every
+  record's ``at`` is the text of a site, built once per endpoint (the
+  records at one endpoint share one string), and pending enables are kept
+  by site.
 * Enables.  A gated site's pending enables are a queue of deposit ticks,
   oldest first.  An enable deposited at tick t is usable from t+1, and the
   oldest is used first; every pending enable is usable by the next tick, so
@@ -52,7 +53,7 @@ from typing import Iterator, NamedTuple, Optional, Protocol
 from . import exprs
 from .ast import Injection, Scenario  # noqa: F401  (Injection re-exported)
 from .diagnostics import Diagnostic, Record, SourceSpan, error
-from .model import Endpoint, Hop, Model, ResolutionError, Site, Stage, TriggerArc, resolve_path
+from .model import Hop, Model, ResolutionError, Site, Stage, TriggerArc, resolve_path
 from .parser import parse_scenario  # noqa: F401  (re-exported)
 
 Value = exprs.Value
@@ -75,14 +76,7 @@ class TraceEvent(NamedTuple):
     arc: Optional[str]
 
     def to_json(self) -> dict:
-        return {
-            "tick": self.tick,
-            "action": self.action,
-            "thing": self.thing,
-            "kind": self.kind,
-            "at": self.at,
-            "arc": self.arc,
-        }
+        return self._asdict()
 
 
 Trace = list  # of TraceEvent
@@ -165,8 +159,7 @@ class Simulation:
         )  # stable: ties keep declaration order
         self._next_injection = 0
         self.trace: Trace = []
-        for event in self._apply_injections():
-            self._emit(event)
+        self._apply_injections()
 
     # Event plumbing -------------------------------------------------------
 
@@ -177,8 +170,9 @@ class Simulation:
 
     # Spawning -------------------------------------------------------------
 
-    def _spawn(self, kind_name: str, target: Endpoint, values: dict[str, Value]) -> tuple[Thing, TraceEvent]:
-        """Spawn with the given values (coerced already) and defaults for the rest."""
+    def _spawn(self, kind_name: str, site: Site, values: dict[str, Value]) -> None:
+        """Spawn at ``site`` with the given values (coerced already) and
+        defaults for the rest, and emit the spawn record."""
         kind = self.model.kinds[kind_name]
         dec = self.index.dec[kind_name]
         attrs: dict[str, Value] = {}
@@ -189,24 +183,20 @@ class Simulation:
                 attrs[spec.name] = _coerce(spec.default, spec.name, dec)
             else:
                 raise SimError(f"spawn of {kind_name} lacks attribute '{spec.name}'")
-        site = self.index.site(target)
         thing = Thing(self.next_id, kind_name, attrs, self.tick, site)
         self.next_id += 1
         self.things[thing.id] = thing
         self._calendar.setdefault(self.tick + self.config.stage_dwell, []).append(thing.id)
-        return thing, _new(TraceEvent, (self.tick, "spawn", thing.id, kind_name, site.text, None))
+        self._emit(_new(TraceEvent, (self.tick, "spawn", thing.id, kind_name, site.text, None)))
 
-    def _apply_injections(self) -> list[TraceEvent]:
-        events: list[TraceEvent] = []
+    def _apply_injections(self) -> None:
         while self._next_injection < len(self.injections):
             inj = self.injections[self._next_injection]
             if inj.tick > self.tick:
                 break
             self._next_injection += 1
             values = {name: _coerce(v, name, self.index.dec[inj.kind]) for name, v in inj.attrs}
-            _, event = self._spawn(inj.kind, inj.target, values)
-            events.append(event)
-        return events
+            self._spawn(inj.kind, self.index.site(inj.target), values)
 
     # Move candidates ------------------------------------------------------
 
@@ -274,9 +264,7 @@ class Simulation:
         tick = self.tick
         gate = self.config.gate
         emit = self.trace.append if gate is None else self._emit
-
-        for event in self._apply_injections():
-            emit(event)
+        self._apply_injections()
 
         # Dwell completions: assigns evaluate, then triggers enqueue.
         dwell = self.config.stage_dwell
@@ -299,7 +287,7 @@ class Simulation:
                         continue
                     values = {name: exprs.evaluate(expr, thing.attrs) for name, expr in trig.spawn_attrs}
                     if values and trig.dst.stage is Stage.CREATE:
-                        dec = self.index.dec[self.model.find_machine(trig.dst.path).kind]
+                        dec = self.index.dec[self.index.site(trig.dst).kind]
                         values = {name: _coerce(v, name, dec) for name, v in values.items()}
                 except exprs.EvalError:
                     emit(_new(TraceEvent, (tick, "blocked", thing.id, thing.kind, site.text, trig.label)))
@@ -322,9 +310,7 @@ class Simulation:
             dst = self.index.site(trig.dst)
             emit(_new(TraceEvent, (tick, "trigger-fired", source_id, source_kind, dst.text, label)))
             if trig.dst.stage is Stage.CREATE:
-                target_kind = self.model.find_machine(trig.dst.path).kind
-                _, event = self._spawn(target_kind, trig.dst, values)
-                emit(event)
+                self._spawn(dst.kind, dst, values)
             else:
                 self.pending_enables.setdefault(dst, []).append(tick)
             if trig.consuming and source is not None and source.site.ep == trig.src:

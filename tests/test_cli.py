@@ -210,13 +210,19 @@ def test_sim_int_too_large_for_a_dec_stored_by_assign_or_spawn_is_blocked(capsys
     ]
 
 
+# The same spawn into a machine of another kind, whose dec attributes are not
+# the source kind's: the spawned kind decides which values become floats.
+SPAWNED_BIG_INT = "thing u { b: dec = 1.0 }\n" + STORED_BIG_INT.replace("k: t", "k: u").replace("{ a = n } #sp", "{ b = n } #sp")
+
+
 def test_int_too_large_for_a_dec_blocks_as_the_oracle_does():
-    model, diags = load_model(STORED_BIG_INT)
-    assert diags == [] and validate(model).ok
-    scenario = Scenario((Injection(0, "t", Endpoint(("s", "m"), Stage.CREATE), ()),))
-    trace = write_trace(run(model, scenario, SimConfig(max_ticks=20)))
-    assert trace == run_oracle(model, scenario, max_ticks=20)
-    assert sum(1 for line in trace.splitlines() if '"blocked"' in line) == 2
+    for source in (STORED_BIG_INT, SPAWNED_BIG_INT):
+        model, diags = load_model(source)
+        assert diags == [] and validate(model).ok
+        scenario = Scenario((Injection(0, "t", Endpoint(("s", "m"), Stage.CREATE), ()),))
+        trace = write_trace(run(model, scenario, SimConfig(max_ticks=20)))
+        assert trace == run_oracle(model, scenario, max_ticks=20)
+        assert sum(1 for line in trace.splitlines() if '"blocked"' in line) == 2
 
 
 def test_sim_plant_without_behavior(capsys, tmp_path):
@@ -246,7 +252,8 @@ def test_sim_bad_scenario_exits_two(capsys, tmp_path):
 @pytest.mark.parametrize(
     "flag, value, message",
     [("--ticks", "-1", "fmkit: sim --ticks must be >= 0, got -1"),
-     ("--dwell", "0", "fmkit: sim --dwell must be >= 1, got 0")],
+     ("--dwell", "0", "fmkit: sim --dwell must be >= 1, got 0"),
+     ("--mode", "enforce", "fmkit: sim --mode enforce needs --behavior")],
 )
 def test_sim_out_of_range_flag_exits_two(capsys, flag, value, message):
     code, out, err = run_cli(
@@ -710,6 +717,34 @@ CHECK_OUTPUT = {
 @pytest.mark.parametrize("name", sorted(CHECK_OUTPUT))
 def test_check_corpus_output_is_pinned(capsys, name):
     assert run_cli(capsys, "check", str(CORPUS / f"{name}.fm")) == (0, CHECK_OUTPUT[name], "")
+
+
+# The corpus outputs nothing above pins, as (exit code, sha256 prefix of
+# stdout, stderr): DOT in both modes and of a behaviour, dwell-2 traces, and
+# history queries.  Corpus file names stand for their paths.
+CORPUS_OUTPUT = {
+    ("dot", "plant.fm"): (0, "fa344ed164747d34", ""),
+    ("dot", "plant.fm", "--no-show-implicit"): (0, "f99e8e1291743016", ""),
+    ("dot", "turbine.fm"): (0, "2d267575368701a6", ""),
+    ("dot", "turbine.fm", "--no-show-implicit"): (0, "af19bb327cc78db4", ""),
+    ("dot", "tvm.fm"): (0, "0a7fd36e36b55593", ""),
+    ("dot", "tvm.fm", "--no-show-implicit"): (0, "d51204808084ab86", ""),
+    ("dot", "tvm.fm", "--behavior", "cash_purchase"): (0, "155973d23fb55149", ""),
+    ("sim", "plant.fm", "--scenario", "plant_water.fms", "--dwell", "2"): (0, "823e278190f881fc", ""),
+    ("sim", "tvm.fm", "--scenario", "tvm_cancel.fms", "--dwell", "2"): (0, "fdba8b94ac93e41b", ""),
+    ("sim", "tvm.fm", "--scenario", "tvm_exact.fms", "--dwell", "2"): (0, "2888efc1c2453e91", ""),
+    ("sim", "tvm.fm", "--scenario", "tvm_insufficient.fms", "--dwell", "2"): (0, "6742ddca1e7145ea", ""),
+    ("sim", "tvm.fm", "--scenario", "tvm_topup.fms", "--dwell", "2"): (0, "6c5387584fee2478", ""),
+    ("history", "pump_history.fmh", "--slot", "P101", "--at", "2024-01-01T00:00:00Z"): (0, "fe03311f01b5aac3", ""),
+    ("history", "pump_history.fmh", "--slot", "P101", "--timeline"): (0, "f4e02476f830a577", ""),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CORPUS_OUTPUT), ids="_".join)
+def test_corpus_output_is_pinned(capsys, argv):
+    paths = [str(CORPUS / arg) if arg.endswith((".fm", ".fms", ".fmh")) else arg for arg in argv]
+    code, out, err = run_cli(capsys, *paths)
+    assert (code, _sha(out), err) == CORPUS_OUTPUT[argv]
 
 
 FINDINGS_MODEL = """\
