@@ -71,6 +71,17 @@ class OccurrenceScanner:
         # event -> thing -> [start tick, flow labels traversed so far]
         self._progress: dict[str, dict[int, list]] = {e.name: {} for e in events}
 
+    def owners(self, action: str, at: Optional[str], arc: Optional[str]) -> Optional[list[str]]:
+        """Names of the events a record with this action, stage text and arc
+        label touches, in event order; None when it touches none."""
+        if action == "move":
+            return self._by_flow.get(arc)
+        if action == "trigger-fired":
+            return self.by_arc.get(arc)
+        if action == "spawn" or action == "consume":
+            return self._by_stage.get(at)
+        return None
+
     def feed(self, event: TraceEvent) -> list[Occurrence]:
         """Consume one trace record; return occurrences it completed."""
         out: list[Occurrence] = []
@@ -78,14 +89,7 @@ class OccurrenceScanner:
         if thing is None:
             return out
         action = event.action
-        if action == "move":
-            names = self._by_flow.get(event.arc)
-        elif action == "trigger-fired":
-            names = self.by_arc.get(event.arc)
-        elif action == "spawn" or action == "consume":
-            names = self._by_stage.get(event.at)
-        else:
-            return out
+        names = self.owners(action, event.at, event.arc)
         if names is None:
             return out
         for name in names:

@@ -182,8 +182,10 @@ def cmd_conform(args: argparse.Namespace) -> int:
     automaton = _behavior_automaton(model, args.behavior)
     try:
         with open(args.trace, "r", encoding="utf-8") as handle:
-            # Each line is scanned as it is read, and none is kept.
-            verdict = bhv.check(export.trace_records(handle), model.events, automaton)
+            # Each line is scanned as it is read, and none is kept; only the
+            # records some event watches are built.
+            watched = bhv.OccurrenceScanner(model.events).owners
+            verdict = bhv.check(export.trace_records(handle, watched), model.events, automaton)
     except (OSError, UnicodeDecodeError) as exc:
         _cannot_read(args.trace, exc)
     except export.TraceParseError as exc:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import jsonl
 from .model import Model, Sphere
@@ -202,7 +202,7 @@ def read_trace(text: str | Iterable[str]) -> Trace:
     return list(trace_records(jsonl.split_lines(text) if isinstance(text, str) else text))
 
 
-def trace_records(lines: Iterable[str]) -> Iterator[TraceEvent]:
+def trace_records(lines: Iterable[str], watched: Callable[..., object] | None = None) -> Iterator[TraceEvent]:
     """Each record of a trace's lines as it is read; raises TraceParseError
     naming the bad line.  A line may keep its final ``\\n`` (a file opened in
     text mode gives its lines so, broken where ``jsonl.split_lines`` breaks
@@ -215,27 +215,41 @@ def trace_records(lines: Iterable[str]) -> Iterator[TraceEvent]:
     escapes, whitespace, other key orders, ``true`` or ``1.0`` as a tick,
     integers past ``sys.get_int_max_str_digits``) goes through the full
     decoder, which gives the same record, or the same error with the same
-    line number, as it would for a line in the writer's shape."""
+    line number, as it would for a line in the writer's shape.
+
+    Given ``watched(action, at, arc)`` (``fmkit conform`` passes the
+    events' ``OccurrenceScanner.owners``), it is asked once per distinct
+    head, and only records whose head it calls true are built.  Every line
+    is still validated, with the same errors: a line with an unwatched head
+    yields nothing when its tail is in the writer's shape and under 640
+    characters (the least nonzero ``sys.get_int_max_str_digits``, so no
+    integer in it can be too long), and is otherwise read as unfiltered."""
     new = tuple.__new__
-    heads: dict[str, tuple[str, str | None, str | None, str | None]] = {}
+    # head -> (action, kind, at, arc), or () for a head no event watches
+    heads: dict[str, tuple[str, str | None, str | None, str | None] | tuple[()]] = {}
     for i, line in enumerate(lines, start=1):
         head, _, tail = line.partition(',"thing":')
         fields = heads.get(head)
         if fields is None:
             fields = _head_fields(head)
             if fields is not None:
+                if watched is not None and not watched(fields[0], fields[2], fields[3]):
+                    fields = ()
                 heads[head] = fields
-        match = _TAIL.fullmatch(tail) if fields is not None else None
-        if match is not None:
-            thing, tick = match.groups()
-            action, kind, at, arc = fields
-            try:
-                record = new(TraceEvent, (int(tick), action, None if thing == "null" else int(thing), kind, at, arc))
-            except ValueError:  # past sys.get_int_max_str_digits
-                pass
-            else:
-                yield record
-                continue
+        if fields:
+            match = _TAIL.fullmatch(tail)
+            if match is not None:
+                thing, tick = match.groups()
+                action, kind, at, arc = fields
+                try:
+                    record = new(TraceEvent, (int(tick), action, None if thing == "null" else int(thing), kind, at, arc))
+                except ValueError:  # past sys.get_int_max_str_digits
+                    pass
+                else:
+                    yield record
+                    continue
+        elif fields is not None and len(tail) < 640 and _TAIL.fullmatch(tail):
+            continue
         event = _decode_line(i, line[:-1] if line[-1:] == "\n" else line)
         if event is not None:
             yield event

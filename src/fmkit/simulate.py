@@ -195,7 +195,10 @@ class Simulation:
             if inj.tick > self.tick:
                 break
             self._next_injection += 1
-            values = {name: _coerce(v, name, self.index.dec[inj.kind]) for name, v in inj.attrs}
+            dec = self.index.dec.get(inj.kind)
+            if dec is None:
+                raise SimError(f"injection of undeclared kind '{inj.kind}'")
+            values = {name: _coerce(v, name, dec) for name, v in inj.attrs}
             self._spawn(inj.kind, self.index.site(inj.target), values)
 
     # Move candidates ------------------------------------------------------

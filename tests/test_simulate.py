@@ -582,3 +582,13 @@ def test_sim_config_rejects_out_of_range_values(fields, message):
     with pytest.raises(SimError) as info:
         SimConfig(**fields)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("tick", [0, 3], ids=["at-start", "mid-run"])
+def test_injection_of_an_undeclared_kind_is_a_sim_error(tvm, tick):
+    # An unchecked scenario: check_scenario reports the kind, run does not get there.
+    scenario = Scenario((Injection(tick, "nokind", Endpoint(("passenger", "cash"), Stage.CREATE), ()),))
+    assert any("unknown thing kind 'nokind'" in d.message for d in check_scenario(tvm, scenario))
+    with pytest.raises(SimError) as info:
+        run(tvm, scenario, SimConfig(max_ticks=10))
+    assert str(info.value) == "injection of undeclared kind 'nokind'"

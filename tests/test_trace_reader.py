@@ -3,7 +3,10 @@ before the fast path): the same records, or the same TraceParseError with
 the same line number and message, on writer output, on mutants of it and on
 fixed edge lines, whether the reader is given the text or streams the lines
 of a file opened as ``fmkit conform`` opens it; and the writer's own output
-never reaches the fallback decoder."""
+never reaches the fallback decoder.  Given the events' ``owners`` filter,
+as ``fmkit conform`` gives it, the reader gives the verdict ``check`` gives
+over the reference's records, or the reference's error at the same line,
+and leaves out only records no event watches."""
 from __future__ import annotations
 
 import gc
@@ -11,16 +14,18 @@ import io
 import os
 import pathlib
 import re
+import sys
 import tempfile
 
 import pytest
 import trace_reference
-from conftest import golden_text
+from conftest import golden_text, load_corpus_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli_fuzz import mutate
 
 from fmkit import jsonl
+from fmkit.behavior import OccurrenceScanner, check
 from fmkit.export import TraceParseError, read_trace, trace_records, write_trace
 from fmkit.simulate import TraceEvent
 
@@ -36,7 +41,7 @@ def outcome(read, text):
         return ("error", exc.line_no, str(exc))
 
 
-def streamed(text: str) -> list[TraceEvent]:
+def streamed(text: str, watched=None) -> list[TraceEvent]:
     """``trace_records`` over a file holding ``text``, written in binary and
     opened in text mode as ``fmkit conform`` opens its trace: the file
     object breaks lines at \\n, \\r\\n and \\r and gives each with a \\n."""
@@ -45,7 +50,7 @@ def streamed(text: str) -> list[TraceEvent]:
         with open(path, "wb") as handle:
             handle.write(text.encode("utf-8"))
         with open(path, "r", encoding="utf-8") as handle:
-            return list(trace_records(handle))
+            return list(trace_records(handle, watched))
 
 
 def assert_same_as_reference(text: str) -> None:
@@ -54,6 +59,42 @@ def assert_same_as_reference(text: str) -> None:
     assert outcome(streamed, text) == expected
     # Lines from a file keep their "\n": the same records and errors.
     assert outcome(read_trace, io.StringIO(text)) == outcome(trace_reference.read_trace, io.StringIO(text))
+    assert_filtered_same_as_reference(text)
+
+
+# The tvm model's events and its cash_purchase program, as the CLI tests
+# conform against them: no event watches a move along arc 3, one watches a
+# move along arc 23.
+TVM = load_corpus_model("tvm")
+PROGRAM = TVM.behavior("cash_purchase").program
+WATCHED = OccurrenceScanner(TVM.events).owners
+
+
+def watched_only(trace: list[TraceEvent]) -> list[TraceEvent]:
+    return [e for e in trace if WATCHED(e.action, e.at, e.arc)]
+
+
+def reference_verdict(text: str):
+    return check(trace_reference.read_trace(text), TVM.events, PROGRAM)
+
+
+def filtered_verdict(text: str):
+    return check(trace_records(jsonl.split_lines(text), WATCHED), TVM.events, PROGRAM)
+
+
+def assert_filtered_same_as_reference(text: str) -> None:
+    """Filtered, the reader gives check's verdict over the reference's
+    records, or the reference's error with the same line; of the records,
+    it keeps every watched one, in order, and leaves out only unwatched ones."""
+    assert outcome(filtered_verdict, text) == outcome(reference_verdict, text)
+    full = outcome(trace_reference.read_trace, text)
+    filtered = outcome(lambda text: streamed(text, WATCHED), text)
+    if isinstance(full, tuple):  # the reference's error
+        assert filtered == full
+    else:
+        assert watched_only(filtered) == watched_only(full)
+        rest = iter(full)
+        assert all(any(e == f for f in rest) for e in filtered), "not a subsequence of the full records"
 
 
 # Quotes, backslashes, non-ASCII, raw line separators that are not line
@@ -107,6 +148,39 @@ def test_reader_matches_reference_on_mutants(trace, rewrites, rnd):
     assert_same_as_reference(mutate(rnd, writer_text(trace, rewrites)))
 
 
+# Records in the tvm model's own terms, so that some heads are watched and
+# some occurrences complete; strings in any shape still come in.
+TVM_ARCS = sorted([a.label for a in TVM.flows] + [t.label for t in TVM.triggers])
+TVM_STAGES = sorted({e.at for name in GOLDEN_TRACES if name.startswith("tvm") for e in read_trace(golden_text(name))} - {None})
+tvm_events = st.builds(
+    TraceEvent,
+    tick=st.one_of(st.integers(0, 300), ints),
+    action=st.sampled_from(ACTIONS),
+    thing=st.one_of(st.none(), st.integers(1, 3), ints),
+    kind=strings,
+    at=st.one_of(st.sampled_from(TVM_STAGES), strings),
+    arc=st.one_of(st.sampled_from(TVM_ARCS), strings),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(tvm_events, max_size=30), long_ints)
+def test_filtered_reader_matches_reference_on_writer_output(trace, rewrites):
+    text = writer_text(trace, rewrites)
+    if not rewrites:
+        # Left out: each unwatched record whose line is in the writer's
+        # shape; a line with an escape in it is read whole, as unfiltered.
+        kept = [e for e in trace if WATCHED(e.action, e.at, e.arc) or "\\" in write_trace([e])]
+        assert streamed(text, WATCHED) == kept
+    assert_filtered_same_as_reference(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(tvm_events, min_size=1, max_size=12), long_ints, st.randoms(use_true_random=False))
+def test_filtered_reader_matches_reference_on_mutants(trace, rewrites, rnd):
+    assert_filtered_same_as_reference(mutate(rnd, writer_text(trace, rewrites)))
+
+
 GOOD = '{"action":"move","arc":"23","at":"tvm/cash.receive","kind":"cash","thing":1,"tick":1}'
 EDGE_LINES = {
     "tick-minus-zero": GOOD.replace('"tick":1', '"tick":-0'),
@@ -156,6 +230,40 @@ EDGE_LINES = {
 @pytest.mark.parametrize("trailer", ["", "\n", "\n  \n\t"], ids=["none", "blank", "blanks"])
 def test_reader_matches_reference_on_edge_lines(line, end, trailer):
     assert_same_as_reference(end.join([GOOD, line, GOOD]) + end + trailer)
+
+
+# The edge lines with the head of a move along arc 3, which no event
+# watches: a line that would be left out still gives its error.
+UNWATCHED = GOOD.replace('"arc":"23"', '"arc":"3"')
+UNWATCHED_EDGE_LINES = {name: line.replace('"arc":"23"', '"arc":"3"') for name, line in EDGE_LINES.items()}
+
+
+@pytest.mark.parametrize("line", UNWATCHED_EDGE_LINES.values(), ids=UNWATCHED_EDGE_LINES.keys())
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_filtered_reader_matches_reference_on_unwatched_edge_lines(line, end):
+    assert not WATCHED("move", "tvm/cash.receive", "3") and WATCHED("move", "tvm/cash.receive", "23")
+    assert_same_as_reference(end.join([GOOD, UNWATCHED, line, GOOD]) + end)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer string limit")
+@pytest.mark.parametrize("field", ["tick", "thing"])
+@pytest.mark.parametrize("digits", [600, 628, 629, 630, 639, 640, 641, 700, 4301])
+def test_filtered_reader_rejects_an_over_limit_integer_on_an_unwatched_line(field, digits):
+    # 640 is the least nonzero limit; a tail under 640 characters is checked
+    # by pattern alone, so it must hold no integer past that limit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        line = UNWATCHED.replace(f'"{field}":1', f'"{field}":' + "9" * digits)
+        text = "\n".join([GOOD, UNWATCHED, line, GOOD]) + "\n"
+        assert_same_as_reference(text)
+        got = outcome(filtered_verdict, text)
+        if digits > 640:
+            assert got == ("error", 3, "line 3: not valid JSON: number is out of range")
+        else:
+            assert got == reference_verdict(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def tiled_corpus_trace(tiles: int = 40) -> str:
