@@ -133,10 +133,10 @@ def _too_large() -> BehaviorError:
 
 
 class _Fragment(Record):
-    __slots__ = _fields = ("start", "finals", "nodes")
+    __slots__ = _fields = ("start", "finals")
 
-    def __init__(self, start: int, finals: frozenset[int], nodes: frozenset[int]) -> None:
-        self.start, self.finals, self.nodes = start, finals, nodes
+    def __init__(self, start: int, finals: frozenset[int]) -> None:
+        self.start, self.finals = start, finals
 
 
 class _NfaBuilder:
@@ -158,22 +158,19 @@ class _NfaBuilder:
                 raise BehaviorError("unresolved-ref", f"unknown event '{node.event}'")
             a, b = self.node(), self.node()
             self.edge(a, node.event, b)
-            return _Fragment(a, frozenset({b}), frozenset({a, b}))
+            return _Fragment(a, frozenset({b}))
         if isinstance(node, Seq):
             frags = [self.build(c, known) for c in node.children]
             for left, right in zip(frags, frags[1:]):
                 for f in left.finals:
                     self.edge(f, None, right.start)
-            nodes = frozenset().union(*(f.nodes for f in frags))
-            return _Fragment(frags[0].start, frags[-1].finals, nodes)
+            return _Fragment(frags[0].start, frags[-1].finals)
         if isinstance(node, Choice):
             frags = [self.build(c, known) for c in node.children]
             start = self.node()
             for f in frags:
                 self.edge(start, None, f.start)
-            finals = frozenset().union(*(f.finals for f in frags))
-            nodes = frozenset({start}).union(*(f.nodes for f in frags))
-            return _Fragment(start, finals, nodes)
+            return _Fragment(start, frozenset().union(*(f.finals for f in frags)))
         if isinstance(node, Par):
             frags = [self.build(c, known) for c in node.children]
             merged = frags[0]
@@ -188,24 +185,25 @@ class _NfaBuilder:
                 return inner
             start = self.node()
             self.edge(start, None, inner.start)
-            return _Fragment(start, inner.finals | {start}, inner.nodes | {start})
+            return _Fragment(start, inner.finals | {start})
         if isinstance(node, Interrupt):
+            # Nodes are numbered as they are made, so the body's are one range
+            # (with those a `par` in it left unreachable behind its product).
+            first = self.next_node
             body = self.build(node.body, known)
+            body_end, mark = self.next_node, len(self.edges)
             watcher = self.build(node.watcher, known)
-            handler = self.build(node.handler, known)
             # Tag the watcher's own transitions so diagrams can dash them.
-            self.edges = [
-                (s, lbl, d, True if s in watcher.nodes and d in watcher.nodes and lbl is not None else w)
-                for (s, lbl, d, w) in self.edges
-            ]
+            self.edges[mark:] = [(s, lbl, d, True) for (s, lbl, d, _) in self.edges[mark:]]
+            handler = self.build(node.handler, known)
             for f in watcher.finals:
                 self.edge(f, None, handler.start)
             # The watcher is armed at every point during the body, not after
             # the body has completed.
-            for s in body.nodes - body.finals:
-                self.edge(s, None, watcher.start)
-            nodes = body.nodes | watcher.nodes | handler.nodes
-            return _Fragment(body.start, body.finals | handler.finals, nodes)
+            for s in range(first, body_end):
+                if s not in body.finals:
+                    self.edge(s, None, watcher.start)
+            return _Fragment(body.start, body.finals | handler.finals)
         raise BehaviorError("unresolved-ref", f"not a chronology node: {node!r}")
 
     def _shuffle(self, a: _Fragment, b: _Fragment) -> _Fragment:
@@ -213,35 +211,27 @@ class _NfaBuilder:
         rows_a, finals_a = _determinize(self.edges, a.start, a.finals)
         rows_b, finals_b = _determinize(self.edges, b.start, b.finals)
         mapping: dict[tuple[int, int], int] = {}
+        pairs: list[tuple[int, int]] = []  # made, not yet walked
 
         def get(pair: tuple[int, int]) -> int:
-            if pair not in mapping:
+            node = mapping.get(pair)
+            if node is None:
                 if len(mapping) == MAX_STATES:
                     raise _too_large()
-                mapping[pair] = self.node()
-            return mapping[pair]
+                node = mapping[pair] = self.node()
+                pairs.append(pair)
+            return node
 
         start = get((0, 0))
-        pairs = [(0, 0)]
-        seen = {pairs[0]}
         while pairs:
             pa, pb = pairs.pop()
-            src = get((pa, pb))
+            src = mapping[(pa, pb)]
             for label, dst, watcher in rows_a[pa]:
-                nxt = (dst, pb)
-                self.edge(src, label, get(nxt), watcher)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    pairs.append(nxt)
+                self.edge(src, label, get((dst, pb)), watcher)
             for label, dst, watcher in rows_b[pb]:
-                nxt = (pa, dst)
-                self.edge(src, label, get(nxt), watcher)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    pairs.append(nxt)
-        finals = frozenset(get((x, y)) for (x, y) in seen if x in finals_a and y in finals_b)
-        nodes = frozenset(mapping.values())
-        return _Fragment(start, finals, nodes)
+                self.edge(src, label, get((pa, dst)), watcher)
+        finals = frozenset(n for (x, y), n in mapping.items() if x in finals_a and y in finals_b)
+        return _Fragment(start, finals)
 
 
 def _determinize(
@@ -255,8 +245,8 @@ def _determinize(
 
     Labelled edges are indexed by source once, so a subset costs the edges
     out of its members, not every edge of the NFA.  A fragment being
-    shuffled needs no restriction to its nodes: its nodes are fresh, and
-    the edges that will join it to the rest are added after the shuffle.
+    shuffled is walked from its start alone: its nodes are fresh, and the
+    edges that will join it to the rest are added after the shuffle.
     Raises BehaviorError past MAX_STATES states.
     """
     eps: dict[int, list[int]] = {}

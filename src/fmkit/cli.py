@@ -50,6 +50,26 @@ def _write(path: str, lines: Iterable[str]) -> None:
         _fail(f"cannot write {path}: {exc.strerror}")
 
 
+def _replace(path: str, text: str) -> None:
+    """Write ``text`` to a new file beside ``path``'s target and move it over
+    that, so a failed write leaves the old file whole; if none can be made, in place."""
+    import tempfile
+    real = os.path.realpath(path)
+    try:
+        fd, new = tempfile.mkstemp(dir=os.path.dirname(real), prefix=".fmkit-")
+    except OSError:
+        return _write(path, [text])
+    os.close(fd)
+    try:
+        with open(new, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.chmod(new, os.stat(real).st_mode & 0o7777)
+        os.replace(new, real)
+    except OSError as exc:
+        os.unlink(new)
+        _fail(f"cannot write {path}: {exc.strerror}")
+
+
 def _report(diags: Iterable[Diagnostic]) -> None:
     for d in diags:
         print(d.render(), file=sys.stderr)
@@ -205,7 +225,7 @@ def cmd_history(args: argparse.Namespace) -> int:
             log.append(history.ReplacementRecord.from_json(jsonl.decode(args.append)))
         except (jsonl.JSONLineError, history.HistoryError) as exc:
             _fail(f"append rejected: {exc}", FAIL)
-        _write(args.log, [log.to_lines()])
+        _replace(args.log, log.to_lines())
         return OK
     if args.slot is None:
         _fail("history needs --slot (with --at or --timeline) or --append")

@@ -233,14 +233,12 @@ class _Parser:
                 child = self.parse_sphere(inner)
                 if child:
                     sphere.children.append(child)
-            elif self.cur.type == "machine":
-                m = self.parse_machine()
-                if m:
-                    sphere.machines.append(m)
-            elif self.cur.type == "flow" or self.cur.type == "trigger":
-                a = self.parse_arc()
-                if a:
-                    own.append(a)
+            elif self.cur.type == "machine" or self.cur.type == "flow" or self.cur.type == "trigger":
+                item = self.parse_machine() if self.cur.type == "machine" else self.parse_arc()
+                if item is None:  # after a failed head
+                    self.synchronize(SPHERE_ITEM_KEYWORDS)
+                else:
+                    (sphere.machines if isinstance(item, Machine) else own).append(item)
             else:
                 self.error(
                     f"expected sphere, machine, flow, or trigger, found '{self.cur.text or self.cur.type}'"
@@ -256,11 +254,9 @@ class _Parser:
         start = self.advance()  # 'machine'
         name_tok = self.expect("IDENT", "a machine name")
         if name_tok is None or self.expect(":") is None:
-            self.synchronize(SPHERE_ITEM_KEYWORDS)
             return None
         kind_tok = self.expect("IDENT", "a thing-kind name")
         if kind_tok is None or self.expect("{") is None:
-            self.synchronize(SPHERE_ITEM_KEYWORDS)
             return None
         declared: list[Stage] = []
         implicit: list[Stage] = []
@@ -327,16 +323,10 @@ class _Parser:
         start = self.advance()  # 'flow' | 'trigger'
         is_flow = start.type == "flow"
         src = self.parse_endpoint()
-        if src is None:
-            self.synchronize(SPHERE_ITEM_KEYWORDS)
-            return None
-        arrow = "->" if is_flow else "=>"
-        if self.expect(arrow) is None:
-            self.synchronize(SPHERE_ITEM_KEYWORDS)
+        if src is None or self.expect("->" if is_flow else "=>") is None:
             return None
         dst = self.parse_endpoint()
         if dst is None:
-            self.synchronize(SPHERE_ITEM_KEYWORDS)
             return None
         consuming = False
         spawn: list[tuple[str, exprs.Expr, SourceSpan]] = []

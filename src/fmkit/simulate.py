@@ -271,13 +271,11 @@ class Simulation:
 
         # Dwell completions: assigns evaluate, then triggers enqueue.
         dwell = self.config.stage_dwell
-        completing = []
+        new_firings: list[_Firing] = []
         for thing_id in sorted(set(self._calendar.pop(tick, ()))):
             thing = self.things.get(thing_id)
-            if thing is not None and thing.arrival_tick + dwell == tick:
-                completing.append(thing)
-        new_firings: list[_Firing] = []
-        for thing in completing:
+            if thing is None or thing.arrival_tick + dwell != tick:
+                continue  # consumed, or left early through an enable
             site = thing.site
             for name, expr in site.assigns:
                 try:

@@ -144,15 +144,13 @@ def check_reachability(model: Model) -> list[Diagnostic]:
             all_eps.append(ep)
             if stage is Stage.CREATE:
                 seeds.add(ep)
+    successors: dict[Endpoint, list[Endpoint]] = {}
     for arc in model.flows:
+        successors.setdefault(arc.src, []).append(arc.dst)
         if arc.src.path != arc.dst.path:
             seeds.add(arc.dst)
     for trig in model.triggers:
         seeds.add(trig.dst)
-
-    successors: dict[Endpoint, list[Endpoint]] = {}
-    for arc in model.flows:
-        successors.setdefault(arc.src, []).append(arc.dst)
     reached = set(seeds)
     frontier = list(seeds)
     while frontier:

@@ -1,19 +1,93 @@
-"""The scan-all-edges automaton compiler fmkit used before its edge-indexed
-subset construction.
+"""The automaton compiler fmkit used before its edge-indexed subset
+construction and its node-range fragments.
 
-Kept only as the reference for the differential test in test_behavior.py:
-for every subset it rescans every NFA edge, in ``compile_program`` and in
-the per-fragment determinization behind shuffle products.
+Kept only as the reference for the differential test in test_behavior.py.
+Its NFA builder stands alone: each fragment carries its node set, an
+interrupt arms every non-final node of its body's set and retags, over the
+whole NFA, the labelled edges between two of its watcher's nodes.  For
+every subset it rescans every NFA edge, in ``compile_program`` and in the
+per-fragment determinization behind shuffle products.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from fmkit.behavior import BehaviorAutomaton, _Fragment, _NfaBuilder
-from fmkit.model import Chrono
+from fmkit.behavior import BehaviorAutomaton, BehaviorError
+from fmkit.model import Choice, Chrono, Interrupt, Par, Ref, Repeat, Seq
 
 
-class ReferenceBuilder(_NfaBuilder):
+class _Fragment(NamedTuple):
+    start: int
+    finals: frozenset[int]
+    nodes: frozenset[int]
+
+
+class ReferenceBuilder:
+    def __init__(self) -> None:
+        self.next_node = 0
+        # (src, label-or-None, dst, is_watcher)
+        self.edges: list[tuple[int, Optional[str], int, bool]] = []
+
+    def node(self) -> int:
+        self.next_node += 1
+        return self.next_node - 1
+
+    def edge(self, src: int, label: Optional[str], dst: int, watcher: bool = False) -> None:
+        self.edges.append((src, label, dst, watcher))
+
+    def build(self, node: Chrono, known: Optional[set[str]]) -> _Fragment:
+        if isinstance(node, Ref):
+            if known is not None and node.event not in known:
+                raise BehaviorError("unresolved-ref", f"unknown event '{node.event}'")
+            a, b = self.node(), self.node()
+            self.edge(a, node.event, b)
+            return _Fragment(a, frozenset({b}), frozenset({a, b}))
+        if isinstance(node, Seq):
+            frags = [self.build(c, known) for c in node.children]
+            for left, right in zip(frags, frags[1:]):
+                for f in left.finals:
+                    self.edge(f, None, right.start)
+            nodes = frozenset().union(*(f.nodes for f in frags))
+            return _Fragment(frags[0].start, frags[-1].finals, nodes)
+        if isinstance(node, Choice):
+            frags = [self.build(c, known) for c in node.children]
+            start = self.node()
+            for f in frags:
+                self.edge(start, None, f.start)
+            finals = frozenset().union(*(f.finals for f in frags))
+            nodes = frozenset({start}).union(*(f.nodes for f in frags))
+            return _Fragment(start, finals, nodes)
+        if isinstance(node, Par):
+            frags = [self.build(c, known) for c in node.children]
+            merged = frags[0]
+            for other in frags[1:]:
+                merged = self._shuffle(merged, other)
+            return merged
+        if isinstance(node, Repeat):
+            inner = self.build(node.child, known)
+            for f in inner.finals:
+                self.edge(f, None, inner.start)
+            if not node.possible:
+                return inner
+            start = self.node()
+            self.edge(start, None, inner.start)
+            return _Fragment(start, inner.finals | {start}, inner.nodes | {start})
+        if isinstance(node, Interrupt):
+            body = self.build(node.body, known)
+            watcher = self.build(node.watcher, known)
+            handler = self.build(node.handler, known)
+            self.edges = [
+                (s, lbl, d, True if s in watcher.nodes and d in watcher.nodes and lbl is not None else w)
+                for (s, lbl, d, w) in self.edges
+            ]
+            for f in watcher.finals:
+                self.edge(f, None, handler.start)
+            for s in body.nodes - body.finals:
+                self.edge(s, None, watcher.start)
+            nodes = body.nodes | watcher.nodes | handler.nodes
+            return _Fragment(body.start, body.finals | handler.finals, nodes)
+        raise BehaviorError("unresolved-ref", f"not a chronology node: {node!r}")
+
     def _shuffle(self, a: _Fragment, b: _Fragment) -> _Fragment:
         """Free interleaving of two fragments (both must complete)."""
         da = self._determinize_fragment(a)

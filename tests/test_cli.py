@@ -3,7 +3,9 @@ from __future__ import annotations
 import builtins
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -874,3 +876,41 @@ def test_history_append_that_cannot_write_the_log_exits_two(capsys, tmp_path, mo
     code, out, err = run_cli(capsys, "history", str(log_path), "--append", record)
     assert (code, out, err) == (2, "", f"fmkit: cannot write {log_path}: Permission denied\n")
     assert log_path.read_text() == before
+
+
+@pytest.mark.parametrize("limit", [0, 312])
+def test_history_append_past_a_file_size_limit_leaves_the_log_whole(tmp_path, limit):
+    # The log is 624 bytes: under either limit a write in place would leave
+    # it empty or cut short.
+    resource = pytest.importorskip("resource")
+    import signal
+
+    log_path = tmp_path / "log.fmh"
+    before = (CORPUS / "pump_history.fmh").read_bytes()
+    log_path.write_bytes(before)
+
+    def limited() -> None:
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    env = dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "fmkit.cli", "history", str(log_path), "--append", json.dumps(GOOD_LEDGER_RECORD)],
+        capture_output=True, text=True, env=env, preexec_fn=limited,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"fmkit: cannot write {log_path}: File too large\n")
+    assert log_path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["log.fmh"]
+
+
+def test_history_append_through_a_symlink_replaces_the_target(capsys, tmp_path):
+    target = tmp_path / "log.fmh"
+    target.write_text((CORPUS / "pump_history.fmh").read_text())
+    target.chmod(0o640)
+    link = tmp_path / "link.fmh"
+    link.symlink_to(target)
+    assert run_cli(capsys, "history", str(link), "--append", json.dumps(GOOD_LEDGER_RECORD)) == (0, "", "")
+    assert link.is_symlink()
+    assert len(target.read_text().splitlines()) == 6
+    assert target.stat().st_mode & 0o7777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.fmh", "log.fmh"]

@@ -225,10 +225,10 @@ RECORDS = {
         "Occurrence(event='e', start=1, end=2, thing=3)",
     ),
     "_Fragment": (
-        _Fragment(0, frozenset({1}), frozenset({0, 1})),
-        _Fragment(start=0, finals=frozenset({1}), nodes=frozenset({0, 1})),
-        _Fragment(0, frozenset({0}), frozenset({0, 1})),
-        "_Fragment(start=0, finals=frozenset({1}), nodes=frozenset({0, 1}))",
+        _Fragment(0, frozenset({1})),
+        _Fragment(start=0, finals=frozenset({1})),
+        _Fragment(0, frozenset({0})),
+        "_Fragment(start=0, finals=frozenset({1}))",
     ),
     "BehaviorAutomaton": (
         automaton(),
