@@ -152,9 +152,9 @@ class _NfaBuilder:
     def edge(self, src: int, label: Optional[str], dst: int, watcher: bool = False) -> None:
         self.edges.append((src, label, dst, watcher))
 
-    def build(self, node: Chrono, known: Optional[set[str]]) -> _Fragment:
+    def build(self, node: Chrono, known: set[str]) -> _Fragment:
         if isinstance(node, Ref):
-            if known is not None and node.event not in known:
+            if node.event not in known:
                 raise BehaviorError("unresolved-ref", f"unknown event '{node.event}'")
             a, b = self.node(), self.node()
             self.edge(a, node.event, b)
@@ -172,10 +172,10 @@ class _NfaBuilder:
                 self.edge(start, None, f.start)
             return _Fragment(start, frozenset().union(*(f.finals for f in frags)))
         if isinstance(node, Par):
-            frags = [self.build(c, known) for c in node.children]
-            merged = frags[0]
-            for other in frags[1:]:
-                merged = self._shuffle(merged, other)
+            first, mark = self.next_node, len(self.edges)
+            merged = self.build(node.children[0], known)
+            for child in node.children[1:]:
+                merged = self._shuffle(merged, self.build(child, known), first, mark)
             return merged
         if isinstance(node, Repeat):
             inner = self.build(node.child, known)
@@ -187,8 +187,7 @@ class _NfaBuilder:
             self.edge(start, None, inner.start)
             return _Fragment(start, inner.finals | {start})
         if isinstance(node, Interrupt):
-            # Nodes are numbered as they are made, so the body's are one range
-            # (with those a `par` in it left unreachable behind its product).
+            # Nodes are numbered as they are made, so the body's are one range.
             first = self.next_node
             body = self.build(node.body, known)
             body_end, mark = self.next_node, len(self.edges)
@@ -206,10 +205,15 @@ class _NfaBuilder:
             return _Fragment(body.start, body.finals | handler.finals)
         raise BehaviorError("unresolved-ref", f"not a chronology node: {node!r}")
 
-    def _shuffle(self, a: _Fragment, b: _Fragment) -> _Fragment:
-        """Free interleaving of two fragments (both must complete)."""
-        rows_a, finals_a = _determinize(self.edges, a.start, a.finals)
-        rows_b, finals_b = _determinize(self.edges, b.start, b.finals)
+    def _shuffle(self, a: _Fragment, b: _Fragment, first: int, mark: int) -> _Fragment:
+        """Free interleaving of two fragments (both must complete), numbered
+        from ``first`` in place of the operands' nodes and the edges from
+        ``mark`` on, which only the operands use."""
+        operands = self.edges[mark:]
+        rows_a, finals_a = _determinize(operands, a.start, a.finals)
+        rows_b, finals_b = _determinize(operands, b.start, b.finals)
+        del self.edges[mark:]
+        self.next_node = first
         mapping: dict[tuple[int, int], int] = {}
         pairs: list[tuple[int, int]] = []  # made, not yet walked
 
@@ -244,10 +248,8 @@ def _determinize(
     states.  A transition is a watcher one when any NFA edge behind it is.
 
     Labelled edges are indexed by source once, so a subset costs the edges
-    out of its members, not every edge of the NFA.  A fragment being
-    shuffled is walked from its start alone: its nodes are fresh, and the
-    edges that will join it to the rest are added after the shuffle.
-    Raises BehaviorError past MAX_STATES states.
+    out of its members, not every edge of the NFA.  Raises BehaviorError
+    past MAX_STATES states.
     """
     eps: dict[int, list[int]] = {}
     out: dict[int, list[tuple[str, int, bool]]] = {}
@@ -347,11 +349,10 @@ class BehaviorAutomaton(FrozenRecord):
         return state in self.accepting
 
 
-def compile_program(program: Chrono, event_names: Optional[Iterable[str]] = None) -> BehaviorAutomaton:
+def compile_program(program: Chrono, event_names: Iterable[str]) -> BehaviorAutomaton:
     """Compile a chronology tree to its deterministic automaton."""
-    known = set(event_names) if event_names is not None else None
     builder = _NfaBuilder()
-    frag = builder.build(program, known)
+    frag = builder.build(program, set(event_names))
     rows, accepting = _determinize(builder.edges, frag.start, frag.finals)
     transitions: dict[tuple[int, str], int] = {}
     watcher_edges: set[tuple[int, str]] = set()
@@ -390,9 +391,12 @@ class Verdict(NamedTuple):
 
 
 class Run:
-    """The automaton's run over occurrences, which `check` replays and the
-    enforcement gate feeds live.  Past the first violation the state stays
-    put, and occurrences are still recorded."""
+    """The automaton's run over occurrences: both the replay that `check`
+    steps through a trace's occurrences and the enforcement gate that the
+    simulator consults and its own scanner feeds live.  As a gate, an arc
+    outside every event region passes; a region arc passes while one of its
+    events is allowed and no violation occurred.  Past the first violation
+    the state stays put, and occurrences are still recorded."""
 
     def __init__(self, program: Chrono | BehaviorAutomaton, events: Sequence[EventDef]) -> None:
         if not isinstance(program, BehaviorAutomaton):
@@ -401,6 +405,7 @@ class Run:
         self.state = program.start
         self.first_violation: Optional[Violation] = None
         self.occurrences: list[Occurrence] = []
+        self.scanner = OccurrenceScanner(events)
 
     def step(self, occ: Occurrence) -> None:
         self.occurrences.append(occ)
@@ -410,6 +415,18 @@ class Run:
                 self.first_violation = Violation(occ.start, tuple(self.automaton.allowed(self.state)), occ.event)
             else:
                 self.state = nxt
+
+    def permits(self, arc_label: str) -> bool:
+        owners = self.scanner.by_arc.get(arc_label)
+        if owners is None:
+            return True
+        if self.first_violation is not None:
+            return False
+        return not self.automaton.labels_at.get(self.state, frozenset()).isdisjoint(owners)
+
+    def observe(self, event: TraceEvent) -> None:
+        for occ in self.scanner.feed(event):
+            self.step(occ)
 
     def verdict(self) -> Verdict:
         ok = self.first_violation is None
@@ -424,31 +441,6 @@ def check(trace: Iterable[TraceEvent], events: Sequence[EventDef], program: Chro
     return run.verdict()
 
 
-# Enforcement ----------------------------------------------------------------
-
-
-class EnforcementGate(Run):
-    """A run fed by its own scanner, and the move/firing filter the
-    simulator consults: an arc outside every event region passes; a region
-    arc passes while one of its events is allowed and no violation occurred."""
-
-    def __init__(self, events: Sequence[EventDef], program: Chrono | BehaviorAutomaton) -> None:
-        super().__init__(program, events)
-        self.scanner = OccurrenceScanner(events)
-
-    def permits(self, arc_label: str) -> bool:
-        owners = self.scanner.by_arc.get(arc_label)
-        if owners is None:
-            return True
-        if self.first_violation is not None:
-            return False
-        return not self.automaton.labels_at.get(self.state, frozenset()).isdisjoint(owners)
-
-    def observe(self, event: TraceEvent) -> None:
-        for occ in self.scanner.feed(event):
-            self.step(occ)
-
-
-def enforce(model: Model, program: Chrono | BehaviorAutomaton) -> EnforcementGate:
+def enforce(model: Model, program: Chrono | BehaviorAutomaton) -> Run:
     """Build a fresh gate for one simulation run of this model."""
-    return EnforcementGate(model.events, program)
+    return Run(program, model.events)

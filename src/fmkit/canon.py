@@ -22,6 +22,7 @@ from .model import (
     Region,
     Stage,
     TriggerArc,
+    UnknownLabelError,
     shortest_chain,
     subdiagram,
 )
@@ -114,7 +115,7 @@ def canonicalize(tree: ast.ModelAst) -> Model:
 def _resolve_region(model: Model, event: ast.EventDecl) -> Region:
     try:
         region = subdiagram(model, event.labels)
-    except Exception as exc:
+    except UnknownLabelError as exc:
         raise CanonError(
             error("unknown-label", f"event '{event.name}': {exc}", event.span)
         ) from exc

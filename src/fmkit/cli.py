@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional
 from . import jsonl
 
 if TYPE_CHECKING:
-    from .behavior import BehaviorAutomaton, EnforcementGate, Verdict
+    from .behavior import BehaviorAutomaton, Run, Verdict
     from .diagnostics import Diagnostic
     from .model import Model
     from .simulate import TraceEvent
@@ -136,7 +136,7 @@ def _print_verdict(verdict: Verdict) -> None:
     write("]}\n")
 
 
-def _observed(records: Iterator[TraceEvent], run: EnforcementGate) -> Iterator[TraceEvent]:
+def _observed(records: Iterator[TraceEvent], run: Run) -> Iterator[TraceEvent]:
     """Pass each record on after the run has observed it."""
     for record in records:
         run.observe(record)

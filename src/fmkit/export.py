@@ -185,12 +185,9 @@ def _decode_line(i: int, line: str) -> TraceEvent | None:
         raise TraceParseError(i, f"unknown action '{action}'")
     if thing is not None and type(thing) is not int:
         raise TraceParseError(i, "'thing' must be an integer or null")
-    if kind is not None and type(kind) is not str:
-        raise TraceParseError(i, "'kind' must be a string or null")
-    if at is not None and type(at) is not str:
-        raise TraceParseError(i, "'at' must be a string or null")
-    if arc is not None and type(arc) is not str:
-        raise TraceParseError(i, "'arc' must be a string or null")
+    for name, value in (("kind", kind), ("at", at), ("arc", arc)):
+        if value is not None and type(value) is not str:
+            raise TraceParseError(i, f"'{name}' must be a string or null")
     return TraceEvent(tick, action, thing, kind, at, arc)
 
 

@@ -463,12 +463,9 @@ def subdiagram(model: Model, labels: Sequence[str]) -> Region:
             arc = model.flow(name)
             if arc is not None:
                 flow_labels.add(name)
-                stages.add(arc.src)
-                stages.add(arc.dst)
             else:
-                trig = model.trigger(name)
-                stages.add(trig.src)
-                stages.add(trig.dst)
+                arc = model.trigger(name)
+            stages.update((arc.src, arc.dst))
     if missing:
         raise UnknownLabelError(missing)
     return Region(frozenset(arc_labels), frozenset(stages), frozenset(flow_labels))

@@ -15,6 +15,7 @@ from fmkit.behavior import (
     BehaviorError,
     Occurrence,
     Violation,
+    _NfaBuilder,
     check,
     compile_program,
     detect_occurrences,
@@ -200,15 +201,14 @@ REFERENCE_STATES = 2048
 
 
 @st.composite
-def chrono_trees(draw, depth: int = 4):
-    """Random chronology trees of every node kind, at most ``depth`` deep;
-    a budget of about MAX_LEAVES event references keeps par products small."""
+def chrono_trees(draw, depth: int = 4, kinds=("ref", "seq", "choice", "par", "repeat", "interrupt")):
+    """Random chronology trees of the given node kinds (every kind by
+    default), at most ``depth`` deep; a budget of about MAX_LEAVES event
+    references keeps par products small."""
     budget = [MAX_LEAVES]
 
     def node(level: int):
-        kind = "ref" if level == depth or budget[0] <= 1 else draw(
-            st.sampled_from(("ref", "seq", "choice", "par", "repeat", "interrupt"))
-        )
+        kind = "ref" if level == depth or budget[0] <= 1 else draw(st.sampled_from(kinds))
         if kind == "ref":
             budget[0] -= 1
             return Ref(draw(st.sampled_from(EVENT_NAMES)))
@@ -251,12 +251,41 @@ def test_compile_stops_at_the_state_limit():
     assert str(exc.value) == f"the behavior's automaton needs more than {MAX_STATES} states"
 
 
+@settings(max_examples=200, deadline=None)
+@given(chrono_trees(kinds=("ref", "seq", "choice", "par", "repeat")))
+def test_nfa_without_interrupts_has_no_unreachable_node(program):
+    # A par numbers its product in place of its operands, whose nodes and
+    # edges it has read, so no NFA node is left behind unreachable.
+    builder = _NfaBuilder()
+    try:
+        frag = builder.build(program, set(EVENT_NAMES))
+    except BehaviorError as exc:
+        assert exc.code == "behavior-too-large"
+        return
+    successors: dict[int, list[int]] = {}
+    for src, _, dst, _ in builder.edges:
+        successors.setdefault(src, []).append(dst)
+    reached, stack = {frag.start}, [frag.start]
+    while stack:
+        for nxt in successors.get(stack.pop(), ()):
+            if nxt not in reached:
+                reached.add(nxt)
+                stack.append(nxt)
+    assert reached == set(range(builder.next_node))
+
+
 def test_static_par_of_five_seqs_pins_states_and_transitions():
     program = Par(tuple(Seq(tuple(Ref(f"e{b}{k}") for k in range(3))) for b in range(5)))
-    automaton = compile_program(program)
+    names = {f"e{b}{k}" for b in range(5) for k in range(3)}
+    automaton = compile_program(program, names)
     assert automaton.n_states == 4 ** 5 == 1024
     assert len(automaton.transitions) == 3840
     assert automaton == automaton_reference.compile_program(program)
+    # The NFA keeps only the product: its operands' nodes and edges are gone.
+    for tree, nodes, edges in ((program, 1024, 3840), (Interrupt(Ref("w"), Ref("h"), program), 1028, 4866)):
+        builder = _NfaBuilder()
+        builder.build(tree, names | {"w", "h"})
+        assert (builder.next_node, len(builder.edges)) == (nodes, edges)
 
 
 # Conformance ------------------------------------------------------------------

@@ -441,6 +441,6 @@ def test_nesting_at_the_limit_runs_every_pass(shape):
     assert dot_check(model_to_dot(model, show_implicit=False)) == []
     for decl in model.behaviors:
         render_chrono(decl.program)
-        behavior_to_dot(compile_program(decl.program))
+        behavior_to_dot(compile_program(decl.program, {e.name for e in model.events}))
     _, too_deep = load_model(make(depth + 1), "deep.fm")
     assert [d.code for d in too_deep][:1] == ["nesting-too-deep"]

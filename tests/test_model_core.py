@@ -118,6 +118,22 @@ def test_subdiagram_unknown_label(tvm):
     assert exc.value.missing == ("nonexistent",)
 
 
+def test_subdiagram_keeps_a_triggers_endpoints(tvm):
+    region = subdiagram(tvm, ["27"])
+    assert {str(ep) for ep in region.stages} == {"tvm/cash.process", "tvm/ticket.create"}
+    assert not region.flow_labels
+
+
+def test_event_region_lets_other_errors_through(monkeypatch):
+    # Only an unknown label is a diagnostic; any other error is a bug.
+    def broken(model, labels):
+        raise RuntimeError("broken subdiagram")
+
+    monkeypatch.setattr("fmkit.canon.subdiagram", broken)
+    with pytest.raises(RuntimeError, match="broken subdiagram"):
+        load_model((CORPUS / "tvm.fm").read_text(encoding="utf-8"), "tvm.fm")
+
+
 def test_corpus_flows_all_legal(tvm, plant, turbine):
     for model in (tvm, plant, turbine):
         for arc in model.flows:
@@ -139,7 +155,7 @@ def test_corpus_flows_preserve_kind(tvm, plant, turbine):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_subdiagram_union_property(data):
-    model, _ = load_model(open("corpus/tvm.fm").read(), "tvm.fm")
+    model, _ = load_model((CORPUS / "tvm.fm").read_text(encoding="utf-8"), "tvm.fm")
     families = sorted({a.family for a in model.flows} | {t.label for t in model.triggers})
     picked = data.draw(st.sets(st.sampled_from(families), max_size=8))
     half = data.draw(st.integers(0, len(picked)))

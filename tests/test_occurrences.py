@@ -17,8 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmkit.behavior import Occurrence, detect_occurrences
+from fmkit.canon import load_model
 from fmkit.model import Endpoint, EventDef, Region, Stage, subdiagram
-from fmkit.simulate import SimConfig, TraceEvent, run
+from fmkit.simulate import SimConfig, TraceEvent, parse_scenario, run
 
 GOLDEN_RUNS = [("tvm", "tvm_exact"), ("tvm", "tvm_insufficient"), ("tvm", "tvm_topup"), ("tvm", "tvm_cancel"),
                ("plant", "plant_water")]
@@ -142,6 +143,31 @@ F1_F2 = [EventDef("e0", Region(frozenset({"f1", "f2"}), frozenset({STAGES[0], ST
 
 def test_reference_carries_an_episode_past_consume():
     assert assert_same(AFTER_CONSUME, F1_F2) == [Occurrence("e0", 0, 4, 1)]
+
+
+SPAWNED_BY_A_TRIGGER = """thing w
+thing v
+sphere s {
+  machine a: w { create process }
+  machine b: v { create release transfer }
+  flow s/a.create -> s/a.process #in
+  trigger s/a.process => s/b.create #t
+  flow s/b.create -> s/b.release #up
+  flow s/b.release -> s/b.transfer #f
+}
+event e { region { #t #f } }
+"""
+
+
+def test_occurrence_starts_at_a_spawn_on_a_trigger_endpoint():
+    # Only trigger #t puts s/b.create in the region, so the spawned v's
+    # occurrence starts at its spawn (tick 2), not at its first move (4).
+    model, diags = load_model(SPAWNED_BY_A_TRIGGER, "spawn.fm")
+    assert model is not None, [d.render() for d in diags]
+    scenario, diags = parse_scenario("inject w at s/a.create tick 0\n", "spawn.fms")
+    assert not diags
+    trace = run(model, scenario, SimConfig(max_ticks=20))
+    assert assert_same(trace, model.events) == [Occurrence("e", 2, 4, 2)]
 
 
 @settings(max_examples=1000, deadline=None)

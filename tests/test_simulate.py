@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import golden_text, load_corpus_scenario
+from conftest import CORPUS, golden_text, load_corpus_scenario
 from fuzz import replay_trace
 from oracle import run_oracle
 
@@ -224,7 +224,7 @@ def test_ids_strictly_increase(tvm):
     ],
 )
 def test_simulator_matches_oracle_and_golden(model_name, scenario_name, ticks):
-    model, _ = load_model(open(f"corpus/{model_name}.fm").read(), model_name)
+    model, _ = load_model((CORPUS / f"{model_name}.fm").read_text(encoding="utf-8"), model_name)
     scenario = load_corpus_scenario(model, scenario_name)
     got = write_trace(run(model, scenario, SimConfig(max_ticks=ticks)))
     assert got == golden_text(scenario_name)
@@ -491,7 +491,7 @@ def test_thing_examined_while_dwelling_is_not_parked():
     [("tvm", "tvm_topup", 12, 200), ("tvm", "tvm_cancel", 20, 200), ("plant", "plant_water", 35, 60)],
 )
 def test_hand_stepping_reaches_the_end_run_reaches(model_name, scenario_name, mid_run, ticks):
-    model, _ = load_model(open(f"corpus/{model_name}.fm").read(), model_name)
+    model, _ = load_model((CORPUS / f"{model_name}.fm").read_text(encoding="utf-8"), model_name)
     scenario = load_corpus_scenario(model, scenario_name)
     sim = Simulation(model, scenario, SimConfig(max_ticks=ticks))
     while sim.tick < mid_run:
