@@ -7,6 +7,7 @@ go to stderr; artifacts go to stdout or to the files named by flags.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from functools import cache
@@ -95,7 +96,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def _validated_model(path: str) -> Model:
     from .validate import validate as validate_model
     model = _load(path)
-    report = validate_model(model)
+    report = validate_model(model, warnings_if_ok=False)  # printed only if not ok
     if not report.ok:
         _report(report.diagnostics)
         raise SystemExit(FAIL)
@@ -298,10 +299,12 @@ def _detach_closed_streams() -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    # No collector passes: a command leaves no reference cycles but sim's model-sized site graph (tests/test_gc.py).
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
             code = args.func(args)
         except SystemExit as exc:  # argparse's, or a command's that printed its reason
             code = exc.code or OK
@@ -310,6 +313,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         _detach_closed_streams()
         print(f"fmkit: cannot write output: {exc.strerror}", file=sys.stderr)
         code = USAGE
+    finally:
+        if collecting:
+            gc.enable()
     return code
 
 

@@ -24,6 +24,7 @@ class Stage(Enum):
     RELEASE = "release"
     TRANSFER = "transfer"
     RECEIVE = "receive"
+    __hash__ = object.__hash__  # members are singletons compared by identity; Enum's hash is a Python call
 
     def __str__(self) -> str:
         return self.value

@@ -166,11 +166,14 @@ def check_reachability(model: Model) -> list[Diagnostic]:
     ]
 
 
-def validate(model: Model) -> ValidationReport:
-    """All checks, plus model statistics and the overall ok flag."""
-    diags = check_legality(model) + check_structure(model) + check_reachability(model)
+def validate(model: Model, warnings_if_ok: bool = True) -> ValidationReport:
+    """All checks, plus model statistics and the overall ok flag.  Without
+    ``warnings_if_ok``, a model with no error skips the warnings-only checks."""
+    diags = check_legality(model) + check_structure(model)
+    ok = not any(d.is_error for d in diags)
+    if warnings_if_ok or not ok:
+        diags += check_reachability(model)
     n_spheres = sum(1 for _ in model.spheres())
     n_machines = sum(1 for _ in model.machines())
     stats = ModelStats(n_spheres, n_machines, len(model.flows), len(model.triggers))
-    ok = not any(d.is_error for d in diags)
     return ValidationReport(tuple(diags), stats, ok)

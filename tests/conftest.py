@@ -15,6 +15,20 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
+# A model that fails validation: an E_KIND error, an unconnected machine
+# (W_ISOLATED) and two unreachable stages (W_UNREACHABLE).
+KIND_MODEL = """\
+thing w
+thing v
+sphere s {
+  machine a: w { create release }
+  machine b: v { transfer process }
+  machine c: w { process }
+  flow s/a.create -> s/a.release #in
+  flow s/a.release -> s/b.transfer #k
+}
+"""
+
 
 def load_corpus_model(name: str):
     path = CORPUS / f"{name}.fm"

@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import pytest
-from conftest import golden_text
+from conftest import KIND_MODEL, golden_text
 from oracle import run_oracle
 
 from fmkit import behavior, cli
@@ -406,6 +406,35 @@ def test_cli_outputs_are_deterministic(capsys):
     assert c1 == c2
 
 
+# Each command in a fresh interpreter under two hash seeds: neither the
+# order of sets and dicts keyed by strings nor identity hashes may reach an
+# output.  Paths are relative to corpus/.
+HASH_SEED_COMMANDS = {
+    "check": ["check", "plant.fm"],
+    "dot": ["dot", "plant.fm"],
+    "dot-authored": ["dot", "plant.fm", "--no-show-implicit"],
+    "dot-behavior": ["dot", "tvm.fm", "--behavior", "cash_purchase"],
+    "sim": ["sim", "plant.fm", "--scenario", "plant_water.fms", "--ticks", "200"],
+    "sim-observe": ["sim", "tvm.fm", "--scenario", "tvm_topup.fms", "--behavior", "cash_purchase"],
+    "sim-enforce": ["sim", "tvm.fm", "--scenario", "tvm_cancel.fms", "--behavior", "cash_purchase", "--mode", "enforce"],
+    "conform": ["conform", "tvm.fm", "--behavior", "cash_purchase", "--trace", "../tests/golden/tvm_topup.jsonl"],
+}
+
+
+@pytest.mark.parametrize("command", HASH_SEED_COMMANDS)
+def test_outputs_do_not_depend_on_the_hash_seed(command):
+    argv = HASH_SEED_COMMANDS[command]
+
+    def run(seed: str) -> tuple[int, str, str]:
+        env = dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src"), PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-m", "fmkit.cli", *argv], capture_output=True, text=True, env=env, cwd=CORPUS)
+        return done.returncode, done.stdout, done.stderr
+
+    first = run("0")
+    assert first[0] == 0 and first[1]
+    assert run("12345") == first
+
+
 def test_usage_error_exits_two(capsys):
     code = main(["sim", str(CORPUS / "tvm.fm")])  # missing --scenario
     capsys.readouterr()
@@ -789,6 +818,37 @@ def test_check_findings_output_is_pinned(capsys, tmp_path):
     out = f'{{"diagnostics":[{diagnostics}],"ok":false,"stats":{stats}}}\n'
     err = "".join(f"<model>:1:1: {severity}[{code}]: {message}\n" for severity, code, message in FINDINGS)
     assert run_cli(capsys, "check", str(model_path)) == (1, out, err)
+
+
+# sim, dot and conform skip the warnings-only checks for a model that
+# passes, yet print a failing model's diagnostics exactly as check does,
+# warnings included and in check's order.
+FAILING_MODELS = {
+    "kind": (KIND_MODEL, ["E_KIND", "W_ISOLATED", "W_UNREACHABLE", "W_UNREACHABLE"]),
+    "findings": (FINDINGS_MODEL, [code for _, code, _ in FINDINGS]),
+}
+
+
+# Each command's arguments after the model's path.
+FAILING_COMMANDS = {
+    "sim": ["sim", "--scenario", str(CORPUS / "tvm_exact.fms")],
+    "dot": ["dot"],
+    "dot-behavior": ["dot", "--behavior", "b"],
+    "conform": ["conform", "--behavior", "b", "--trace", str(CORPUS.parent / "tests" / "golden" / "tvm_exact.jsonl")],
+}
+
+
+@pytest.mark.parametrize("command", FAILING_COMMANDS)
+@pytest.mark.parametrize("name", sorted(FAILING_MODELS))
+def test_failing_model_prints_what_check_prints(capsys, tmp_path, name, command):
+    text, codes = FAILING_MODELS[name]
+    command = FAILING_COMMANDS[command]
+    model_path = tmp_path / "model.fm"
+    model_path.write_text(text)
+    code, _, err = run_cli(capsys, "check", str(model_path))
+    assert code == 1
+    assert [line.split("[")[1].split("]")[0] for line in err.splitlines()] == codes
+    assert run_cli(capsys, command[0], str(model_path), *command[1:]) == (1, "", err)
 
 
 # Exit-2 paths, each printing exactly one stderr line and nothing on stdout.

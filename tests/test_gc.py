@@ -1,14 +1,18 @@
-"""Loading, validating, printing and exporting a model, and a whole
-``fmkit check``, leave no reference cycles: reference counting frees
+"""Loading, validating, printing and exporting a model, and every ``fmkit``
+command but ``sim``, leave no reference cycles: reference counting frees
 everything they build, so none of them leaves work (or memory) for the
-cyclic collector."""
+cyclic collector.  ``sim`` leaves the simulator's site graph, whose size is
+the model's and not the run's.  This is what lets ``fmkit.cli.main`` keep
+the collector paused while a command runs."""
 from __future__ import annotations
 
 import gc
+import json
+import shutil
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, GOLDEN, KIND_MODEL
 
 from fmkit.canon import load_model
 from fmkit.cli import main
@@ -51,9 +55,80 @@ def test_call_leaves_no_cyclic_garbage(path, call):
     assert cyclic_garbage(lambda: CALLS[call](path, model, dot)) == 0
 
 
+TVM, PUMP = str(CORPUS / "tvm.fm"), str(CORPUS / "pump_history.fmh")
+APPEND = {"slot": "P101", "unit": "pump-2", "action": "remove", "at": "2025-01-01T00:00:00Z", "performer": "x", "contractor": "y"}
+# Every command but sim, as (argv, exit code); "BAD" stands for KIND_MODEL's
+# path and "LOG" for a fresh copy of the corpus ledger.
+COMMANDS = {
+    "dot": (["dot", TVM], 0),
+    "dot-authored": (["dot", TVM, "--no-show-implicit"], 0),
+    "dot-behavior": (["dot", TVM, "--behavior", "cash_purchase"], 0),
+    "conform": (["conform", TVM, "--behavior", "cash_purchase", "--trace", str(GOLDEN / "tvm_exact.jsonl")], 0),
+    "history-query": (["history", "LOG", "--slot", "P101", "--timeline"], 0),
+    "history-append": (["history", "LOG", "--append", json.dumps(APPEND)], 0),
+    "check-failing": (["check", "BAD"], 1),
+}
+# sim in each mode; the plain run reaches both tick limits the test gives it.
+SIMS = {
+    "plain": ["sim", str(CORPUS / "plant.fm"), "--scenario", str(CORPUS / "plant_water.fms")],
+    "observe": ["sim", TVM, "--scenario", str(CORPUS / "tvm_exact.fms"), "--behavior", "cash_purchase"],
+    "enforce": ["sim", TVM, "--scenario", str(CORPUS / "tvm_exact.fms"), "--behavior", "cash_purchase", "--mode", "enforce"],
+}
+
+
+def with_paths(template: list[str], tmp_path) -> list[str]:
+    """``template`` with BAD, LOG and MISSING replaced by paths in ``tmp_path``."""
+    (tmp_path / "bad.fm").write_text(KIND_MODEL)
+    paths = {"BAD": "bad.fm", "LOG": "log.fmh", "MISSING": "missing.fm"}
+    return [str(tmp_path / paths[arg]) if arg in paths else arg for arg in template]
+
+
 @pytest.mark.parametrize("path", MODELS, ids=lambda path: path.stem)
 def test_check_command_leaves_no_cyclic_garbage(path, capsys):
     argv = ["check", str(path)]
     assert main(argv) == 0  # the first call builds the argument parser
     assert cyclic_garbage(lambda: main(argv)) == 0
     assert capsys.readouterr().out.count('"ok":true') == 2
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_leaves_no_cyclic_garbage(command, capsys, tmp_path):
+    template, want = COMMANDS[command]
+    argv = with_paths(template, tmp_path)
+
+    def call() -> None:
+        shutil.copyfile(PUMP, tmp_path / "log.fmh")
+        assert main(argv) == want
+
+    call()
+    assert cyclic_garbage(call) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", SIMS)
+def test_sim_cyclic_garbage_does_not_grow_with_the_run(mode, capsys, tmp_path):
+    def garbage(ticks: int) -> int:
+        argv = SIMS[mode] + ["--ticks", str(ticks), "--trace", str(tmp_path / "trace.jsonl")]
+        main(argv)
+        return cyclic_garbage(lambda: main(argv))
+
+    assert garbage(200) == garbage(1000)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("argv,code", [
+    (["check", str(CORPUS / "tvm.fm")], 0),
+    (["check", "BAD"], 1),
+    (["check", "MISSING"], 2),
+], ids=["exit0", "exit1", "exit2"])
+def test_main_leaves_the_collector_as_it_found_it(enabled, argv, code, capsys, tmp_path):
+    argv = with_paths(argv, tmp_path)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
