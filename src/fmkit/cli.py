@@ -299,7 +299,7 @@ def _detach_closed_streams() -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # No collector passes: a command leaves no reference cycles but sim's model-sized site graph (tests/test_gc.py).
+    # No collector passes: only sim leaves reference cycles, where its site table loops (tests/test_gc.py).
     collecting = gc.isenabled()
     gc.disable()
     try:

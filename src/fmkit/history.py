@@ -7,7 +7,7 @@ UTC) rather than simulation ticks: replacement history spans calendar time.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -156,7 +156,6 @@ class ReplacementLog:
 
     def __init__(self) -> None:
         self._records: list[ReplacementRecord] = []  # append order
-        self._seen: set[ReplacementRecord] = set()
         self._slots: dict[str, _Slot] = {}
 
     @property
@@ -167,12 +166,12 @@ class ReplacementLog:
         """Accept the record iff the slot's timeline stays valid; rejection
         raises AppendError (E_DUP, E_ORDER, E_OCCUPIED) and leaves the log
         untouched."""
-        if record in self._seen:
-            raise AppendError("E_DUP", "identical record already present")
         when = parse_timestamp(record.at)
         slot = self._slots.get(record.slot) or _Slot()
         records, unit = slot.records, record.unit
         i = bisect_right(slot.stamps, when)  # ties keep append order
+        if record in records[bisect_left(slot.stamps, when):i]:  # an equal record has the same instant
+            raise AppendError("E_DUP", "identical record already present")
         # Undo the records dated after it, latest first, back to i: each
         # valid record shows its unit's state and the occupant before it.
         state, occupant = slot.state.get(unit), slot.occupant
@@ -198,7 +197,6 @@ class ReplacementLog:
         records.insert(i, record)
         slot.stamps.insert(i, when)
         self._slots[record.slot] = slot
-        self._seen.add(record)
         self._records.append(record)
         return self
 

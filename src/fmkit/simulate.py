@@ -30,8 +30,8 @@ A tick touches only the things that can change:
   then, because its completion may still assign attributes.
 * ``self.things`` is iterated in dict order, which is id order: ids are
   monotone and a consumed thing is never re-inserted.
-* Sites.  Each thing carries the ``Site`` of its location from
-  ``Model.index`` (set on spawn and on move) and the next ``Hop`` of the
+* Sites.  Each thing carries the ``Site`` of its location from the
+  run's ``ModelIndex`` (set on spawn and on move) and the next ``Hop`` of the
   chain it is on.  A site carries its text, its machine's kind, gated
   flag, chain-head hops, triggers and assigns, which a step reads, and a
   move follows the hop to its destination site.  ``Endpoint`` caches
@@ -53,7 +53,7 @@ from typing import Iterator, NamedTuple, Optional, Protocol
 from . import exprs
 from .ast import Injection, Scenario  # noqa: F401  (Injection re-exported)
 from .diagnostics import Diagnostic, Record, SourceSpan, error
-from .model import Hop, Model, ResolutionError, Site, Stage, TriggerArc, resolve_path
+from .model import Endpoint, FlowArc, Machine, Model, ResolutionError, Stage, TriggerArc, resolve_path
 from .parser import parse_scenario  # noqa: F401  (re-exported)
 
 Value = exprs.Value
@@ -80,6 +80,56 @@ class TraceEvent(NamedTuple):
 
 
 Trace = list  # of TraceEvent
+_by_label = attrgetter("label")
+
+
+class Hop:
+    """A flow arc with its destination site and its chain's next hop."""
+
+    __slots__ = ("arc", "label", "guard", "dst", "next")
+
+    def __init__(self, arc: FlowArc) -> None:
+        self.arc, self.label, self.guard = arc, arc.label, arc.guard
+
+
+class Site:
+    """A stage as the simulator reads it: its text, its machine's kind, whether it waits
+    on an enable (a trigger into a stage other than create targets it), its chain-head
+    hops and triggers in label order, its machine's assigns (process only), whether any arc leaves it."""
+
+    __slots__ = ("ep", "text", "kind", "gated", "heads", "triggers", "assigns", "leaves")
+
+    def __init__(self, ep: Endpoint, machine: Machine, gated: bool) -> None:
+        self.ep, self.text, self.kind, self.gated = ep, str(ep), machine.kind, gated
+        self.assigns = machine.assigns if ep.stage is Stage.PROCESS else ()
+        self.heads, self.triggers, self.leaves = (), (), False
+
+
+class ModelIndex:
+    """One ``Site`` per stage of every machine and one ``Hop`` per flow arc, plus
+    each kind's ``dec`` attribute names: what a simulator step reads.  Every arc
+    of a canonical model joins two stages of their machines."""
+
+    def __init__(self, model: Model) -> None:
+        self.dec = {k.name: frozenset(a.name for a in k.attrs if a.type == "dec") for k in model.kinds.values()}
+        gated = {t.dst for t in model.triggers if t.dst.stage is not Stage.CREATE}
+        self.sites: dict[Endpoint, Site] = {}
+        for path, machine in model.machines():
+            for stage in machine.stages():
+                ep = Endpoint(path, stage)
+                self.sites[ep] = Site(ep, machine, ep in gated)
+        hops = {a.label: Hop(a) for a in model.flows}
+        for hop in sorted(hops.values(), key=_by_label):
+            arc = hop.arc
+            src, hop.dst = self.sites[arc.src], self.sites[arc.dst]
+            hop.next = hops.get(f"{arc.family}.{arc.index + 1}") if arc.index + 1 < arc.chain_len else None
+            src.leaves = True
+            if arc.is_chain_head:
+                src.heads += (hop,)
+        for trig in sorted(model.triggers, key=_by_label):
+            src = self.sites[trig.src]
+            src.triggers += (trig,)
+            src.leaves = True
 
 
 class Gate(Protocol):
@@ -133,7 +183,6 @@ def _coerce(value: Value, name: str, dec: frozenset[str]) -> Value:
 # (label, source thing id, trigger, spawn values), queued in that order.
 _Firing = tuple[str, int, TriggerArc, dict[str, Value]]
 _new = tuple.__new__  # skips NamedTuple's Python-level __new__
-_by_label = attrgetter("label")
 
 
 class Simulation:
@@ -145,7 +194,7 @@ class Simulation:
 
     def __init__(self, model: Model, scenario: Scenario, config: SimConfig) -> None:
         self.model = model
-        self.index = model.index
+        self.index = ModelIndex(model)
         self.config = config
         self.tick = 0
         self.things: dict[int, Thing] = {}
@@ -198,12 +247,15 @@ class Simulation:
             dec = self.index.dec.get(inj.kind)
             if dec is None:
                 raise SimError(f"injection of undeclared kind '{inj.kind}'")
+            site = self.index.sites.get(inj.target)
+            if site is None:
+                raise SimError(f"injection target {inj.target} is not a stage of the model")
             values = {name: _coerce(v, name, dec) for name, v in inj.attrs}
-            self._spawn(inj.kind, self.index.site(inj.target), values)
+            self._spawn(inj.kind, site, values)
 
     # Move candidates ------------------------------------------------------
 
-    def _open_heads(self, thing: Thing, blocked: Optional[list[TraceEvent]]) -> list[Hop]:
+    def _open_heads(self, thing: Thing, blocked: list[TraceEvent]) -> list[Hop]:
         """The chain-head hops at the thing's site whose guards pass, in
         label order; a guard that raises adds a ``blocked`` record."""
         out = []
@@ -213,9 +265,8 @@ class Simulation:
                     if not eval_guard(hop.guard, thing):
                         continue
                 except exprs.EvalError:
-                    if blocked is not None:
-                        record = (self.tick, "blocked", thing.id, thing.kind, thing.site.text, hop.label)
-                        blocked.append(_new(TraceEvent, record))
+                    record = (self.tick, "blocked", thing.id, thing.kind, thing.site.text, hop.label)
+                    blocked.append(_new(TraceEvent, record))
                     continue
             out.append(hop)
         return out
@@ -288,7 +339,7 @@ class Simulation:
                         continue
                     values = {name: exprs.evaluate(expr, thing.attrs) for name, expr in trig.spawn_attrs}
                     if values and trig.dst.stage is Stage.CREATE:
-                        dec = self.index.dec[self.index.site(trig.dst).kind]
+                        dec = self.index.dec[self.index.sites[trig.dst].kind]
                         values = {name: _coerce(v, name, dec) for name, v in values.items()}
                 except exprs.EvalError:
                     emit(_new(TraceEvent, (tick, "blocked", thing.id, thing.kind, site.text, trig.label)))
@@ -308,7 +359,7 @@ class Simulation:
                 continue
             source = self.things.get(source_id)
             source_kind = source.kind if source is not None else None
-            dst = self.index.site(trig.dst)
+            dst = self.index.sites[trig.dst]
             emit(_new(TraceEvent, (tick, "trigger-fired", source_id, source_kind, dst.text, label)))
             if trig.dst.stage is Stage.CREATE:
                 self._spawn(dst.kind, dst, values)
@@ -372,7 +423,7 @@ class Simulation:
                 if site.leaves:
                     return True
                 continue
-            hops = [thing.next] if thing.next is not None else self._open_heads(thing, None)
+            hops = [thing.next] if thing.next is not None else self._open_heads(thing, [])
             if not hops:
                 continue
             if site.gated and site not in self.pending_enables:

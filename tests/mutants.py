@@ -1,0 +1,257 @@
+"""The standing mutant catalogue: small wrong versions of ``src/fmkit``, each
+with the tests that must fail on it.
+
+Run from the repository root:  python tests/mutants.py [NAME ...]
+
+The runner copies ``src/``, ``tests/``, ``corpus/`` and ``perfbench/`` to a
+temporary directory once (tests find the corpus, and the ``src/`` their
+subprocesses run, from their own path).  For each mutant it replaces the
+entry's old text in that copy, runs ``pytest -x -q`` on the entry's tests
+with ``PYTHONPATH`` pointing at the copied ``src/``, and puts the file back.
+A mutant is killed when pytest fails; first, every catalogued test must
+pass on the unmutated copy, so a failure is the mutant's doing.  The runner exits 1 when a mutant
+that should be killed survives, or when one listed as a survivor is killed
+(its reason no longer holds); with names, it runs only those mutants.
+
+An entry whose code moves must move with it: ``tests/test_mutants.py``
+checks in tier-1 that each old text occurs exactly once in ``src/``.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "corpus", "perfbench")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/fmkit/
+    old: str  # occurs exactly once in src/
+    new: str
+    tests: tuple[str, ...]
+    survives: Optional[str] = None  # why no test can kill it, for an equivalent mutant
+
+
+SIM = "tests/test_simulate.py::"
+HISTORY = "tests/test_history.py::"
+BEHAVIOR = "tests/test_behavior.py::"
+
+MUTANTS = (
+    # The simulator's site table.
+    Mutant(
+        "hops-unsorted", "simulate.py",
+        "for hop in sorted(hops.values(), key=_by_label):", "for hop in hops.values():",
+        (SIM + "test_blocked_records_follow_label_order",),
+    ),
+    Mutant(
+        "triggers-unsorted", "simulate.py",
+        "for trig in sorted(model.triggers, key=_by_label):", "for trig in model.triggers:",
+        (SIM + "test_blocked_records_follow_label_order",),
+    ),
+    Mutant(
+        "trigger-source-not-leaving", "simulate.py",
+        "src.triggers += (trig,)\n            src.leaves = True\n", "src.triggers += (trig,)\n",
+        (SIM + "test_cancel_returns_same_cash_thing",),
+    ),
+    Mutant(
+        "flow-source-not-leaving", "simulate.py",
+        "            src.leaves = True\n            if arc.is_chain_head:", "            if arc.is_chain_head:",
+        (SIM + "test_run_chain_walk",),
+    ),
+    Mutant(
+        "create-targets-gated", "simulate.py",
+        "gated = {t.dst for t in model.triggers if t.dst.stage is not Stage.CREATE}",
+        "gated = {t.dst for t in model.triggers}",
+        (SIM + "test_exact_cash_produces_ticket",),
+    ),
+    Mutant(
+        "assigns-on-every-stage", "simulate.py",
+        "self.assigns = machine.assigns if ep.stage is Stage.PROCESS else ()", "self.assigns = machine.assigns",
+        (SIM + "test_thing_examined_while_dwelling_is_not_parked",),
+    ),
+    Mutant(
+        "every-hop-a-head", "simulate.py",
+        "            if arc.is_chain_head:\n                src.heads += (hop,)", "            src.heads += (hop,)",
+        ("tests/test_differential.py::test_fuzz_models_match_oracle[1]",),
+    ),
+    Mutant(
+        "unknown-target-spawns", "simulate.py",
+        '            if site is None:\n                raise SimError(f"injection target {inj.target} is not a stage',
+        '            if False:\n                raise SimError(f"injection target {inj.target} is not a stage',
+        (SIM + "test_injection_at_no_stage_of_the_model_is_a_sim_error",),
+    ),
+    # The ledger's duplicate check.
+    Mutant(
+        "no-duplicate-check", "history.py",
+        "        if record in records[bisect_left(slot.stamps, when):i]:", "        if False:",
+        (HISTORY + "test_duplicate_record_rejected",),
+    ),
+    Mutant(
+        "duplicate-check-on-the-last-tie", "history.py",
+        "records[bisect_left(slot.stamps, when):i]", "records[i - 1:i]",
+        (HISTORY + "test_duplicate_behind_a_same_instant_record_rejected",),
+    ),
+    Mutant(
+        "duplicate-scan-from-the-start", "history.py",
+        "records[bisect_left(slot.stamps, when):i]", "records[:i]",
+        (HISTORY + "test_duplicate_record_rejected", HISTORY + "test_ledger_matches_brute_force_reference"),
+        survives="an equal record has the same 'at' text, so a record dated earlier cannot equal the new one",
+    ),
+    Mutant(
+        "duplicate-scan-to-the-end", "history.py",
+        "records[bisect_left(slot.stamps, when):i]", "records[bisect_left(slot.stamps, when):]",
+        (HISTORY + "test_duplicate_record_rejected", HISTORY + "test_ledger_matches_brute_force_reference"),
+        survives="an equal record has the same 'at' text, so a record dated later cannot equal the new one",
+    ),
+    # Event regions, the trace decoder and the chronology automaton.
+    Mutant(
+        "region-triggers-counted-as-flows", "model.py",
+        "            arc = model.flow(name)\n            if arc is not None:\n                flow_labels.add(name)\n"
+        "            else:\n                arc = model.trigger(name)\n",
+        "            arc = model.flow(name) or model.trigger(name)\n            flow_labels.add(name)\n",
+        ("tests/test_acceptance.py::test_criterion_3_chronology_conformance",),
+    ),
+    Mutant(
+        "region-drops-trigger-endpoints", "model.py",
+        "            stages.update((arc.src, arc.dst))",
+        "            stages.update((arc.src, arc.dst) if name in flow_labels else ())",
+        ("tests/test_model_core.py::test_subdiagram_keeps_a_triggers_endpoints",),
+    ),
+    Mutant(
+        "region-catches-every-error", "canon.py",
+        "    except UnknownLabelError as exc:\n        raise CanonError(",
+        "    except Exception as exc:\n        raise CanonError(",
+        ("tests/test_model_core.py::test_event_region_lets_other_errors_through",),
+    ),
+    Mutant(
+        "decoder-skips-arc", "export.py",
+        'for name, value in (("kind", kind), ("at", at), ("arc", arc)):',
+        'for name, value in (("kind", kind), ("at", at)):',
+        ("tests/test_cli.py::test_conform_rejects_mistyped_field",),
+    ),
+    Mutant(
+        "permits-after-a-violation", "behavior.py",
+        "        if self.first_violation is not None:\n            return False\n", "",
+        (BEHAVIOR + "test_gate_permits_matches_allowed_labels",),
+    ),
+    Mutant(
+        "shuffle-keeps-operand-edges", "behavior.py",
+        "        del self.edges[mark:]\n", "",
+        (BEHAVIOR + "test_compile_matches_scan_all_edges_reference",),
+    ),
+    Mutant(
+        "shuffle-keeps-node-numbers", "behavior.py",
+        "        self.next_node = first\n", "",
+        (BEHAVIOR + "test_nfa_without_interrupts_has_no_unreachable_node",),
+    ),
+    Mutant(
+        "par-mark-after-first-operand", "behavior.py",
+        "            first, mark = self.next_node, len(self.edges)\n"
+        "            merged = self.build(node.children[0], known)\n",
+        "            merged = self.build(node.children[0], known)\n"
+        "            first, mark = self.next_node, len(self.edges)\n",
+        (BEHAVIOR + "test_compile_par_interleaves",),
+    ),
+    Mutant(
+        "watcher-epsilon-edges-untagged", "behavior.py",
+        "[(s, lbl, d, True) for (s, lbl, d, _) in self.edges[mark:]]",
+        "[(s, lbl, d, lbl is not None) for (s, lbl, d, _) in self.edges[mark:]]",
+        (BEHAVIOR + "test_compile_matches_scan_all_edges_reference", "tests/test_export.py"),
+        survives="_determinize never reads the watcher flag of an epsilon edge",
+    ),
+    # The collector pause, warnings-only checks and DOT order.
+    Mutant(
+        "collector-always-restarted", "cli.py",
+        "        if collecting:\n            gc.enable()\n", "        gc.enable()\n",
+        ("tests/test_gc.py::test_main_leaves_the_collector_as_it_found_it",),
+    ),
+    Mutant(
+        "collector-never-restarted", "cli.py",
+        "        if collecting:\n            gc.enable()\n", "        pass\n",
+        ("tests/test_gc.py::test_main_leaves_the_collector_as_it_found_it",),
+    ),
+    Mutant(
+        "no-reachability-for-a-failing-model", "validate.py",
+        "    if warnings_if_ok or not ok:", "    if warnings_if_ok:",
+        ("tests/test_cli.py::test_failing_model_prints_what_check_prints",),
+    ),
+    Mutant(
+        "dot-edges-in-set-order", "export.py",
+        "node_of(trig.dst))} [{', '.join(attrs)}];\")\n    lines.extend(sorted(edge_lines))",
+        "node_of(trig.dst))} [{', '.join(attrs)}];\")\n    lines.extend(set(edge_lines))",
+        ("tests/test_cli.py::test_outputs_do_not_depend_on_the_hash_seed",),
+    ),
+)
+
+
+def occurrences(mutant: Mutant, src: Path) -> int:
+    """How often the mutant's old text occurs in the ``.py`` files under ``src``."""
+    return sum(path.read_text(encoding="utf-8").count(mutant.old) for path in src.rglob("*.py"))
+
+
+def pytest(root: Path, tests: list[str]) -> int:
+    """The exit status of ``pytest -x -q`` on ``tests`` in the copy at ``root``:
+    0 when they pass, 1 when one fails, anything else when they did not run."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def killed(mutant: Mutant, root: Path) -> bool:
+    """Apply the mutant in the copy at ``root``, run its tests, restore the file."""
+    path = root / "src" / "fmkit" / mutant.file
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace(mutant.old, mutant.new, 1), encoding="utf-8")
+    try:
+        status = pytest(root, list(mutant.tests))
+    finally:
+        path.write_text(text, encoding="utf-8")
+    if status not in (0, 1):
+        raise SystemExit(f"{mutant.name}: pytest exited {status}")
+    return status == 1
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print("unknown mutants: " + ", ".join(sorted(unknown)), file=sys.stderr)
+        return 2
+    for mutant in chosen:
+        if occurrences(mutant, ROOT / "src") != 1:
+            print(f"{mutant.name}: old text does not occur exactly once in src/", file=sys.stderr)
+            return 2
+    bad = 0
+    begin = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in COPIED:
+            shutil.copytree(ROOT / name, root / name, ignore=shutil.ignore_patterns("__pycache__", ".perfbench_work"))
+        status = pytest(root, list(dict.fromkeys(test for m in chosen for test in m.tests)))
+        print(f"unmutated: pytest exited {status} in {time.perf_counter() - begin:.1f} s", flush=True)
+        if status != 0:
+            return 1
+        for mutant in chosen:
+            start = time.perf_counter()
+            dead = killed(mutant, root)
+            ok = dead is (mutant.survives is None)
+            bad += not ok
+            verdict = ("killed" if dead else "survived") + ("" if ok else " (UNEXPECTED)")
+            note = f" (equivalent: {mutant.survives})" if mutant.survives and not dead else ""
+            print(f"{mutant.name}: {verdict} in {time.perf_counter() - start:.1f} s{note}", flush=True)
+    print(f"{len(chosen)} mutants, {bad} unexpected, {time.perf_counter() - begin:.0f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

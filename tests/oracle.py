@@ -87,12 +87,14 @@ class OracleSim:
             self._spawn(kind, endpoint, dict(attrs))
 
     def _candidates(self, thing, emit_blocked):
-        """All flow arcs the thing could take, honoring chain-following."""
+        """All flow arcs the thing could take, honoring chain-following, in
+        label order; guards are tested in that order too, so a thing's
+        ``blocked`` records come in label order."""
         if thing.last_family is not None and thing.last_index + 1 < thing.last_len:
             nxt = self.model.flow(f"{thing.last_family}.{thing.last_index + 1}")
             return [nxt] if nxt is not None else []
         found = []
-        for arc in self.model.flows:
+        for arc in sorted(self.model.flows, key=lambda a: a.label):
             if arc.src != thing.loc or arc.index != 0:
                 continue
             if arc.guard is not None:
@@ -105,7 +107,6 @@ class OracleSim:
                 if not passed:
                     continue
             found.append(arc)
-        found.sort(key=lambda a: a.label)
         return found
 
     # -- one tick

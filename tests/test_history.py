@@ -82,6 +82,17 @@ def test_duplicate_record_rejected():
     assert exc.value.code == "E_DUP"
 
 
+def test_duplicate_behind_a_same_instant_record_rejected():
+    # B shares A's instant, so A is not the slot's last record when it
+    # comes again; appended anyway, it would be a second receive (E_ORDER).
+    log = ReplacementLog()
+    log.append(rec("P101", "pump-1", "receive", "2021-03-01T08:00:00Z"))
+    log.append(rec("P101", "pump-2", "receive", "2021-03-01T08:00:00Z"))
+    with pytest.raises(AppendError) as exc:
+        log.append(rec("P101", "pump-1", "receive", "2021-03-01T08:00:00Z"))
+    assert exc.value.code == "E_DUP"
+
+
 def test_rejected_append_leaves_log_identical():
     log = pump_log()
     before = log.to_lines()

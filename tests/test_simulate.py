@@ -1,9 +1,14 @@
 from __future__ import annotations
 
-import pytest
+import re
 
-from conftest import CORPUS, golden_text, load_corpus_scenario
-from fuzz import replay_trace
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import site_reference
+from conftest import CORPUS, golden_text, load_corpus_model, load_corpus_scenario
+from fuzz import random_scenario, random_valid_model, replay_trace
 from oracle import run_oracle
 
 from fmkit import exprs
@@ -13,6 +18,7 @@ from fmkit.export import write_trace
 from fmkit.model import Endpoint, FlowArc, Stage
 from fmkit.simulate import (
     Injection,
+    ModelIndex,
     Scenario,
     SimConfig,
     SimError,
@@ -44,7 +50,7 @@ def guard(text):
 
 def make_thing(attrs):
     """A cash thing at the guard model's s/a.process, at the head of no chain."""
-    site = guard_model("x > 0").index.site(Endpoint(("s", "a"), Stage.PROCESS))
+    site = ModelIndex(guard_model("x > 0")).sites[Endpoint(("s", "a"), Stage.PROCESS)]
     return Thing(1, "cash", attrs, arrival_tick=0, site=site)
 
 
@@ -297,7 +303,7 @@ def test_a_move_uses_the_oldest_pending_enable():
         )
     )
     sim = Simulation(model, scenario, SimConfig(max_ticks=30))
-    site = model.index.site(Endpoint(("s", "held"), Stage.PROCESS))
+    site = sim.index.sites[Endpoint(("s", "held"), Stage.PROCESS)]
     queues = []
     for _ in range(3):
         sim.step()
@@ -316,7 +322,7 @@ def test_dwell_two_slows_movement():
     assert moves == [2, 4]
 
 
-def test_reindex_drops_the_site_table():
+def test_a_flow_added_after_reindex_is_simulated():
     source = (
         "thing w\n"
         "sphere s {\n"
@@ -333,13 +339,95 @@ def test_reindex_drops_the_site_table():
         return [e.arc for e in run(model, scenario, SimConfig(max_ticks=10)) if e.action == "move"]
 
     assert moves() == ["a", "b"]
-    index = model.index
-    assert model.index is index  # built once, then cached
     transfer, receive = Endpoint(("s", "m"), Stage.TRANSFER), Endpoint(("s", "m"), Stage.RECEIVE)
     model.flows.append(FlowArc(transfer, receive, "c", family="c"))
     model.reindex()
-    assert model.index is not index
     assert moves() == ["a", "b", "c"]
+
+
+BLOCKED_ORDER = (
+    "thing w { x: int = 0 }\n"
+    "sphere s {\n"
+    "  machine a: w { create process release }\n"
+    "  machine c: w { create process }\n"
+    "  flow s/a.create -> s/a.process #in\n"
+    "  flow s/a.process -> s/a.release when 1 / x > 0 #b\n"
+    "  flow s/a.process -> s/a.release when 2 / x > 0 #a\n"
+    "  trigger s/a.process => s/c.create when 1 / x > 0 #tb\n"
+    "  trigger s/a.process => s/c.create when 2 / x > 0 #ta\n"
+    "  flow s/c.create -> s/c.process #cin\n"
+    "}\n"
+)
+
+
+def test_blocked_records_follow_label_order():
+    # Every guard out of s/a.process divides by zero, and the arcs are
+    # written in reverse label order (#b before #a, #tb before #ta): the
+    # triggers' records come at the dwell's end, the flows' at the move
+    # phase, each in label order.
+    model, diags = load_model(BLOCKED_ORDER)
+    assert not diags
+    scenario = Scenario((Injection(0, "w", Endpoint(("s", "a"), Stage.CREATE), ()),))
+    trace = run(model, scenario, SimConfig(max_ticks=10))
+    assert [(e.tick, e.arc) for e in trace if e.action == "blocked"] == [(2, "ta"), (2, "tb"), (2, "a"), (2, "b")]
+    assert write_trace(trace) == run_oracle(model, scenario, max_ticks=10)
+
+
+@pytest.mark.parametrize(
+    "target", [Endpoint(("s", "nope"), Stage.CREATE), Endpoint(("passenger", "start"), Stage.RECEIVE)], ids=str
+)
+def test_injection_at_no_stage_of_the_model_is_a_sim_error(tvm, target):
+    scenario = Scenario((Injection(0, "start_request", target, ()),))
+    with pytest.raises(SimError, match=re.escape(f"injection target {target} is not a stage of the model")):
+        Simulation(tvm, scenario, SimConfig(max_ticks=10))
+
+
+def site_fields(site):
+    return (
+        site.text, site.kind, site.gated, [hop.label for hop in site.heads],
+        [trig.label for trig in site.triggers], site.assigns, site.leaves,
+    )
+
+
+def assert_site_table_matches_reference(model, scenario):
+    """The up-front table agrees with the lazy reference on every endpoint
+    the reference builds (each arc endpoint and each injection target), on
+    every hop, and holds exactly one site per stage of every machine."""
+    old, new = site_reference.ModelIndex(model), ModelIndex(model)
+    stages = [Endpoint(path, stage) for path, machine in model.machines() for stage in machine.stages()]
+    assert list(new.sites) == stages
+    assert all(site.ep == ep for ep, site in new.sites.items())
+    arcs = [*model.flows, *model.triggers]
+    targets = [inj.target for inj in scenario.injections]
+    for ep in [arc.src for arc in arcs] + [arc.dst for arc in arcs] + targets:
+        assert site_fields(new.sites[ep]) == site_fields(old.site(ep)), ep
+    hops, todo = {}, [hop for site in new.sites.values() for hop in site.heads]
+    while todo:
+        hop = todo.pop()
+        hops[hop.label] = hop
+        if hop.next is not None:
+            todo.append(hop.next)
+    assert sorted(hops) == sorted(old._hops)
+    for label, hop in old._hops.items():
+        got = hops[label]
+        assert got.dst is new.sites[got.arc.dst]
+        assert (got.dst.text, getattr(got.next, "label", None)) == (hop.dst.text, getattr(hop.next, "label", None))
+
+
+@pytest.mark.parametrize("name,scenario", [
+    ("tvm", "tvm_exact"), ("tvm", "tvm_cancel"), ("plant", "plant_water"), ("turbine", None),
+])
+def test_site_table_matches_the_reference_on_the_corpus(name, scenario):
+    model = load_corpus_model(name)
+    scenario = load_corpus_scenario(model, scenario) if scenario else Scenario(())
+    assert_site_table_matches_reference(model, scenario)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_site_table_matches_the_reference_on_fuzz_models(seed):
+    model, used = random_valid_model(seed)
+    assert_site_table_matches_reference(model, random_scenario(model, used))
 
 
 def test_scenario_file_round_trip(tvm):
