@@ -235,7 +235,7 @@ def cmd_history(args: argparse.Namespace) -> int:
     try:
         if args.timeline:
             for record in log.timeline(args.slot):
-                print(jsonl.dumps(record.to_json()))
+                print(record.to_line(), end="")
         else:
             unit = log.installed_at(args.slot, args.at)
             print(unit if unit is not None else "none")

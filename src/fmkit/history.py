@@ -7,8 +7,10 @@ UTC) rather than simulation ticks: replacement history spans calendar time.
 """
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from . import jsonl
@@ -54,10 +56,19 @@ def parse_timestamp(text: str) -> datetime:
         raise HistoryError("bad-timestamp", f"timestamp '{text}' is out of range in UTC") from exc
 
 
-class ReplacementRecord(FrozenRecord):
-    """One ledger line: immutable, equal and hashed field by field."""
+# A to_line line, which from_lines reads by pattern; every other line goes to
+# the full decoder, which gives the same record or error.  A string holding no
+# '"', no '\' and no control character decodes to the text between its quotes.
+_S = r'"([^"\\\x00-\x1f]*)"'
+_LINE = re.compile(rf'\{{"action":{_S},"at":{_S},"contractor":{_S}(?:,"note":{_S})?,"performer":{_S},"slot":{_S},"unit":{_S}\}}')
 
-    __slots__ = _fields = ("slot", "unit", "action", "at", "performer", "contractor", "note")
+
+class ReplacementRecord(FrozenRecord):
+    """One ledger line: immutable, equal and hashed field by field.  Its
+    ``timestamp`` is ``at`` parsed, once, when the record is built."""
+
+    _fields = ("slot", "unit", "action", "at", "performer", "contractor", "note")
+    __slots__ = _fields + ("timestamp",)
 
     def __init__(self, slot: str, unit: str, action: str, at: str, performer: str, contractor: str,
                  note: Optional[str] = None) -> None:
@@ -67,7 +78,7 @@ class ReplacementRecord(FrozenRecord):
             raise HistoryError("bad-record", "unit serial must be non-empty")
         if action not in ACTIONS:
             raise HistoryError("bad-record", f"unknown action '{action}'")
-        parse_timestamp(at)
+        _set(self, "timestamp", parse_timestamp(at))
         _set(self, "slot", slot)
         _set(self, "unit", unit)
         _set(self, "action", action)
@@ -76,9 +87,12 @@ class ReplacementRecord(FrozenRecord):
         _set(self, "contractor", contractor)
         _set(self, "note", note)
 
-    @property
-    def timestamp(self) -> datetime:
-        return parse_timestamp(self.at)
+    def to_line(self) -> str:
+        """``jsonl.lines([self.to_json()])``: one template, keys sorted, and
+        each string escaped by the function that encoder uses."""
+        note = "" if self.note is None else f',"note":{_quote(self.note)}'
+        return (f'{{"action":{_quote(self.action)},"at":{_quote(self.at)},"contractor":{_quote(self.contractor)}{note},'
+                f'"performer":{_quote(self.performer)},"slot":{_quote(self.slot)},"unit":{_quote(self.unit)}}}\n')
 
     def to_json(self) -> dict:
         obj = dict(zip(self._fields, self._key(self)))
@@ -166,7 +180,7 @@ class ReplacementLog:
         """Accept the record iff the slot's timeline stays valid; rejection
         raises AppendError (E_DUP, E_ORDER, E_OCCUPIED) and leaves the log
         untouched."""
-        when = parse_timestamp(record.at)
+        when = record.timestamp
         slot = self._slots.get(record.slot) or _Slot()
         records, unit = slot.records, record.unit
         i = bisect_right(slot.stamps, when)  # ties keep append order
@@ -230,21 +244,21 @@ class ReplacementLog:
     # Persistence (.fmh: one JSON object per line) ---------------------------
 
     def to_lines(self) -> str:
-        return jsonl.lines(r.to_json() for r in self._records)
+        return "".join(map(ReplacementRecord.to_line, self._records))
 
     @classmethod
     def from_lines(cls, text: str) -> "ReplacementLog":
         log = cls()
         for i, line in enumerate(jsonl.split_lines(text), start=1):
-            if not line.strip():
-                continue
+            found = _LINE.fullmatch(line)
             try:
-                obj = jsonl.decode(line)
+                if found is not None:
+                    action, at, contractor, note, performer, slot, unit = found.groups()
+                    log.append(ReplacementRecord(slot, unit, action, at, performer, contractor, note))
+                elif line.strip():
+                    log.append(ReplacementRecord.from_json(jsonl.decode(line)))
             except jsonl.JSONLineError as exc:
                 raise HistoryError("bad-record", f"line {i}: {exc}") from None
-            try:
-                log.append(ReplacementRecord.from_json(obj))
             except HistoryError as exc:
                 raise HistoryError(exc.code, f"line {i}: {exc.message}") from exc
         return log
-

@@ -1,6 +1,8 @@
 """Compact JSON with sorted keys: the one text form of every record fmkit
 writes (trace lines, ledger lines, verdicts and reports), and the line
-splitting and line decoding its JSON-lines readers share."""
+splitting and line decoding its JSON-lines readers share.  The trace and
+ledger writers render their fixed keys from templates; each must give
+exactly the text of ``lines`` for its records' ``to_json()`` dicts."""
 from __future__ import annotations
 
 import json

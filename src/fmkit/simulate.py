@@ -108,7 +108,7 @@ class Site:
 class ModelIndex:
     """One ``Site`` per stage of every machine and one ``Hop`` per flow arc, plus
     each kind's ``dec`` attribute names: what a simulator step reads.  Every arc
-    of a canonical model joins two stages of their machines."""
+    of a canonical model joins two stages of their machines; any other is a SimError."""
 
     def __init__(self, model: Model) -> None:
         self.dec = {k.name: frozenset(a.name for a in k.attrs if a.type == "dec") for k in model.kinds.values()}
@@ -121,15 +121,21 @@ class ModelIndex:
         hops = {a.label: Hop(a) for a in model.flows}
         for hop in sorted(hops.values(), key=_by_label):
             arc = hop.arc
-            src, hop.dst = self.sites[arc.src], self.sites[arc.dst]
+            src, hop.dst = self._ends(arc)
             hop.next = hops.get(f"{arc.family}.{arc.index + 1}") if arc.index + 1 < arc.chain_len else None
             src.leaves = True
             if arc.is_chain_head:
                 src.heads += (hop,)
         for trig in sorted(model.triggers, key=_by_label):
-            src = self.sites[trig.src]
+            src = self._ends(trig)[0]
             src.triggers += (trig,)
             src.leaves = True
+
+    def _ends(self, arc: FlowArc | TriggerArc) -> tuple[Site, Site]:
+        for ep in (arc.src, arc.dst):
+            if ep not in self.sites:
+                raise SimError(f"arc '{arc.label}' joins {ep}, which is not a stage of its machine")
+        return self.sites[arc.src], self.sites[arc.dst]
 
 
 class Gate(Protocol):

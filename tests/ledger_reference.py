@@ -8,6 +8,11 @@ record last among equal stamps, and replays it from the start.  Queries
 rebuild the slot's timeline the same way and walk it linearly.  Nothing
 here is indexed or cached, so a stale index in the real ledger shows up as
 a difference.
+
+``ReferenceLines`` keeps the ledger's line I/O as it was before the writer
+rendered each line from one template and the reader matched its own line
+shape with one pattern: every record goes through the general encoder as a
+dict, and every line through the full decoder and ``from_json``.
 """
 from __future__ import annotations
 
@@ -15,7 +20,14 @@ from datetime import datetime
 from typing import Optional
 
 from fmkit import jsonl
-from fmkit.history import AppendError, ReplacementRecord, UnknownSlotError, parse_timestamp
+from fmkit.history import (
+    AppendError,
+    HistoryError,
+    ReplacementLog,
+    ReplacementRecord,
+    UnknownSlotError,
+    parse_timestamp,
+)
 
 
 def _replay(records: list[ReplacementRecord]) -> None:
@@ -81,3 +93,24 @@ class ReferenceLog:
 
     def to_lines(self) -> str:
         return jsonl.lines(r.to_json() for r in self.records)
+
+
+class ReferenceLines(ReplacementLog):
+    def to_lines(self) -> str:
+        return jsonl.lines(r.to_json() for r in self._records)
+
+    @classmethod
+    def from_lines(cls, text: str) -> "ReplacementLog":
+        log = cls()
+        for i, line in enumerate(jsonl.split_lines(text), start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = jsonl.decode(line)
+            except jsonl.JSONLineError as exc:
+                raise HistoryError("bad-record", f"line {i}: {exc}") from None
+            try:
+                log.append(ReplacementRecord.from_json(obj))
+            except HistoryError as exc:
+                raise HistoryError(exc.code, f"line {i}: {exc.message}") from exc
+        return log

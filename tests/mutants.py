@@ -111,6 +111,45 @@ MUTANTS = (
         (HISTORY + "test_duplicate_record_rejected", HISTORY + "test_ledger_matches_brute_force_reference"),
         survives="an equal record has the same 'at' text, so a record dated later cannot equal the new one",
     ),
+    # The ledger's line writer and reader.
+    Mutant(
+        "ledger-string-admits-backslash", "history.py",
+        r"""_S = r'"([^"\\\x00-\x1f]*)"'""", r"""_S = r'"([^"\x00-\x1f]*)"'""",
+        (HISTORY + "test_from_lines_reads_escapes_as_the_decoder_does",),
+    ),
+    Mutant(
+        "ledger-line-not-anchored-at-its-end", "history.py",
+        "found = _LINE.fullmatch(line)", "found = _LINE.match(line)",
+        (HISTORY + "test_writer_line_with_more_after_it_is_the_decoders_error",),
+    ),
+    Mutant(
+        "ledger-reader-swaps-performer-and-contractor", "history.py",
+        "ReplacementRecord(slot, unit, action, at, performer, contractor, note))",
+        "ReplacementRecord(slot, unit, action, at, contractor, performer, note))",
+        (HISTORY + "test_round_trip_lines", HISTORY + "test_from_lines_reads_escapes_as_the_decoder_does"),
+    ),
+    Mutant(
+        "ledger-writer-writes-a-null-note", "history.py",
+        """note = "" if self.note is None else f',"note":{_quote(self.note)}'""",
+        """note = f',"note":{jsonl.dumps(self.note)}'""",
+        (HISTORY + "test_to_line_writes_a_note_only_when_there_is_one",),
+    ),
+    Mutant(
+        "ledger-writer-drops-the-note", "history.py",
+        """note = "" if self.note is None else f',"note":{_quote(self.note)}'""", 'note = ""',
+        (HISTORY + "test_note_optional_and_preserved",),
+    ),
+    Mutant(
+        "ledger-append-parses-the-stamp-again", "history.py",
+        "        when = record.timestamp\n", "        when = parse_timestamp(record.at)\n",
+        (HISTORY + "test_in_order_load_parses_each_stamp_once",),
+    ),
+    Mutant(
+        "ledger-writer-action-unescaped", "history.py",
+        """f'{{"action":{_quote(self.action)},""", """f'{{"action":"{self.action}",""",
+        (HISTORY + "test_to_lines_is_the_encoders_text",),
+        survives="an action is one of three lowercase words, which the encoder writes as they are",
+    ),
     # Event regions, the trace decoder and the chronology automaton.
     Mutant(
         "region-triggers-counted-as-flows", "model.py",

@@ -15,7 +15,7 @@ from fmkit import exprs
 from fmkit.canon import load_model
 from fmkit.diagnostics import SourceSpan
 from fmkit.export import write_trace
-from fmkit.model import Endpoint, FlowArc, Stage
+from fmkit.model import Endpoint, FlowArc, Stage, TriggerArc
 from fmkit.simulate import (
     Injection,
     ModelIndex,
@@ -381,6 +381,29 @@ def test_injection_at_no_stage_of_the_model_is_a_sim_error(tvm, target):
     with pytest.raises(SimError, match=re.escape(f"injection target {target} is not a stage of the model")):
         Simulation(tvm, scenario, SimConfig(max_ticks=10))
 
+
+
+M = ("s", "m")
+
+
+@pytest.mark.parametrize("arcs,arc", [
+    ("flows", FlowArc(Endpoint(M, Stage.RELEASE), Endpoint(M, Stage.PROCESS), "b", family="b")),
+    ("flows", FlowArc(Endpoint(M, Stage.PROCESS), Endpoint(M, Stage.TRANSFER), "b", family="b")),
+    ("triggers", TriggerArc(Endpoint(M, Stage.RELEASE), Endpoint(M, Stage.PROCESS), "b")),
+    ("triggers", TriggerArc(Endpoint(M, Stage.PROCESS), Endpoint(M, Stage.CREATE), "b")),
+], ids=["flow-to", "flow-from", "trigger-to", "trigger-from"])
+def test_arc_at_no_stage_of_its_machine_is_a_sim_error(arcs, arc):
+    # Only a model built or edited through the API holds such an arc: the
+    # binder and validate reject it in model text.
+    model, diags = load_model(
+        "thing w\nsphere s { machine m: w { create release transfer }\nflow s/m.create -> s/m.release #a }"
+    )
+    assert not diags
+    getattr(model, arcs).append(arc)
+    model.reindex()
+    message = "arc 'b' joins s/m.process, which is not a stage of its machine"
+    with pytest.raises(SimError, match=re.escape(message)):
+        run(model, Scenario(()), SimConfig(max_ticks=3))
 
 def site_fields(site):
     return (
