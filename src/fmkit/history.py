@@ -42,9 +42,27 @@ class UnknownSlotError(HistoryError):
         return type(self), (self.slot,)
 
 
+# The one stamp grammar, the same on every Python version (3.11 widened
+# fromisoformat): YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]][+HH:MM]], where * is T or
+# a space and a trailing Z may stand for the offset.  A stamp must have one of
+# these shapes, each ASCII digit read as 9 (a table lookup, several times
+# cheaper than a pattern); fromisoformat then checks the ranges, which every
+# supported version does alike for this grammar.
+_NINES = bytes.maketrans(b"0123456789", b"9" * 10)
+_SHAPES = frozenset([b"9999-99-99"] + [
+    b"9999-99-99" + sep + time + zone
+    for sep in (b"T", b" ")
+    for time in (b"99", b"99:99", b"99:99:99", b"99:99:99.999", b"99:99:99.999999")
+    for zone in (b"", b"Z", b"+99:99", b"-99:99")
+])
+
+
 def parse_timestamp(text: str) -> datetime:
-    """ISO 8601; a trailing Z means UTC.  Naive stamps are taken as UTC."""
+    """ISO 8601 in one of ``_SHAPES``; a trailing Z means UTC.  Naive
+    stamps are taken as UTC."""
     try:
+        if text.encode("ascii", "replace").translate(_NINES) not in _SHAPES:
+            raise ValueError(text)
         stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError as exc:
         raise HistoryError("bad-timestamp", f"unparseable timestamp '{text}'") from exc

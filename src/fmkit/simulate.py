@@ -13,23 +13,27 @@ so runs are bit-identical across repeats and platforms.
 
 A tick touches only the things that can change:
 
-* Completion calendar.  Whenever a thing arrives somewhere (spawn or move)
-  its id goes into the bucket of the tick its dwell completes.  A tick
-  completes the things of its own bucket, in id order, skipping stale
-  entries: a thing that has been consumed, or that left early through an
-  enable and so arrived again since.
+* Completion calendar.  A dwell's end does work only at a site with
+  assigns or triggers (``Site.completes``), so only an arrival (spawn or
+  move) at such a site puts the thing's id into the bucket of the tick its
+  dwell completes; an arrival anywhere else is never visited again by
+  completion.  A tick completes the things of its own bucket, in id order,
+  skipping stale entries: a thing that has been consumed, or that left
+  early through an enable and so arrived again since.
 * Parked things.  A thing that is past its dwell, has no candidate arc and
   whose guards raised no error (so it emitted no ``blocked`` record) is
-  parked: move selection and ``live()`` skip it from then on.  Candidates
-  depend on the location, the chain position and the guards; guards read
-  only attributes, and attributes change only when a dwell completes, which
-  for a parked thing has already happened at this location.  Only a move
-  changes the location, so a parked thing can never move again (it can
-  still be consumed).  A thing at an enable-gated stage is examined before
-  its dwell is over, since an enable waives the dwell; it is never parked
-  then, because its completion may still assign attributes.
-* ``self.things`` is iterated in dict order, which is id order: ids are
-  monotone and a consumed thing is never re-inserted.
+  parked: it leaves ``_active``, the live things that are not parked, which
+  move selection and ``live()`` walk, and stays only in ``self.things``.
+  Candidates depend on the location, the chain position and the guards;
+  guards read only attributes, and attributes change only when a dwell
+  completes, which for a parked thing has already happened at this
+  location.  Only a move changes the location, so a parked thing can never
+  move again and never re-enters ``_active`` (it can still be consumed,
+  which removes it from both).  A thing at an enable-gated stage is
+  examined before its dwell is over, since an enable waives the dwell; it
+  is never parked then, because its completion may still assign attributes.
+* ``self.things`` and ``_active`` are iterated in dict order, which is id
+  order: ids are monotone and a thing that leaves is never re-inserted.
 * Sites.  Each thing carries the ``Site`` of its location from the
   run's ``ModelIndex`` (set on spawn and on move) and the next ``Hop`` of the
   chain it is on.  A site carries its text, its machine's kind, gated
@@ -95,14 +99,16 @@ class Hop:
 class Site:
     """A stage as the simulator reads it: its text, its machine's kind, whether it waits
     on an enable (a trigger into a stage other than create targets it), its chain-head
-    hops and triggers in label order, its machine's assigns (process only), whether any arc leaves it."""
+    hops and triggers in label order, its machine's assigns (process only), whether any arc leaves it,
+    and whether a dwell's end here does any work (assigns or triggers), so an arrival enters the calendar."""
 
-    __slots__ = ("ep", "text", "kind", "gated", "heads", "triggers", "assigns", "leaves")
+    __slots__ = ("ep", "text", "kind", "gated", "heads", "triggers", "assigns", "leaves", "completes")
 
     def __init__(self, ep: Endpoint, machine: Machine, gated: bool) -> None:
         self.ep, self.text, self.kind, self.gated = ep, str(ep), machine.kind, gated
         self.assigns = machine.assigns if ep.stage is Stage.PROCESS else ()
         self.heads, self.triggers, self.leaves = (), (), False
+        self.completes = bool(self.assigns)
 
 
 class ModelIndex:
@@ -129,7 +135,7 @@ class ModelIndex:
         for trig in sorted(model.triggers, key=_by_label):
             src = self._ends(trig)[0]
             src.triggers += (trig,)
-            src.leaves = True
+            src.leaves = src.completes = True
 
     def _ends(self, arc: FlowArc | TriggerArc) -> tuple[Site, Site]:
         for ep in (arc.src, arc.dst):
@@ -208,7 +214,7 @@ class Simulation:
         self.pending_enables: dict[Site, list[int]] = {}  # gated site -> enable ticks, oldest first
         self.pending_firings: list[_Firing] = []
         self._calendar: dict[int, list[int]] = {}  # completion tick -> thing ids
-        self._parked: set[int] = set()
+        self._active: dict[int, Thing] = {}  # the live things not parked, in id order
         self.injections = sorted(
             scenario.injections, key=lambda inj: inj.tick
         )  # stable: ties keep declaration order
@@ -240,8 +246,9 @@ class Simulation:
                 raise SimError(f"spawn of {kind_name} lacks attribute '{spec.name}'")
         thing = Thing(self.next_id, kind_name, attrs, self.tick, site)
         self.next_id += 1
-        self.things[thing.id] = thing
-        self._calendar.setdefault(self.tick + self.config.stage_dwell, []).append(thing.id)
+        self.things[thing.id] = self._active[thing.id] = thing
+        if site.completes:
+            self._calendar.setdefault(self.tick + self.config.stage_dwell, []).append(thing.id)
         self._emit(_new(TraceEvent, (self.tick, "spawn", thing.id, kind_name, site.text, None)))
 
     def _apply_injections(self) -> None:
@@ -284,15 +291,14 @@ class Simulation:
         is listed only while an enable is available for it."""
         tick = self.tick
         dwell = self.config.stage_dwell
-        parked = self._parked
+        active = self._active
+        parked: list[int] = []
         if blocked is None:
             blocked = []  # parking must see blocked records the caller drops
         by_hop: dict[Hop, list[Thing]] = {}
         budget = {site: bisect_left(ticks, tick) for site, ticks in self.pending_enables.items()}
         claimed: dict[Site, int] = {}
-        for thing in self.things.values():
-            if thing.id in parked:
-                continue
+        for thing in active.values():
             site = thing.site
             dwelling = tick < thing.arrival_tick + dwell
             if site.gated:
@@ -301,18 +307,22 @@ class Simulation:
                     continue
             elif dwelling:
                 continue
-            hops = (thing.next,) if thing.next is not None else ()
-            if not hops:
+            hop = thing.next
+            if hop is not None:  # mid-chain: its one hop
+                by_hop.setdefault(hop, []).append(thing)
+            else:
                 n_blocked = len(blocked)
                 hops = self._open_heads(thing, blocked)
                 if not hops:
                     if not dwelling and len(blocked) == n_blocked:
-                        parked.add(thing.id)
+                        parked.append(thing.id)
                     continue
+                for hop in hops:
+                    by_hop.setdefault(hop, []).append(thing)
             if site.gated:
                 claimed[site] = claimed.get(site, 0) + 1
-            for hop in hops:
-                by_hop.setdefault(hop, []).append(thing)
+        for thing_id in parked:
+            del active[thing_id]
         return [(thing, hop) for hop in sorted(by_hop, key=_by_label) for thing in by_hop[hop]]
 
     # Stepping -------------------------------------------------------------
@@ -376,7 +386,7 @@ class Simulation:
         self.pending_firings = still_pending
         for thing_id in sorted(consumed):
             thing = self.things.pop(thing_id)
-            self._parked.discard(thing_id)
+            self._active.pop(thing_id, None)
             emit(_new(TraceEvent, (tick, "consume", thing.id, thing.kind, thing.site.text, None)))
 
         # Moves: first guard-passing arc per thing, canonical order overall.
@@ -385,6 +395,7 @@ class Simulation:
         for event in blocked:
             emit(event)
         moved: set[int] = set()
+        due: list[int] = []
         for thing, hop in candidates:
             if thing.id in moved:
                 continue
@@ -401,9 +412,11 @@ class Simulation:
             dst = hop.dst
             thing.site, thing.next = dst, hop.next
             thing.arrival_tick = tick
+            if dst.completes:
+                due.append(thing.id)
             emit(_new(TraceEvent, (tick, "move", thing.id, thing.kind, dst.text, hop.label)))
-        if moved:
-            self._calendar.setdefault(tick + dwell, []).extend(moved)
+        if due:
+            self._calendar.setdefault(tick + dwell, []).extend(due)
 
         return self.trace[start:]
 
@@ -418,10 +431,7 @@ class Simulation:
             if gate is None or gate.permits(firing[0]):
                 return True
         dwell = self.config.stage_dwell
-        parked = self._parked
-        for thing in self.things.values():
-            if thing.id in parked:
-                continue
+        for thing in self._active.values():
             site = thing.site
             if self.tick < thing.arrival_tick + dwell:
                 # Still dwelling: completion may fire triggers or open a

@@ -58,7 +58,12 @@ MUTANTS = (
     ),
     Mutant(
         "trigger-source-not-leaving", "simulate.py",
-        "src.triggers += (trig,)\n            src.leaves = True\n", "src.triggers += (trig,)\n",
+        "src.leaves = src.completes = True", "src.completes = True",
+        (SIM + "test_cancel_returns_same_cash_thing",),
+    ),
+    Mutant(
+        "calendar-flag-from-assigns-only", "simulate.py",
+        "src.leaves = src.completes = True", "src.leaves = True",
         (SIM + "test_cancel_returns_same_cash_thing",),
     ),
     Mutant(
@@ -81,6 +86,29 @@ MUTANTS = (
         "every-hop-a-head", "simulate.py",
         "            if arc.is_chain_head:\n                src.heads += (hop,)", "            src.heads += (hop,)",
         ("tests/test_differential.py::test_fuzz_models_match_oracle[1]",),
+    ),
+    # The simulator's step: the completion calendar and the scan.
+    Mutant(
+        "every-arrival-enters-the-calendar", "simulate.py",
+        "self.completes = bool(self.assigns)", "self.completes = True",
+        (SIM + "test_step_matches_the_reference_step", "tests/test_differential.py::test_fuzz_models_match_oracle"),
+        survives="completion at a site with no assigns and no triggers does nothing",
+    ),
+    Mutant(
+        "consumed-thing-left-active", "simulate.py",
+        "            self._active.pop(thing_id, None)\n", "",
+        (SIM + "test_oracle_equivalence_small_scenario",),
+    ),
+    Mutant(
+        "parking-while-dwelling", "simulate.py",
+        "if not dwelling and len(blocked) == n_blocked:", "if len(blocked) == n_blocked:",
+        (SIM + "test_thing_examined_while_dwelling_is_not_parked",),
+    ),
+    Mutant(
+        "parked-thing-stays-active", "simulate.py",
+        "        for thing_id in parked:\n            del active[thing_id]\n", "",
+        (SIM + "test_step_matches_the_reference_step", "tests/test_differential.py::test_fuzz_models_match_oracle"),
+        survives="a parked thing has no open arc and raises no guard error, so a scan passes over it",
     ),
     Mutant(
         "unknown-target-spawns", "simulate.py",
@@ -138,6 +166,11 @@ MUTANTS = (
         "ledger-writer-drops-the-note", "history.py",
         """note = "" if self.note is None else f',"note":{_quote(self.note)}'""", 'note = ""',
         (HISTORY + "test_note_optional_and_preserved",),
+    ),
+    Mutant(
+        "stamp-shape-unchecked", "history.py",
+        'if text.encode("ascii", "replace").translate(_NINES) not in _SHAPES:', "if False:",
+        (HISTORY + "test_stamp_outside_the_grammar_is_rejected",),
     ),
     Mutant(
         "ledger-append-parses-the-stamp-again", "history.py",

@@ -10,8 +10,10 @@ import site_reference
 from conftest import CORPUS, golden_text, load_corpus_model, load_corpus_scenario
 from fuzz import random_scenario, random_valid_model, replay_trace
 from oracle import run_oracle
+from sim_reference import ReferenceSimulation
 
 from fmkit import exprs
+from fmkit.behavior import enforce
 from fmkit.canon import load_model
 from fmkit.diagnostics import SourceSpan
 from fmkit.export import write_trace
@@ -420,6 +422,7 @@ def assert_site_table_matches_reference(model, scenario):
     stages = [Endpoint(path, stage) for path, machine in model.machines() for stage in machine.stages()]
     assert list(new.sites) == stages
     assert all(site.ep == ep for ep, site in new.sites.items())
+    assert all(site.completes == bool(site.assigns or site.triggers) for site in new.sites.values())
     arcs = [*model.flows, *model.triggers]
     targets = [inj.target for inj in scenario.injections]
     for ep in [arc.src for arc in arcs] + [arc.dst for arc in arcs] + targets:
@@ -599,7 +602,7 @@ def test_thing_examined_while_dwelling_is_not_parked():
 
 @pytest.mark.parametrize(
     "model_name,scenario_name,mid_run,ticks",
-    [("tvm", "tvm_topup", 12, 200), ("tvm", "tvm_cancel", 20, 200), ("plant", "plant_water", 35, 60)],
+    [("tvm", "tvm_topup", 11, 200), ("tvm", "tvm_cancel", 11, 200), ("plant", "plant_water", 98, 200)],
 )
 def test_hand_stepping_reaches_the_end_run_reaches(model_name, scenario_name, mid_run, ticks):
     model, _ = load_model((CORPUS / f"{model_name}.fm").read_text(encoding="utf-8"), model_name)
@@ -607,11 +610,61 @@ def test_hand_stepping_reaches_the_end_run_reaches(model_name, scenario_name, mi
     sim = Simulation(model, scenario, SimConfig(max_ticks=ticks))
     while sim.tick < mid_run:
         sim.step()
-    assert sim._parked and sim._calendar  # mid-run, things are parked and due
+    # Mid-run, things are parked (live, but out of the scan) and due.
+    assert len(sim._active) < len(sim.things) and sim._calendar
     while sim.tick < ticks and sim.live():
         sim.step()
     whole = run(model, scenario, SimConfig(max_ticks=ticks))
     assert write_trace(sim.trace) == write_trace(e for e in whole if e.action != "quiescent")
+
+
+def moves_per_tick(simulation_cls, model, scenario, config):
+    """A step()/live() loop over ``simulation_cls``: its trace, the (thing
+    id, arc label) pairs ``enabled_moves`` returned on each tick, and
+    whether the run was still live when it stopped."""
+    seen = []
+
+    class Seen(simulation_cls):
+        def enabled_moves(self, blocked=None):
+            pairs = super().enabled_moves(blocked)
+            seen.append((self.tick, [(thing.id, hop.label) for thing, hop in pairs]))
+            return pairs
+
+    sim = Seen(model, scenario, config)
+    while sim.tick < config.max_ticks and sim.live():
+        sim.step()
+    return write_trace(sim.trace), seen, sim.live()
+
+
+# Random models at dwell 1-3: a few spawn without end, and 30 ticks keeps
+# every seed cheap (see tests/test_differential.py).
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 299), st.integers(1, 3))
+def test_step_matches_the_reference_step(seed, dwell):
+    model, _ = random_valid_model(seed)
+    scenario = random_scenario(model, seed)
+    config = SimConfig(max_ticks=30, stage_dwell=dwell)
+    assert moves_per_tick(Simulation, model, scenario, config) == moves_per_tick(
+        ReferenceSimulation, model, scenario, config
+    )
+
+
+@pytest.mark.parametrize("dwell", [1, 2, 3])
+@pytest.mark.parametrize("model_name,scenario_name,behavior_name", [
+    ("plant", "plant_water", None), ("tvm", "tvm_topup", None), ("tvm", "tvm_cancel", "cash_purchase"),
+    ("tvm", "tvm_exact", "cash_purchase"), ("tvm", "tvm_insufficient", "cash_purchase"),
+])
+def test_corpus_steps_match_the_reference_step(model_name, scenario_name, behavior_name, dwell):
+    model = load_corpus_model(model_name)
+    scenario = load_corpus_scenario(model, scenario_name)
+
+    def config():  # a gate keeps state, so each run enforces through its own
+        gate = enforce(model, model.behavior(behavior_name).program) if behavior_name else None
+        return SimConfig(max_ticks=200, stage_dwell=dwell, gate=gate)
+
+    assert moves_per_tick(Simulation, model, scenario, config()) == moves_per_tick(
+        ReferenceSimulation, model, scenario, config()
+    )
 
 
 def test_blocked_thing_is_not_parked():
