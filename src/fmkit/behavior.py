@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .diagnostics import FrozenRecord, Record, _set
+from .diagnostics import FrozenRecord, _set
 from .model import (
     Choice,
     Chrono,
@@ -132,11 +132,9 @@ def _too_large() -> BehaviorError:
     return BehaviorError("behavior-too-large", f"the behavior's automaton needs more than {MAX_STATES} states")
 
 
-class _Fragment(Record):
-    __slots__ = _fields = ("start", "finals")
-
-    def __init__(self, start: int, finals: frozenset[int]) -> None:
-        self.start, self.finals = start, finals
+class _Fragment(NamedTuple):
+    start: int
+    finals: frozenset[int]
 
 
 class _NfaBuilder:

@@ -61,9 +61,8 @@ class _Parser:
 
     # Token plumbing -------------------------------------------------------
     # ``cur`` is a plain attribute, ``tokens[pos]``: advance (never past the
-    # final EOF), expect and seek move ``pos`` and set ``cur`` with it.  ``at``
-    # tests one type; a test against several is ``self.cur.type in`` a
-    # module-level frozenset, and hot loops compare ``self.cur.type`` directly.
+    # final EOF), expect and seek move ``pos`` and set ``cur`` with it.  A test
+    # against several types is ``self.cur.type in`` a module-level frozenset.
 
     def advance(self) -> Token:
         tok = self.cur
@@ -76,15 +75,14 @@ class _Parser:
         self.pos = pos
         self.cur = self.tokens[pos]
 
-    def at(self, type_: str) -> bool:
-        return self.cur.type == type_
-
     def expect(self, type_: str, what: str = "") -> Optional[Token]:
         if self.cur.type == type_:
             return self.advance()
-        label = what or f"'{type_}'"
-        self.error(f"expected {label}, found '{self.cur.text or self.cur.type}'")
+        self.expected(what or f"'{type_}'")
         return None
+
+    def expected(self, what: str) -> None:
+        self.error(f"expected {what}, found '{self.cur.text or self.cur.type}'")
 
     def error(self, message: str, span: Optional[SourceSpan] = None) -> None:
         self.diags.append(error("syntax-error", message, span or self.cur.span))
@@ -132,28 +130,22 @@ class _Parser:
         return out
 
     def parse_item(self, out: ast.ModelAst) -> None:
-        if self.at("thing"):
-            decl = self.parse_kind()
-            if decl:
-                out.kinds.append(decl)
-        elif self.at("sphere"):
-            decl = self.parse_sphere(out.arcs)
-            if decl:
-                out.spheres.append(decl)
-        elif self.at("event"):
-            decl = self.parse_event()
-            if decl:
-                out.events.append(decl)
-        elif self.at("behavior"):
-            decl = self.parse_behavior()
-            if decl:
-                out.behaviors.append(decl)
+        head = self.cur.type
+        if head == "thing":
+            decl, into = self.parse_kind(), out.kinds
+        elif head == "sphere":
+            decl, into = self.parse_sphere(out.arcs), out.spheres
+        elif head == "event":
+            decl, into = self.parse_event(), out.events
+        elif head == "behavior":
+            decl, into = self.parse_behavior(), out.behaviors
         else:
-            self.error(
-                f"expected thing, sphere, event, or behavior, found '{self.cur.text or self.cur.type}'"
-            )
+            self.expected("thing, sphere, event, or behavior")
             self.advance()
             self.synchronize(ITEM_KEYWORDS)
+            return
+        if decl:
+            into.append(decl)
 
     def parse_kind(self) -> Optional[ThingKind]:
         self.advance()  # 'thing'
@@ -162,10 +154,10 @@ class _Parser:
             self.synchronize(ITEM_KEYWORDS)
             return None
         attrs: list[AttrSpec] = []
-        if self.at("{"):
+        if self.cur.type == "{":
             self.advance()
             while self.cur.type not in _BLOCK_END:
-                if self.at(","):
+                if self.cur.type == ",":
                     self.advance()
                     continue
                 attr_tok = self.expect("IDENT", "an attribute name")
@@ -179,7 +171,7 @@ class _Parser:
                     self.error("expected a scalar type (int, dec, str, bool)")
                     break
                 default = None
-                if self.at("="):
+                if self.cur.type == "=":
                     self.advance()
                     default = self.parse_literal()
                     if default is None:  # skip to the ',' or '}' that ends this attribute
@@ -197,7 +189,7 @@ class _Parser:
         if tok.type == "-":
             self.advance()
             if self.cur.type != "INT" and self.cur.type != "DEC":
-                self.error(f"expected a number, found '{self.cur.text or self.cur.type}'")
+                self.expected("a number")
                 return None
             value = self.parse_literal()
             return None if value is None else -value
@@ -240,9 +232,7 @@ class _Parser:
                 else:
                     (sphere.machines if isinstance(item, Machine) else own).append(item)
             else:
-                self.error(
-                    f"expected sphere, machine, flow, or trigger, found '{self.cur.text or self.cur.type}'"
-                )
+                self.expected("sphere, machine, flow, or trigger")
                 self.advance()
                 self.synchronize(SPHERE_ITEM_KEYWORDS)
         self.expect("}")
@@ -289,7 +279,7 @@ class _Parser:
         """``IDENT = expr`` pairs, with commas, through the closing '}'."""
         out = []
         while self.cur.type not in _BLOCK_END:
-            if self.at(","):
+            if self.cur.type == ",":
                 self.advance()
                 continue
             attr_tok = self.expect("IDENT", "an attribute name")
@@ -313,7 +303,7 @@ class _Parser:
         if self.expect(".", "'.' before the stage") is None:
             return None
         if self.cur.type not in STAGE_KEYWORDS:
-            self.error(f"expected a stage name, found '{self.cur.text or self.cur.type}'")
+            self.expected("a stage name")
             return None
         stage_tok = self.advance()
         span = SourceSpan(first.file, first.line, first.col, stage_tok.line, stage_tok.end_col)
@@ -359,7 +349,7 @@ class _Parser:
             return None
         labels: list[str] = []
         if self.expect("region") is not None and self.expect("{") is not None:
-            while self.at("LABEL"):
+            while self.cur.type == "LABEL":
                 labels.append(self.advance().text)
             self.expect("}")
         self.expect("}")
@@ -391,7 +381,7 @@ class _Parser:
         self.nest(head)
         children: list[Chrono] = []
         while self.cur.type not in _GROUP_END:
-            if self.at(","):
+            if self.cur.type == ",":
                 self.advance()
                 continue
             child = self.parse_chrono()
@@ -402,7 +392,7 @@ class _Parser:
         self.depth -= 1
         if head.type == "repeat":
             possible = False
-            if self.at("possible"):
+            if self.cur.type == "possible":
                 self.advance()
                 possible = True
             if len(children) != 1:
@@ -424,13 +414,13 @@ class _Parser:
         lines; after an error, skip to the next 'inject'."""
         injections: list[ast.Injection] = []
         while self.cur.type != "EOF":
-            if self.at("inject"):
+            if self.cur.type == "inject":
                 injection = self.parse_injection()
                 if injection is not None:
                     injections.append(injection)
                     continue
             else:
-                self.error(f"expected 'inject', found '{self.cur.text or self.cur.type}'")
+                self.expected("'inject'")
             while self.cur.type != "inject" and self.cur.type != "EOF":
                 self.advance()
         return ast.Scenario(tuple(injections))
@@ -443,14 +433,14 @@ class _Parser:
         target = self.parse_endpoint()
         if target is None or self.expect("tick") is None:
             return None
-        tick = self.parse_literal() if self.at("INT") else self.expect("INT", "a tick number")
+        tick = self.parse_literal() if self.cur.type == "INT" else self.expect("INT", "a tick number")
         if tick is None:
             return None
         attrs: list[tuple[str, exprs.Value]] = []
-        if self.at("{"):
+        if self.cur.type == "{":
             self.advance()
             while self.cur.type not in _BLOCK_END:
-                if self.at(","):
+                if self.cur.type == ",":
                     self.advance()
                     continue
                 attr_tok = self.expect("IDENT", "an attribute name")
@@ -488,7 +478,7 @@ class _Parser:
             if self.cur.type not in _OPERAND:
                 return
             self.advance()
-            while open_parens and self.at(")"):
+            while open_parens and self.cur.type == ")":
                 self.advance()
                 open_parens -= 1
             if self.cur.type not in BINARY_PREC:
@@ -548,7 +538,7 @@ class _Parser:
             self.expect(")")
             self.depth -= 1
             return inner
-        self.error(f"expected an expression, found '{self.cur.text or self.cur.type}'")
+        self.expected("an expression")
         self.advance()
         return exprs.Lit(False), 0
 

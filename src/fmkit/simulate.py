@@ -284,7 +284,7 @@ class Simulation:
             out.append(hop)
         return out
 
-    def enabled_moves(self, blocked: Optional[list[TraceEvent]] = None) -> list[tuple[Thing, Hop]]:
+    def enabled_moves(self, blocked: list[TraceEvent]) -> list[tuple[Thing, Hop]]:
         """Every (thing, hop) pair eligible to move this tick, sorted by
         (arc label, thing id): things are visited in id order, grouped by
         hop, and the hops sorted by label.  A thing at an enable-gated stage
@@ -293,8 +293,6 @@ class Simulation:
         dwell = self.config.stage_dwell
         active = self._active
         parked: list[int] = []
-        if blocked is None:
-            blocked = []  # parking must see blocked records the caller drops
         by_hop: dict[Hop, list[Thing]] = {}
         budget = {site: bisect_left(ticks, tick) for site, ticks in self.pending_enables.items()}
         claimed: dict[Site, int] = {}

@@ -111,6 +111,19 @@ MUTANTS = (
         survives="a parked thing has no open arc and raises no guard error, so a scan passes over it",
     ),
     Mutant(
+        "spawn-never-completes", "simulate.py",
+        "        if site.completes:\n            self._calendar.setdefault(self.tick + self.config.stage_dwell, []).append(thing.id)\n",
+        "",
+        (SIM + "test_spawn_at_a_trigger_source_completes_there",),
+    ),
+    Mutant(
+        "held-firing-not-live", "simulate.py",
+        "        for firing in self.pending_firings:\n            if gate is None or gate.permits(firing[0]):\n"
+        "                return True\n",
+        "",
+        (SIM + "test_a_firing_the_gate_holds_keeps_the_run_live",),
+    ),
+    Mutant(
         "unknown-target-spawns", "simulate.py",
         '            if site is None:\n                raise SimError(f"injection target {inj.target} is not a stage',
         '            if False:\n                raise SimError(f"injection target {inj.target} is not a stage',
@@ -233,11 +246,28 @@ MUTANTS = (
         (BEHAVIOR + "test_compile_par_interleaves",),
     ),
     Mutant(
+        "par-product-unbounded", "behavior.py",
+        "                if len(mapping) == MAX_STATES:\n                    raise _too_large()\n", "",
+        (BEHAVIOR + "test_par_product_stops_at_the_state_limit",),
+    ),
+    Mutant(
         "watcher-epsilon-edges-untagged", "behavior.py",
         "[(s, lbl, d, True) for (s, lbl, d, _) in self.edges[mark:]]",
         "[(s, lbl, d, lbl is not None) for (s, lbl, d, _) in self.edges[mark:]]",
         (BEHAVIOR + "test_compile_matches_scan_all_edges_reference", "tests/test_export.py"),
         survives="_determinize never reads the watcher flag of an epsilon edge",
+    ),
+    # The parser's one wrong-token message and one place an item is filed.
+    Mutant(
+        "wrong-token-message-without-the-token", "parser.py",
+        """self.error(f"expected {what}, found '{self.cur.text or self.cur.type}'")""",
+        """self.error(f"expected {what}")""",
+        ("tests/test_parse_diagnostics.py::test_failed_heads_resynchronize",),
+    ),
+    Mutant(
+        "parsed-item-not-filed", "parser.py",
+        "        if decl:\n            into.append(decl)\n", "        if not decl:\n            into.append(decl)\n",
+        ("tests/test_dsl.py::test_parse_minimal",),
     ),
     # The collector pause, warnings-only checks and DOT order.
     Mutant(

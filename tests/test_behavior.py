@@ -130,6 +130,12 @@ def test_compile_unresolved_ref():
     assert exc.value.code == "unresolved-ref"
 
 
+def test_compile_rejects_what_is_no_chronology_node():
+    with pytest.raises(BehaviorError) as exc:
+        compile_program("a", {"a"})
+    assert (exc.value.code, str(exc.value)) == ("unresolved-ref", "not a chronology node: 'a'")
+
+
 def test_compile_choice_with_nested_repeat():
     # Either a top-up loop after the first check, or a straight ticket.
     program = Interrupt(
@@ -249,6 +255,18 @@ def test_compile_stops_at_the_state_limit():
     assert time.perf_counter() - start < 20
     assert exc.value.code == "behavior-too-large"
     assert str(exc.value) == f"the behavior's automaton needs more than {MAX_STATES} states"
+
+
+def test_par_product_stops_at_the_state_limit():
+    # 301 x 301 pairs: the builder must stop at MAX_STATES, since otherwise
+    # only compile_program's later limit would, after the whole product.
+    names = [f"a{i}" for i in range(300)] + [f"b{i}" for i in range(300)]
+    program = Par((Seq(tuple(Ref(n) for n in names[:300])), Seq(tuple(Ref(n) for n in names[300:]))))
+    builder = _NfaBuilder()
+    with pytest.raises(BehaviorError) as exc:
+        builder.build(program, set(names))
+    assert str(exc.value) == f"the behavior's automaton needs more than {MAX_STATES} states"
+    assert builder.next_node == MAX_STATES
 
 
 @settings(max_examples=200, deadline=None)

@@ -938,6 +938,23 @@ def test_history_append_that_cannot_write_the_log_exits_two(capsys, tmp_path, mo
     assert log_path.read_text() == before
 
 
+def test_history_append_with_no_room_for_a_new_file_writes_in_place(capsys, tmp_path, monkeypatch):
+    import tempfile
+
+    log_path = tmp_path / "log.fmh"
+    before = (CORPUS / "pump_history.fmh").read_text()
+    log_path.write_text(before)
+
+    def no_new_file(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(tempfile, "mkstemp", no_new_file)
+    assert run_cli(capsys, "history", str(log_path), "--append", json.dumps(GOOD_LEDGER_RECORD)) == (0, "", "")
+    after = log_path.read_text().splitlines(keepends=True)
+    assert "".join(after[:-1]) == before and json.loads(after[-1]) == GOOD_LEDGER_RECORD
+    assert [p.name for p in tmp_path.iterdir()] == ["log.fmh"]
+
+
 @pytest.mark.parametrize("limit", [0, 312])
 def test_history_append_past_a_file_size_limit_leaves_the_log_whole(tmp_path, limit):
     # The log is 624 bytes: under either limit a write in place would leave

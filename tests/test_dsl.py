@@ -49,6 +49,14 @@ def test_parse_duplicate_names():
     assert sum(1 for d in diags if d.code == "duplicate-name") == 2
 
 
+def test_render_chrono_rejects_what_is_no_chronology_node():
+    from fmkit.printer import render_chrono
+
+    with pytest.raises(TypeError) as exc:
+        render_chrono("a")
+    assert str(exc.value) == "not a chronology node: 'a'"
+
+
 def test_parse_is_total_on_garbage():
     tree, diags = parse("%%% flow -> !!! machine {{{")
     assert any(d.is_error for d in diags)

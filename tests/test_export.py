@@ -309,6 +309,13 @@ def test_dot_check_names_each_problem(document, problems):
     assert dot_check(document) == problems
 
 
+def test_dot_check_names_what_an_attribute_list_lacks():
+    # Pinned here, not left to the random documents below, so that every
+    # run of tier-1 takes this path.
+    assert dot_check("digraph { a [;]; }") == ["expected ID, found ;", "expected ID, found ]", "expected }, found ]"]
+    assert dot_check("digraph { a [") == ["expected ], found EOF", "expected ;, found EOF", "expected }, found EOF"]
+
+
 # DOT pieces: keywords, symbols, IDs with dots, quotes and escaped quotes, a
 # lone backslash, blanks (only ' \t\r\n' are blanks in the checker) and
 # characters outside ASCII that are letters or digits to str.isalnum()

@@ -19,6 +19,7 @@ from fmkit.model import (
     FlowArc,
     Machine,
     Model,
+    ModelError,
     Ref,
     ResolutionError,
     Sphere,
@@ -122,6 +123,17 @@ def test_subdiagram_keeps_a_triggers_endpoints(tvm):
     region = subdiagram(tvm, ["27"])
     assert {str(ep) for ep in region.stages} == {"tvm/cash.process", "tvm/ticket.create"}
     assert not region.flow_labels
+
+
+def test_subdiagram_requires_a_canonical_model():
+    with pytest.raises(ModelError) as exc:
+        subdiagram(Model({}, [], [], [], [], []), [])
+    assert str(exc.value) == "subdiagram requires a canonical model"
+
+
+def test_event_of_an_unknown_name_is_none(tvm):
+    assert tvm.event("cash_in") is not None
+    assert tvm.event("no_such_event") is None
 
 
 def test_event_region_lets_other_errors_through(monkeypatch):

@@ -123,5 +123,54 @@ def test_recovery_paths_keep_their_diagnostics(file, source, rendered):
     assert [d.render() for d in parse_file(source, file)[1]] == rendered
 
 
+# Recovery paths no mutant reaches: a top-level item whose head fails
+# resynchronizes at the next item keyword, a machine's assign without its
+# '{' ends the machine, a chronology head without its '(' ends the program,
+# and skipping a too-deep guard stops at the first token that is no operand.
+HEAD_CASES = [
+    ("thing { a: int } thing w", [
+        "f.fm:1:7: error[syntax-error]: expected a thing-kind name, found '{'",
+        "f.fm:1:16: error[syntax-error]: expected thing, sphere, event, or behavior, found '}'",
+    ]),
+    ("thing w sphere s { machine m: w { process assign x = 1 } }", [
+        "f.fm:1:50: error[syntax-error]: expected '{', found 'x'",
+        "f.fm:1:50: error[syntax-error]: expected '}', found 'x'",
+        "f.fm:1:50: error[syntax-error]: expected sphere, machine, flow, or trigger, found 'x'",
+        "f.fm:1:58: error[syntax-error]: expected thing, sphere, event, or behavior, found '}'",
+    ]),
+    ("event 1 { region { #a } } thing w", [
+        "f.fm:1:7: error[syntax-error]: expected an event name, found '1'",
+        "f.fm:1:23: error[syntax-error]: expected thing, sphere, event, or behavior, found '}'",
+        "f.fm:1:25: error[syntax-error]: expected thing, sphere, event, or behavior, found '}'",
+    ]),
+    ("behavior b seq thing w", [
+        "f.fm:1:12: error[syntax-error]: expected '{', found 'seq'",
+    ]),
+    ("event e { region { } } behavior b { seq e }", [
+        "f.fm:1:41: error[syntax-error]: expected '(', found 'e'",
+        "f.fm:1:41: error[syntax-error]: expected '}', found 'e'",
+        "f.fm:1:41: error[syntax-error]: expected thing, sphere, event, or behavior, found 'e'",
+        "f.fm:1:43: error[syntax-error]: expected thing, sphere, event, or behavior, found '}'",
+    ]),
+    ("thing w { x: bool } sphere s { machine m: w { process release } flow s/m.process -> s/m.release when "
+     + "not " * 201 + ") #x }", [
+        "f.fm:1:898: error[nesting-too-deep]: nesting is deeper than 200 levels",
+        "f.fm:1:906: error[syntax-error]: expected sphere, machine, flow, or trigger, found ')'",
+    ]),
+    ("thing w sphere s { machine m: w { process } flow s/m.process -> s/m.process when x < ) #y }", [
+        "f.fm:1:86: error[syntax-error]: expected an expression, found ')'",
+        "f.fm:1:45: error[unresolved-reference]: unknown attribute 'x' in guard",
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "source, rendered", HEAD_CASES,
+    ids=["kind-name", "assign-brace", "event-name", "behavior-brace", "chrono-paren", "deep-guard", "expression"],
+)
+def test_failed_heads_resynchronize(source, rendered):
+    assert [d.render() for d in parse(source, "f.fm")[1]] == rendered
+
+
 if __name__ == "__main__":
     DIGESTS.write_text(json.dumps(all_digests(), indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -265,11 +265,11 @@ RECORDS = {
 }
 
 # Values that change while a record lives: these hash as nothing.
-MUTABLE = {"Machine", "Sphere", "FlowArc", "TriggerArc", "Model", "ModelAst", "_Fragment", "SimConfig", "Thing"}
+MUTABLE = {"Machine", "Sphere", "FlowArc", "TriggerArc", "Model", "ModelAst", "SimConfig", "Thing"}
 # The NamedTuple records.
 TUPLES = {
     "SourceSpan", "Diagnostic", "Endpoint", "Region", "EventDef", "ArcDecl", "EventDecl", "Scenario",
-    "Occurrence", "Violation", "Verdict",
+    "Occurrence", "Violation", "Verdict", "_Fragment",
 }
 # Records whose equality checks the class, paired with a same-valued record
 # of a sibling class.

@@ -100,7 +100,7 @@ def test_enabled_moves_single_arc():
     )
     sim.step()  # now at release
     sim.tick += 1
-    moves = sim.enabled_moves()
+    moves = sim.enabled_moves([])
     assert [(t.id, a.label) for t, a in moves] == [(1, "b")]
 
 
@@ -124,7 +124,7 @@ def test_enabled_moves_exclusive_guards():
     sim = Simulation(model, scenario, SimConfig())
     sim.step()  # create -> process
     sim.tick += 1
-    moves = sim.enabled_moves()
+    moves = sim.enabled_moves([])
     assert [(t.id, a.label) for t, a in moves] == [(1, "full")]
 
 
@@ -138,7 +138,7 @@ def test_enabled_moves_terminal_stage():
     for _ in range(3):
         sim.step()
     sim.tick += 1
-    assert sim.enabled_moves() == []
+    assert sim.enabled_moves([]) == []
 
 
 def test_run_chain_walk():
@@ -625,7 +625,7 @@ def moves_per_tick(simulation_cls, model, scenario, config):
     seen = []
 
     class Seen(simulation_cls):
-        def enabled_moves(self, blocked=None):
+        def enabled_moves(self, blocked):
             pairs = super().enabled_moves(blocked)
             seen.append((self.tick, [(thing.id, hop.label) for thing, hop in pairs]))
             return pairs
@@ -756,3 +756,59 @@ def test_injection_of_an_undeclared_kind_is_a_sim_error(tvm, tick):
     with pytest.raises(SimError) as info:
         run(tvm, scenario, SimConfig(max_ticks=10))
     assert str(info.value) == "injection of undeclared kind 'nokind'"
+
+
+def test_spawn_at_a_trigger_source_completes_there():
+    # An injected thing arrives at a stage a trigger leaves from, so it must
+    # complete there at the end of its dwell and fire the trigger.
+    model, diags = load_model(
+        "thing w\n"
+        "sphere s {\n"
+        "  machine a: w { create release }\n"
+        "  machine b: w { create release }\n"
+        "  trigger s/a.create => s/b.create #t\n"
+        "  flow s/a.create -> s/a.release #x\n"
+        "  flow s/b.create -> s/b.release #y\n"
+        "}\n"
+    )
+    assert not any(d.is_error for d in diags)
+    scenario = Scenario((Injection(0, "w", Endpoint(("s", "a"), Stage.CREATE), ()),))
+    trace = run(model, scenario, SimConfig(max_ticks=10))
+    assert [(e.tick, e.action, e.at) for e in trace if e.action in ("trigger-fired", "spawn")] == [
+        (0, "spawn", "s/a.create"), (1, "trigger-fired", "s/b.create"), (1, "spawn", "s/b.create"),
+    ]
+    assert write_trace(trace) == run_oracle(model, scenario, max_ticks=10)
+
+
+def test_a_firing_the_gate_holds_keeps_the_run_live():
+    # The gate holds trigger #t at tick 2; that tick's move #f2 completes e1,
+    # so the held firing is released at tick 3 rather than the run stopping.
+    model, diags = load_model(
+        "thing w\n"
+        "sphere s {\n"
+        "  machine a: w { create process release }\n"
+        "  machine b: w { create }\n"
+        "  flow s/a.create -> s/a.process #f1\n"
+        "  trigger s/a.process => s/b.create #t\n"
+        "  flow s/a.process -> s/a.release #f2\n"
+        "}\n"
+        "event e1 { region { #f2 } }\n"
+        "event e2 { region { #t } }\n"
+        "behavior b { seq(e1, e2) }\n"
+    )
+    assert not any(d.is_error for d in diags)
+    scenario = Scenario((Injection(0, "w", Endpoint(("s", "a"), Stage.CREATE), ()),))
+    gate = enforce(model, model.behavior("b").program)
+    trace = run(model, scenario, SimConfig(max_ticks=10, gate=gate))
+    assert [(e.tick, e.action, e.arc) for e in trace if e.tick >= 2] == [
+        (2, "move", "f2"), (3, "trigger-fired", "t"), (3, "spawn", None), (3, "quiescent", None),
+    ]
+
+
+def test_injection_without_a_required_attribute_is_a_sim_error(tvm):
+    # An unchecked scenario: check_scenario reports the attribute, run stops at it.
+    scenario = Scenario((Injection(0, "cash", Endpoint(("passenger", "cash"), Stage.CREATE), ()),))
+    assert any("lacks required attribute 'amount'" in d.message for d in check_scenario(tvm, scenario))
+    with pytest.raises(SimError) as info:
+        run(tvm, scenario, SimConfig(max_ticks=10))
+    assert str(info.value) == "spawn of cash lacks attribute 'amount'"

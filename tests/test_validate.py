@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from fmkit.canon import load_model
-from fmkit.model import Endpoint, FlowArc, Stage
+from fmkit.model import Endpoint, FlowArc, Model, Stage
 from fmkit.validate import check_legality, check_reachability, check_structure, validate
 
 
@@ -175,3 +177,9 @@ def test_validated_model_simulates_without_structural_errors(tvm):
     for trig in tvm.triggers:
         assert tvm.find_machine(trig.dst.path) is not None
     assert sim.live() is False
+
+
+def test_reachability_requires_a_canonical_model():
+    with pytest.raises(ValueError) as exc:
+        check_reachability(Model({}, [], [], [], [], []))
+    assert str(exc.value) == "check_reachability requires a canonical model"
