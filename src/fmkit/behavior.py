@@ -57,52 +57,56 @@ class OccurrenceScanner:
     """
 
     def __init__(self, events: Sequence[EventDef]) -> None:
-        self._flow_count = {e.name: len(e.region.flow_labels) for e in events}
-        # Arc label or stage text -> names of the events it touches, in event
-        # order.  The gate reads `by_arc` as its arc -> owners table.
-        self._by_flow: dict[str, list[str]] = {}
+        # event -> thing -> [start tick, flow labels traversed so far]
+        progress: dict[str, dict[int, list]] = {e.name: {} for e in events}
+        flow_count = {e.name: len(e.region.flow_labels) for e in events}
+        # (action, arc label or stage text) -> (event name, its progress, flow
+        # count) of each event a record touches, in event order; the count
+        # is 0 where the record adds nothing to the traversed set.
+        targets: dict[tuple[str, str], list[tuple[str, dict[int, list], int]]] = {}
+        # Arc label -> names of the events it touches: the gate's owners table.
         self.by_arc: dict[str, list[str]] = {}
-        self._by_stage: dict[str, list[str]] = {}
         for e in events:
             stages = {str(ep) for ep in e.region.stages}
-            for index, keys in ((self._by_flow, e.region.flow_labels), (self.by_arc, e.region.arc_labels), (self._by_stage, stages)):
+            move = (e.name, progress[e.name], flow_count[e.name])
+            other = (e.name, progress[e.name], 0)
+            for action, keys, target in (
+                ("move", e.region.flow_labels, move),
+                ("trigger-fired", e.region.arc_labels, other),
+                ("spawn", stages, other),
+                ("consume", stages, other),
+            ):
                 for key in keys:
-                    index.setdefault(key, []).append(e.name)
-        # event -> thing -> [start tick, flow labels traversed so far]
-        self._progress: dict[str, dict[int, list]] = {e.name: {} for e in events}
+                    targets.setdefault((action, key), []).append(target)
+            for label in e.region.arc_labels:
+                self.by_arc.setdefault(label, []).append(e.name)
+        self._targets = {key: tuple(value) for key, value in targets.items()}
 
     def owners(self, action: str, at: Optional[str], arc: Optional[str]) -> Optional[list[str]]:
         """Names of the events a record with this action, stage text and arc
         label touches, in event order; None when it touches none."""
-        if action == "move":
-            return self._by_flow.get(arc)
-        if action == "trigger-fired":
-            return self.by_arc.get(arc)
-        if action == "spawn" or action == "consume":
-            return self._by_stage.get(at)
-        return None
+        targets = self._targets.get((action, at if action == "spawn" or action == "consume" else arc))
+        return None if targets is None else [name for name, _, _ in targets]
 
     def feed(self, event: TraceEvent) -> list[Occurrence]:
         """Consume one trace record; return occurrences it completed."""
         out: list[Occurrence] = []
-        thing = event.thing
+        tick, action, thing, _, at, arc = event
         if thing is None:
             return out
-        action = event.action
-        names = self.owners(action, event.at, event.arc)
-        if names is None:
+        targets = self._targets.get((action, at if action == "spawn" or action == "consume" else arc))
+        if targets is None:
             return out
-        for name in names:
-            started = self._progress[name]
+        for name, started, count in targets:
             entry = started.get(thing)
             if entry is None:
-                entry = started[thing] = [event.tick, set()]
-            if action == "move":
+                entry = started[thing] = [tick, set()]
+            if count:
                 # Only moves add to the traversed set, so only they complete.
                 seen = entry[1]
-                seen.add(event.arc)
-                if len(seen) == self._flow_count[name]:
-                    out.append(Occurrence(name, entry[0], event.tick, thing))
+                seen.add(arc)
+                if len(seen) == count:
+                    out.append(Occurrence(name, entry[0], tick, thing))
                     del started[thing]
         return out
 

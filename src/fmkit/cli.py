@@ -125,14 +125,18 @@ _VERDICT_CHUNK = 256
 
 def _print_verdict(verdict: Verdict) -> None:
     """Print ``jsonl.dumps(verdict.to_json())`` and a newline, writing the
-    occurrences a chunk at a time."""
+    occurrences a chunk at a time, each from one template with its keys in
+    sorted order and its event name encoded once."""
     head = jsonl.dumps(verdict._replace(occurrences=()).to_json())  # sorted: ends '"occurrences":[]}'
     write = sys.stdout.write
     write(head[:-2])
+    quoted = jsonl.Quoted()
     occurrences = verdict.occurrences
     for start in range(0, len(occurrences), _VERDICT_CHUNK):
-        chunk = occurrences[start:start + _VERDICT_CHUNK]
-        text = jsonl.dumps([occ.to_json() for occ in chunk])[1:-1]  # without the list's brackets
+        text = ",".join(
+            f'{{"end":{end},"event":{quoted[event]},"start":{begin},"thing":{thing}}}'
+            for event, begin, end, thing in occurrences[start:start + _VERDICT_CHUNK]
+        )
         write("," + text if start else text)
     write("]}\n")
 

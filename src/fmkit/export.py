@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import re
 import sys
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import jsonl
@@ -109,14 +110,6 @@ class TraceParseError(Exception):
         return type(self), (self.line_no, self.message)
 
 
-class _Quoted(dict):
-    """JSON text of each distinct string (and of None), encoded on first use."""
-
-    def __missing__(self, value: str | None) -> str:
-        text = self[value] = jsonl.dumps(value)
-        return text
-
-
 def trace_lines(trace: Iterable[TraceEvent]) -> Iterator[str]:
     """The lines of write_trace, one per record, each ending in a newline.
 
@@ -124,7 +117,7 @@ def trace_lines(trace: Iterable[TraceEvent]) -> Iterator[str]:
     keys in sorted order (action, arc, at, kind, thing, tick).  Strings go
     through the record encoder (jsonl) once each, so the text is exactly
     what jsonl.lines gives for the records' to_json() dicts."""
-    quoted = _Quoted()
+    quoted = jsonl.Quoted()
     for tick, action, thing, kind, at, arc in trace:
         thing_text = "null" if thing is None else thing
         yield (
@@ -149,15 +142,39 @@ _ACTION = '("(?:' + "|".join(sorted(_ACTIONS)) + ')")'  # letters and '-' only
 _HEAD = re.compile(rf'\{{"action":{_ACTION},"arc":{_STRING},"at":{_STRING},"kind":{_STRING}')
 _TAIL = re.compile(r'(null|-?(?:0|[1-9][0-9]*)),"tick":(-?(?:0|[1-9][0-9]*))\}\r?\n?')
 
+# The tails of a block of lines, each followed by a NUL, checked by one
+# match.  The NUL keeps two bad tails from joining into a good one (a block
+# whose tails hold a NUL of their own is read a line at a time), and an
+# integer has at most 301 digits, so int() takes it under any
+# sys.get_int_max_str_digits.  A possessive repeat keeps no backtracking
+# state per tail; Python 3.10 has none, and its plain repeat holds about
+# 0.7 KB per tail until the match returns.
+_BLOCK = 256
+_INT = "-?(?:0|[1-9][0-9]{0,300})"
+_TAILS = re.compile(
+    rf'(?:(?:null|{_INT}),"tick":{_INT}\}}\r?\n?\x00)*' + ("+" if sys.version_info >= (3, 11) else "")
+)
 
-def _head_fields(head: str) -> tuple[str, str | None, str | None, str | None] | None:
-    """(action, kind, at, arc) of a head in the writer's shape, strings
-    interned, or None when the head is in any other shape."""
-    match = _HEAD.fullmatch(head)
-    if match is None:
-        return None
-    action, arc, at, kind = (None if text == "null" else sys.intern(text[1:-1]) for text in match.groups())
-    return action, kind, at, arc
+
+class _Heads(dict):
+    """head -> (action, kind, at, arc) of each head in the writer's shape
+    met in one read, or () for a head that ``watched`` calls false; a head
+    in any other shape is None and is not kept.  Its strings go through
+    one table, so every record shares one object per distinct string."""
+
+    def __init__(self, watched: Callable[..., object] | None) -> None:
+        self.watched = watched
+        self.strings: dict[str, str] = {}
+
+    def __missing__(self, head: str) -> tuple[str, str | None, str | None, str | None] | tuple[()] | None:
+        match = _HEAD.fullmatch(head)
+        if match is None:
+            return None
+        share = self.strings.setdefault
+        action, arc, at, kind = (None if text == "null" else share(text[1:-1], text[1:-1]) for text in match.groups())
+        watched = self.watched is None or self.watched(action, at, arc)
+        fields = self[head] = (action, kind, at, arc) if watched else ()
+        return fields
 
 
 def _decode_line(i: int, line: str) -> TraceEvent | None:
@@ -205,14 +222,19 @@ def trace_records(lines: Iterable[str], watched: Callable[..., object] | None = 
     text mode gives its lines so, broken where ``jsonl.split_lines`` breaks
     them); the line end is never part of what is decoded.
 
-    One fast path reads the writer's own line shape: each distinct head
-    (the text before ``,"thing":``) is checked by one pattern once per
-    call, so records with the same head share its interned strings, and
-    the two integers after it by another.  Every other line (blank lines,
-    escapes, whitespace, other key orders, ``true`` or ``1.0`` as a tick,
-    integers past ``sys.get_int_max_str_digits``) goes through the full
-    decoder, which gives the same record, or the same error with the same
-    line number, as it would for a line in the writer's shape.
+    The lines are read 256 at a time.  Each distinct head (the text before
+    ``,"thing":``) is checked by one pattern once per call, and its strings
+    go through a table that lives for the call, so records share one
+    object per distinct string.  When every head in a block is in the
+    writer's shape, the block's tails (the two integers after the head)
+    are checked together by one more pattern, which takes integers of up
+    to 301 digits, and only then are its records built.  Any other block
+    is read a line at a time: a line in the writer's shape by the same two
+    patterns, and every other line (blank lines, escapes, whitespace, other
+    key orders, ``true`` or ``1.0`` as a tick, integers past
+    ``sys.get_int_max_str_digits``) by the full decoder, which gives the
+    same record, or the same error with the same line number, as it would
+    for a line in the writer's shape.
 
     Given ``watched(action, at, arc)`` (``fmkit conform`` passes the
     events' ``OccurrenceScanner.owners``), it is asked once per distinct
@@ -221,18 +243,56 @@ def trace_records(lines: Iterable[str], watched: Callable[..., object] | None = 
     yields nothing when its tail is in the writer's shape and under 640
     characters (the least nonzero ``sys.get_int_max_str_digits``, so no
     integer in it can be too long), and is otherwise read as unfiltered."""
-    new = tuple.__new__
-    # head -> (action, kind, at, arc), or () for a head no event watches
-    heads: dict[str, tuple[str, str | None, str | None, str | None] | tuple[()]] = {}
-    for i, line in enumerate(lines, start=1):
+    heads = _Heads(watched)
+    lines = iter(lines)
+    start = 1
+    while True:
+        block: list[str] = []
+        try:
+            block.extend(islice(lines, _BLOCK))
+        except (OSError, ValueError):  # a failed read, say of bytes that are not UTF-8,
+            # comes after the lines read before it, as it would one line at a time
+            yield from _line_records(block, start, heads)
+            raise
+        if not block:
+            return
+        records = _block_records(block, heads)
+        yield from _line_records(block, start, heads) if records is None else records
+        start += len(block)
+
+
+def _block_records(block: list[str], heads: _Heads) -> list[TraceEvent] | None:
+    """The watched records of a block whose every line is in the writer's
+    shape with integers of at most 301 digits; None for any other block."""
+    tails: list[str] = []
+    picked: list[tuple[tuple[str, str | None, str | None, str | None], str]] = []
+    for line in block:
         head, _, tail = line.partition(',"thing":')
-        fields = heads.get(head)
+        fields = heads[head]
         if fields is None:
-            fields = _head_fields(head)
-            if fields is not None:
-                if watched is not None and not watched(fields[0], fields[2], fields[3]):
-                    fields = ()
-                heads[head] = fields
+            return None
+        tails.append(tail)
+        if fields:
+            picked.append((fields, tail))
+    text = "\x00".join(tails) + "\x00"
+    if text.count("\x00") != len(tails) or _TAILS.fullmatch(text) is None:
+        return None
+    new = tuple.__new__
+    records = []
+    for (action, kind, at, arc), tail in picked:
+        number, _, tick = tail.partition(',"tick":')
+        thing = None if number == "null" else int(number)
+        records.append(new(TraceEvent, (int(tick.rstrip("}\r\n")), action, thing, kind, at, arc)))
+    return records
+
+
+def _line_records(block: list[str], start: int, heads: _Heads) -> Iterator[TraceEvent]:
+    """The watched records of a block read a line at a time, its first line
+    numbered ``start``."""
+    new = tuple.__new__
+    for i, line in enumerate(block, start):
+        head, _, tail = line.partition(',"thing":')
+        fields = heads[head]
         if fields:
             match = _TAIL.fullmatch(tail)
             if match is not None:

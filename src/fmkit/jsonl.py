@@ -1,8 +1,8 @@
 """Compact JSON with sorted keys: the one text form of every record fmkit
 writes (trace lines, ledger lines, verdicts and reports), and the line
-splitting and line decoding its JSON-lines readers share.  The trace and
-ledger writers render their fixed keys from templates; each must give
-exactly the text of ``lines`` for its records' ``to_json()`` dicts."""
+splitting and line decoding its JSON-lines readers share.  The trace,
+ledger and verdict writers render their fixed keys from templates; each
+must give exactly the text of ``dumps`` for its records' ``to_json()`` dicts."""
 from __future__ import annotations
 
 import json
@@ -20,6 +20,14 @@ class JSONLineError(ValueError):
 
 def dumps(obj: object) -> str:
     return _ENCODER.encode(obj)
+
+
+class Quoted(dict):
+    """JSON text of each distinct string (and of None), encoded on first use."""
+
+    def __missing__(self, value: str | None) -> str:
+        text = self[value] = dumps(value)
+        return text
 
 
 def lines(objects: Iterable[object]) -> str:

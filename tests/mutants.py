@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 SIM = "tests/test_simulate.py::"
 HISTORY = "tests/test_history.py::"
 BEHAVIOR = "tests/test_behavior.py::"
+READER = "tests/test_trace_reader.py::"
 
 MUTANTS = (
     # The simulator's site table.
@@ -256,6 +257,42 @@ MUTANTS = (
         "[(s, lbl, d, lbl is not None) for (s, lbl, d, _) in self.edges[mark:]]",
         (BEHAVIOR + "test_compile_matches_scan_all_edges_reference", "tests/test_export.py"),
         survives="_determinize never reads the watcher flag of an epsilon edge",
+    ),
+    # The trace reader's block check, the scanner's targets and the verdict writer.
+    Mutant(
+        "block-tails-joined-without-separator", "export.py",
+        r'''text = "\x00".join(tails) + "\x00"''', r'''text = "".join(tails) + "\x00"''',
+        (READER + "test_writer_output_is_read_a_block_at_a_time",),
+    ),
+    Mutant(
+        "nul-inside-a-tail-unchecked", "export.py",
+        r'''if text.count("\x00") != len(tails) or _TAILS''', "if _TAILS",
+        (READER + "test_a_nul_inside_a_line_does_not_split_its_tail",),
+    ),
+    Mutant(
+        "failed-read-drops-the-lines-before-it", "export.py",
+        "            yield from _line_records(block, start, heads)\n            raise\n", "            raise\n",
+        (READER + "test_lines_read_before_a_failed_read_are_read_first",),
+    ),
+    Mutant(
+        "block-integers-uncapped", "export.py",
+        '_INT = "-?(?:0|[1-9][0-9]{0,300})"', '_INT = "-?(?:0|[1-9][0-9]*)"',
+        (READER + "test_a_block_with_a_longer_integer_is_read_a_line_at_a_time",),
+    ),
+    Mutant(
+        "spawn-target-adds-to-the-traversed-set", "behavior.py",
+        '("spawn", stages, other)', '("spawn", stages, move)',
+        ("tests/test_occurrences.py::test_scanner_matches_reference_on_goldens_with_their_own_events",),
+    ),
+    Mutant(
+        "consume-target-adds-to-the-traversed-set", "behavior.py",
+        '("consume", stages, other)', '("consume", stages, move)',
+        ("tests/test_occurrences.py::test_scanner_matches_reference_on_random_records",),
+    ),
+    Mutant(
+        "verdict-event-name-unescaped", "cli.py",
+        '"event":{quoted[event]}', '"event":"{event}"',
+        ("tests/test_cli.py::test_verdict_with_non_ascii_event_names_is_what_dumps_writes",),
     ),
     # The parser's one wrong-token message and one place an item is filed.
     Mutant(

@@ -12,10 +12,10 @@ import pytest
 from conftest import KIND_MODEL, golden_text
 from oracle import run_oracle
 
-from fmkit import behavior, cli
+from fmkit import behavior, cli, jsonl
 from fmkit.canon import load_model
 from fmkit.cli import main
-from fmkit.export import write_trace
+from fmkit.export import read_trace, write_trace
 from fmkit.model import Endpoint, Stage
 from fmkit.simulate import Injection, Scenario, SimConfig, run
 from fmkit.validate import validate
@@ -88,6 +88,33 @@ def test_sim_nonconforming_exits_one(capsys, tmp_path):
     verdict = json.loads(out)
     assert verdict["conforms"] is False
     assert verdict["first_violation"]["observed"] == "cash_in"
+
+
+def test_verdict_with_non_ascii_event_names_is_what_dumps_writes(capsys, tmp_path):
+    # The verdict writer encodes each event name once, as the encoder does:
+    # non-ASCII text as \u escapes.
+    source = (CORPUS / "tvm.fm").read_text(encoding="utf-8").replace("cash_in", "café_in")
+    model_path = tmp_path / "tvm.fm"
+    model_path.write_text(source, encoding="utf-8")
+    trace_path = tmp_path / "t.jsonl"
+    code, out, err = run_cli(
+        capsys,
+        "sim", str(model_path),
+        "--scenario", str(CORPUS / "tvm_exact.fms"),
+        "--trace", str(trace_path),
+        "--behavior", "cash_purchase",
+        "--mode", "observe",
+    )
+    model, _ = load_model(source, str(model_path))
+    verdict = behavior.check(read_trace(trace_path.read_text(encoding="utf-8")), model.events,
+                             model.behavior("cash_purchase").program)
+    assert "café_in" in {occ.event for occ in verdict.occurrences}
+    assert (code, out, err) == (0, jsonl.dumps(verdict.to_json()) + "\n", "")
+    assert "caf\\u00e9_in" in out
+    odd = tuple(behavior.Occurrence(name, i, i + 1, i) for i, name in enumerate(["café", "日本", 'a"b\\c', "café"]))
+    for shown in (verdict, behavior.Verdict(True, None, odd, False)):
+        cli._print_verdict(shown)
+        assert capsys.readouterr().out == jsonl.dumps(shown.to_json()) + "\n"
 
 
 def test_sim_enforce_mode_conforms(capsys, tmp_path):

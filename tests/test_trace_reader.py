@@ -6,7 +6,11 @@ of a file opened as ``fmkit conform`` opens it; and the writer's own output
 never reaches the fallback decoder.  Given the events' ``owners`` filter,
 as ``fmkit conform`` gives it, the reader gives the verdict ``check`` gives
 over the reference's records, or the reference's error at the same line,
-and leaves out only records no event watches."""
+and leaves out only records no event watches.  The reader checks 256 lines
+at a time: bad lines at the edges of a block, tails that only join into a
+good one, and integers too long for the block check are read as the
+reference reads them, and the writer's output is never read a line at a
+time."""
 from __future__ import annotations
 
 import gc
@@ -24,9 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli_fuzz import mutate
 
-from fmkit import jsonl
+from fmkit import export, jsonl
 from fmkit.behavior import OccurrenceScanner, check
-from fmkit.export import TraceParseError, read_trace, trace_records, write_trace
+from fmkit.export import _TAIL, TraceParseError, read_trace, trace_records, write_trace
 from fmkit.simulate import TraceEvent
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -266,6 +270,72 @@ def test_filtered_reader_rejects_an_over_limit_integer_on_an_unwatched_line(fiel
         sys.set_int_max_str_digits(limit)
 
 
+# The reader checks its lines 256 at a time, and reads a block that fails
+# the check a line at a time from the block's first line number.
+def block_lines(count: int) -> list[str]:
+    """``count`` lines in the writer's shape, watched and unwatched heads
+    taking turns, each with its own tick."""
+    return [(GOOD if i % 2 else UNWATCHED).replace('"tick":1', f'"tick":{i}') for i in range(1, count + 1)]
+
+
+def line_records_starts(monkeypatch) -> list[int]:
+    """The first line number of each block the reader reads a line at a time."""
+    starts: list[int] = []
+    line_records = export._line_records
+
+    def spy(block, start, heads):
+        starts.append(start)
+        return line_records(block, start, heads)
+
+    monkeypatch.setattr(export, "_line_records", spy)
+    return starts
+
+
+@pytest.mark.parametrize("bad", ["tick-true", "unknown-action", "cut-short", "escaped-string"])
+@pytest.mark.parametrize(("at", "end"), [(1, "\n"), (256, "\n"), (257, "\n"), (600, "\n"), (600, "")],
+                         ids=["first", "last-of-a-block", "first-of-a-block", "last", "last-without-a-line-end"])
+def test_reader_matches_reference_on_a_bad_line_at_a_block_edge(bad, at, end):
+    lines = block_lines(600)
+    lines[at - 1] = EDGE_LINES[bad]
+    text = "\n".join(lines) + end
+    assert_same_as_reference(text)
+    if bad != "escaped-string":
+        assert outcome(streamed, text)[:2] == ("error", at)
+
+
+def test_two_bad_tails_that_join_into_a_good_one_are_each_an_error():
+    head = GOOD[: GOOD.index(',"thing":')]
+    first, second = head + ',"thing":1,"tick":', head + ',"thing":0}'
+    # Their tails, '1,"tick":' and '0}', run together are a tail in the writer's shape.
+    assert _TAIL.fullmatch(first.partition(',"thing":')[2] + second.partition(',"thing":')[2])
+    lines = block_lines(300)
+    lines[10:12] = [first, second]
+    text = "\n".join(lines) + "\n"
+    assert_same_as_reference(text)
+    assert outcome(streamed, text)[:2] == ("error", 11)
+
+
+def test_a_nul_inside_a_line_does_not_split_its_tail():
+    lines = block_lines(300)
+    lines[40] = GOOD + '\x001,"tick":2}'  # two tails in the writer's shape, joined by a NUL
+    text = "\n".join(lines) + "\n"
+    assert_same_as_reference(text)
+    assert outcome(streamed, text)[:2] == ("error", 41)
+
+
+@pytest.mark.parametrize("head", [GOOD, UNWATCHED], ids=["watched", "unwatched"])
+@pytest.mark.parametrize("digits", [301, 302])
+def test_a_block_with_a_longer_integer_is_read_a_line_at_a_time(monkeypatch, head, digits):
+    lines = block_lines(300)
+    lines[100] = head.replace('"thing":1', '"thing":' + "9" * digits)
+    text = "\n".join(lines) + "\n"
+    assert_same_as_reference(text)
+    starts = line_records_starts(monkeypatch)
+    assert streamed(text) == trace_reference.read_trace(text)
+    assert watched_only(streamed(text, WATCHED)) == watched_only(trace_reference.read_trace(text))
+    assert starts == ([1, 1] if digits > 301 else [])
+
+
 def tiled_corpus_trace(tiles: int = 40) -> str:
     """The golden traces back to back, ``tiles`` times over, each copy's
     ticks and thing ids shifted past the last."""
@@ -299,6 +369,45 @@ def test_writer_output_never_reaches_the_fallback_decoder(monkeypatch):
     # Records share their strings: one object per distinct value.
     strings = [s for event in traces[-1] for s in event[3:] if s is not None]
     assert len({id(s) for s in strings}) == len(set(strings))
+
+
+@pytest.mark.parametrize("bad_at", [None, 2], ids=["good", "bad-line-first"])
+def test_lines_read_before_a_failed_read_are_read_first(tmp_path, bad_at):
+    # The byte that is not UTF-8 is near the end of the first block, where
+    # the file object fails to decode it after giving the lines before it.
+    lines = block_lines(250)
+    if bad_at is not None:
+        lines[bad_at - 1] = EDGE_LINES["tick-true"]
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + b"\xff\n")
+    given: list[str] = []
+    with open(path, "r", encoding="utf-8") as handle, pytest.raises(UnicodeDecodeError):
+        given.extend(handle)
+    expected = outcome(trace_reference.read_trace, given)
+    if bad_at is None:
+        expected.append("not UTF-8")
+    got: list = []
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            got.extend(trace_records(handle))
+        except TraceParseError as exc:
+            got = ("error", exc.line_no, str(exc))
+        except UnicodeDecodeError:
+            got.append("not UTF-8")
+    assert got == expected
+
+
+def test_writer_output_is_read_a_block_at_a_time(monkeypatch):
+    text = tiled_corpus_trace()
+    expected = trace_reference.read_trace(text)
+    starts = line_records_starts(monkeypatch)
+    assert streamed(text) == expected and streamed(text, WATCHED) == watched_only(expected)
+    assert starts == []
+    # Split from the text, the blank line after the last line end is read
+    # a line at a time, in the last block.
+    assert read_trace(text) == expected
+    last = text.count("\n") + 1
+    assert starts == [last - (last - 1) % 256]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "paused"])
