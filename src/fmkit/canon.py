@@ -27,6 +27,8 @@ from .model import (
     subdiagram,
 )
 
+_STAGES = tuple(Stage)  # iterating the Enum itself is a Python-level call
+
 
 class CanonError(Exception):
     """Canonicalization failed; carries a diagnostic for reporting."""
@@ -60,6 +62,7 @@ def canonicalize(tree: ast.ModelAst) -> Model:
     )
     model.reindex()  # the path table, through which implicit stages are added
     auto_counter = 0
+    new = tuple.__new__  # skips NamedTuple's Python-level __new__
 
     for arc in tree.arcs:
         src, dst = arc.src, arc.dst
@@ -79,13 +82,18 @@ def canonicalize(tree: ast.ModelAst) -> Model:
                 error("no-legal-expansion", f"no legal chain from {src} to {dst}", arc.span)
             )
         chain_len = len(nodes) - 1
-        # The chain's ends are the authored endpoints; each inner node is
-        # one endpoint shared by the two steps that meet there.
-        eps = [src, *(Endpoint(dst.path if side else src.path, stage) for side, stage in nodes[1:-1]), dst]
-        for ep in eps:
-            machine = model.find_machine(ep.path)
-            if not machine.has_stage(ep.stage):
-                machine.implicit += (ep.stage,)
+        # The chain's ends are the authored endpoints, declared on their
+        # machines (the binder checked); each inner node is one endpoint
+        # shared by the two steps that meet there, on its side's machine.
+        paths = (src.path, dst.path)
+        machines = (model.find_machine(src.path), model.find_machine(dst.path))
+        eps = [src]
+        for side, stage in nodes[1:-1]:
+            machine = machines[side]
+            if not machine.has_stage(stage):
+                machine.implicit += (stage,)
+            eps.append(new(Endpoint, (paths[side], stage)))
+        eps.append(dst)
         for i in range(chain_len):
             model.flows.append(
                 FlowArc(
@@ -102,7 +110,7 @@ def canonicalize(tree: ast.ModelAst) -> Model:
 
     # Keep implicit stages in Stage order, stable for printing and signatures.
     for _, machine in model.machines():
-        machine.implicit = tuple(s for s in Stage if s in machine.implicit)
+        machine.implicit = tuple(s for s in _STAGES if s in machine.implicit)
     model.reindex()
 
     for event in tree.events:

@@ -11,15 +11,36 @@ from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import jsonl
-from .model import Model, Sphere
+from .model import Endpoint, Model, Sphere, Stage
 from .simulate import Trace, TraceEvent
 
 if TYPE_CHECKING:
     from .behavior import BehaviorAutomaton
 
 
+def _escape(text: str) -> str:
+    """``text`` as it goes between the quotes of a DOT string.  It escapes
+    character by character, so the escape of a joined text is the join of
+    the escapes."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _q(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + _escape(text) + '"'
+
+
+# Each stage's text, read without the Enum ``value`` descriptor, a Python
+# call per read.
+_STAGE_TEXT = {stage: stage.value for stage in Stage}
+
+
+class _NodeNames(dict):
+    """endpoint -> its quoted node name ``"sphere.machine.stage"``, each
+    built on first use."""
+
+    def __missing__(self, ep: Endpoint) -> str:
+        name = self[ep] = f'"{_escape(".".join(ep.path))}.{_STAGE_TEXT[ep.stage]}"'
+        return name
 
 
 def model_to_dot(model: Model, show_implicit: bool = True) -> str:
@@ -32,25 +53,25 @@ def model_to_dot(model: Model, show_implicit: bool = True) -> str:
     for root in model.roots:
         _dot_sphere(lines, root, (root.name,), 1, show_implicit)
 
-    def node_of(ep) -> str:
-        return ".".join(ep.path) + "." + ep.stage.value
-
+    names = _NodeNames()
     edge_lines: list[str] = []
     for arc in model.flows:
-        if not (show_implicit or arc.is_chain_head):
+        # A chain head (index 0) is never implicit: without implicit
+        # stages, no edge is gray.
+        if show_implicit:
+            dst = arc.dst
+        elif arc.index:
             continue
-        # A chain head is never implicit: without implicit stages, no edge is gray.
-        dst = arc.dst if show_implicit else arc.authored_dst or arc.dst
-        attrs = [] if arc.label.startswith("@") else [f"label={_q(arc.label)}"]
-        if arc.is_implicit:
-            attrs.append("color=gray")
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        edge_lines.append(f"  {_q(node_of(arc.src))} -> {_q(node_of(dst))}{suffix};")
+        else:
+            dst = arc.authored_dst or arc.dst
+        if arc.label.startswith("@"):
+            attrs = " [color=gray]" if arc.index else ""
+        else:
+            attrs = f" [label={_q(arc.label)}, color=gray]" if arc.index else f" [label={_q(arc.label)}]"
+        edge_lines.append(f"  {names[arc.src]} -> {names[dst]}{attrs};")
     for trig in model.triggers:
-        attrs = ["style=dashed"]
-        if not trig.label.startswith("@"):
-            attrs.append(f"label={_q(trig.label)}")
-        edge_lines.append(f"  {_q(node_of(trig.src))} -> {_q(node_of(trig.dst))} [{', '.join(attrs)}];")
+        label = "" if trig.label.startswith("@") else f", label={_q(trig.label)}"
+        edge_lines.append(f"  {names[trig.src]} -> {names[trig.dst]} [style=dashed{label}];")
     lines.extend(sorted(edge_lines))
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -58,17 +79,19 @@ def model_to_dot(model: Model, show_implicit: bool = True) -> str:
 
 def _dot_sphere(lines: list[str], sphere: Sphere, path: tuple[str, ...], depth: int, show_implicit: bool) -> None:
     pad = "  " * depth
-    lines.append(f"{pad}subgraph {_q('cluster_' + '.'.join(path))} {{")
+    prefix = ".".join(path)
+    lines.append(f"{pad}subgraph {_q('cluster_' + prefix)} {{")
     lines.append(f"{pad}  label={_q(sphere.name)};")
     node_lines: list[str] = []
+    stage_text = _STAGE_TEXT
     for machine in sphere.machines:
-        stages = machine.stages() if show_implicit else machine.declared
-        for stage in stages:
-            node_id = ".".join(path) + f".{machine.name}.{stage.value}"
-            attrs = [f"label={_q(machine.name + '.' + stage.value)}"]
-            if stage in machine.implicit:
-                attrs.append("style=dashed")
-            node_lines.append(f"{pad}  {_q(node_id)} [{', '.join(attrs)}];")
+        node = _escape(f"{prefix}.{machine.name}.")  # stage names need no escape
+        label = _escape(machine.name + ".")
+        implicit = machine.implicit
+        for stage in machine.stages() if show_implicit else machine.declared:
+            text = stage_text[stage]
+            style = ", style=dashed" if stage in implicit else ""
+            node_lines.append(f'{pad}  "{node}{text}" [label="{label}{text}"{style}];')
     lines.extend(sorted(node_lines))
     for child in sphere.children:
         _dot_sphere(lines, child, path + (child.name,), depth + 1, show_implicit)
@@ -79,18 +102,18 @@ def behavior_to_dot(automaton: BehaviorAutomaton) -> str:
     """States as nodes (accepting doubled), occurrence-labeled edges,
     interrupt-watcher edges dashed."""
     lines = ["digraph behavior {", "  rankdir=LR;"]
-    node_lines = []
-    for state in range(automaton.n_states):
-        shape = "doublecircle" if state in automaton.accepting else "circle"
-        node_lines.append(f"  {_q(f's{state}')} [shape={shape}];")
-    lines.extend(sorted(node_lines))
-    edge_lines = []
-    for (src, label), dst in automaton.transitions.items():
-        attrs = [f"label={_q(label)}"]
-        if (src, label) in automaton.watcher_edges:
-            attrs.append("style=dashed")
-        edge_lines.append(f"  {_q(f's{src}')} -> {_q(f's{dst}')} [{', '.join(attrs)}];")
-    lines.extend(sorted(edge_lines))
+    accepting = automaton.accepting
+    lines.extend(sorted(
+        f'  "s{state}" [shape={"doublecircle" if state in accepting else "circle"}];'
+        for state in range(automaton.n_states)
+    ))
+    transitions = automaton.transitions
+    labels = {label: _q(label) for _, label in transitions}
+    watcher_edges = automaton.watcher_edges
+    lines.extend(sorted(
+        f'  "s{src}" -> "s{dst}" [label={labels[label]}{", style=dashed" if (src, label) in watcher_edges else ""}];'
+        for (src, label), dst in transitions.items()
+    ))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -74,12 +74,13 @@ def check_structure(model: Model) -> list[Diagnostic]:
     warnings.  Every name in a model that ``canonicalize`` built already
     resolves, so there is nothing left to look up and fail."""
     diags: list[Diagnostic] = []
+    types = {name: kind.attr_types() for name, kind in model.kinds.items()}
 
     def typecheck(expr: exprs.Expr, kind_name: str, what: str, want: str | None) -> None:
         """Type expr over kind_name's attributes; a value of it must be
         assignable to want, if given."""
         try:
-            t = exprs.typecheck(expr, model.kinds[kind_name].attr_types())
+            t = exprs.typecheck(expr, types[kind_name])
         except exprs.TypeError_ as exc:
             diags.append(error("E_GUARD", f"{what}: {exc}", _SPAN))
             return
@@ -106,7 +107,7 @@ def check_structure(model: Model) -> list[Diagnostic]:
         if trig.guard is not None:
             typecheck(trig.guard, src_kind, f"guard on trigger '{trig.label}'", "bool")
         target_kind = model.kinds[model.find_machine(trig.dst.path).kind] if trig.dst.stage is Stage.CREATE else None
-        target_types = target_kind.attr_types() if target_kind is not None else {}
+        target_types = types[target_kind.name] if target_kind is not None else {}
         for name, expr in trig.spawn_attrs:
             typecheck(expr, src_kind, f"spawn attribute '{name}' on trigger '{trig.label}'", target_types.get(name))
         if target_kind is not None:
@@ -122,7 +123,7 @@ def check_structure(model: Model) -> list[Diagnostic]:
                     )
 
     for path, machine in model.machines():
-        names = model.kinds[machine.kind].attr_types()
+        names = types[machine.kind]
         for name, expr in machine.assigns:
             typecheck(expr, machine.kind, f"assign '{name}' on {'/'.join(path)}", names[name])
         if path not in touched:

@@ -1,11 +1,89 @@
-"""The character-walking DOT tokenizer and the checker fmkit used before
-its one-pattern tokenizer.
+"""The DOT writers and the DOT checker fmkit used before its current ones.
 
-Kept only as the reference for the differential test in test_export.py:
-every token, every problem and every ``dot_check`` result must agree with
-it.
+Kept only as references for the differential tests in test_export.py:
+``model_to_dot`` and ``behavior_to_dot`` are the writers that built each
+line from a list of attributes, quoting every name as they met it, and
+their text must equal the current writers'; ``dot_check`` is the
+character-walking tokenizer and checker, and every token, every problem
+and every ``dot_check`` result must agree with it.
 """
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fmkit.behavior import BehaviorAutomaton
+    from fmkit.model import Model, Sphere
+
+
+def _q(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def model_to_dot(model: Model, show_implicit: bool = True) -> str:
+    lines: list[str] = ["digraph model {", "  rankdir=LR;", "  node [shape=box];"]
+
+    for root in model.roots:
+        _dot_sphere(lines, root, (root.name,), 1, show_implicit)
+
+    def node_of(ep) -> str:
+        return ".".join(ep.path) + "." + ep.stage.value
+
+    edge_lines: list[str] = []
+    for arc in model.flows:
+        if not (show_implicit or arc.is_chain_head):
+            continue
+        dst = arc.dst if show_implicit else arc.authored_dst or arc.dst
+        attrs = [] if arc.label.startswith("@") else [f"label={_q(arc.label)}"]
+        if arc.is_implicit:
+            attrs.append("color=gray")
+        suffix = f" [{', '.join(attrs)}]" if attrs else ""
+        edge_lines.append(f"  {_q(node_of(arc.src))} -> {_q(node_of(dst))}{suffix};")
+    for trig in model.triggers:
+        attrs = ["style=dashed"]
+        if not trig.label.startswith("@"):
+            attrs.append(f"label={_q(trig.label)}")
+        edge_lines.append(f"  {_q(node_of(trig.src))} -> {_q(node_of(trig.dst))} [{', '.join(attrs)}];")
+    lines.extend(sorted(edge_lines))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _dot_sphere(lines: list[str], sphere: Sphere, path: tuple[str, ...], depth: int, show_implicit: bool) -> None:
+    pad = "  " * depth
+    lines.append(f"{pad}subgraph {_q('cluster_' + '.'.join(path))} {{")
+    lines.append(f"{pad}  label={_q(sphere.name)};")
+    node_lines: list[str] = []
+    for machine in sphere.machines:
+        stages = machine.stages() if show_implicit else machine.declared
+        for stage in stages:
+            node_id = ".".join(path) + f".{machine.name}.{stage.value}"
+            attrs = [f"label={_q(machine.name + '.' + stage.value)}"]
+            if stage in machine.implicit:
+                attrs.append("style=dashed")
+            node_lines.append(f"{pad}  {_q(node_id)} [{', '.join(attrs)}];")
+    lines.extend(sorted(node_lines))
+    for child in sphere.children:
+        _dot_sphere(lines, child, path + (child.name,), depth + 1, show_implicit)
+    lines.append(f"{pad}}}")
+
+
+def behavior_to_dot(automaton: BehaviorAutomaton) -> str:
+    lines = ["digraph behavior {", "  rankdir=LR;"]
+    node_lines = []
+    for state in range(automaton.n_states):
+        shape = "doublecircle" if state in automaton.accepting else "circle"
+        node_lines.append(f"  {_q(f's{state}')} [shape={shape}];")
+    lines.extend(sorted(node_lines))
+    edge_lines = []
+    for (src, label), dst in automaton.transitions.items():
+        attrs = [f"label={_q(label)}"]
+        if (src, label) in automaton.watcher_edges:
+            attrs.append("style=dashed")
+        edge_lines.append(f"  {_q(f's{src}')} -> {_q(f's{dst}')} [{', '.join(attrs)}];")
+    lines.extend(sorted(edge_lines))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def dot_check(text: str) -> list[str]:

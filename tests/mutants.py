@@ -324,9 +324,31 @@ MUTANTS = (
     ),
     Mutant(
         "dot-edges-in-set-order", "export.py",
-        "node_of(trig.dst))} [{', '.join(attrs)}];\")\n    lines.extend(sorted(edge_lines))",
-        "node_of(trig.dst))} [{', '.join(attrs)}];\")\n    lines.extend(set(edge_lines))",
+        "[style=dashed{label}];\")\n    lines.extend(sorted(edge_lines))",
+        "[style=dashed{label}];\")\n    lines.extend(set(edge_lines))",
         ("tests/test_cli.py::test_outputs_do_not_depend_on_the_hash_seed",),
+    ),
+    Mutant(
+        "watcher-edge-not-dashed", "export.py",
+        '''{", style=dashed" if (src, label) in watcher_edges else ""}''', "",
+        ("tests/test_export.py::test_behavior_dot_matches_reference",),
+    ),
+    # The lexer's blocks and rescans, and the machines a chain passes.
+    Mutant(
+        "rescan-resumes-inside-the-word", "lexer.py",
+        "pos = line_start + start_col  # one character into the word",
+        "pos = line_start + start_col + 1",
+        ("tests/test_lexer.py::test_tokenize_matches_reference",),
+    ),
+    Mutant(
+        "block-cut-mid-line", "lexer.py",
+        '''end = source.find("\\n", pos + _BLOCK) + 1 or n''', "end = min(pos + _BLOCK, n)",
+        ("tests/test_lexer.py::test_tokenize_matches_reference_across_the_block_boundary",),
+    ),
+    Mutant(
+        "inner-stage-on-the-wrong-side", "canon.py",
+        "            machine = machines[side]\n", "            machine = machines[1 - side]\n",
+        ("tests/test_model_core.py::test_chain_stages_go_to_their_own_sides_machine",),
     ),
 )
 

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import dot_reference
 from conftest import CORPUS, golden_text
+from fuzz import random_model, random_valid_model
 
 from fmkit import jsonl
-from fmkit.behavior import compile_program
+from fmkit.behavior import BehaviorAutomaton, compile_program
 from fmkit.canon import load_model
 from fmkit.export import (
     TraceParseError,
@@ -129,6 +130,41 @@ def test_behavior_dot_repeat_possible_shape():
     ]
     assert loops
     assert automaton.start in automaton.accepting
+    assert dot_check(dot) == []
+
+
+# The DOT writers against the ones they replaced (dot_reference): the same
+# text, byte for byte.  Random models are drawn as written, with every arc
+# labeled, and again with their labels dropped, so the '@' labels
+# canonicalization makes up are drawn too.
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.booleans())
+def test_model_dot_matches_reference(seed, show_implicit, drop_labels):
+    model, used = random_valid_model(seed)
+    if drop_labels:
+        model, _ = load_model(re.sub(r" #\w+", "", random_model(used)))
+    assert model_to_dot(model, show_implicit) == dot_reference.model_to_dot(model, show_implicit)
+
+
+@st.composite
+def automata(draw):
+    """Automata drawn directly: labels hold '"' and '\\', and some edges are
+    a watcher's."""
+    n_states = draw(st.integers(1, 12))
+    state = st.integers(0, n_states - 1)
+    label = st.text(alphabet='ab"\\.é ', min_size=1, max_size=4)
+    transitions = draw(st.dictionaries(st.tuples(state, label), state, max_size=20))
+    watcher_edges = draw(st.sets(st.sampled_from(sorted(transitions)))) if transitions else set()
+    accepting = draw(st.sets(state))
+    return BehaviorAutomaton(n_states, 0, transitions, frozenset(accepting), frozenset(watcher_edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(automata())
+@example(BehaviorAutomaton(2, 0, {(0, 'a"b'): 1, (1, "c\\"): 0}, frozenset({1}), frozenset({(1, "c\\")})))
+def test_behavior_dot_matches_reference(automaton):
+    dot = behavior_to_dot(automaton)
+    assert dot == dot_reference.behavior_to_dot(automaton)
     assert dot_check(dot) == []
 
 

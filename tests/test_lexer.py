@@ -16,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmkit.diagnostics import SourceSpan
-from fmkit.lexer import KEYWORDS, Token, tokenize
+from fmkit import lexer
+from fmkit.lexer import _BLOCK, KEYWORDS, Token, tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -43,6 +44,9 @@ def assert_same_as_reference(source: str) -> None:
 @example('"a\\"b" "c\\\\" "d\\" "e\\x')
 @example("a\rb\r\nc")
 @example("½x ²1 Ⅻ é1 ٣.٣")
+@example("²1.1")  # after '²' the scan goes on in the source, so '1.1' is one DEC
+@example("½٣.٣x")
+@example("Ⅻ_1 ²#a")
 def test_tokenize_matches_reference(source):
     assert_same_as_reference(source)
     for token in tokenize(source, "f.fm")[0]:
@@ -64,6 +68,36 @@ def test_tokenize_static_benchmark_model_matches_reference(tmp_path):
     source = (tmp_path / "big.fm").read_text(encoding="utf-8")
     assert_same_as_reference(source)
     assert len(tokenize(source, "big.fm")[0]) > 10_000
+
+
+# Lines around a block boundary: an unterminated string, a comment, a CRLF
+# line end, and words and characters that are lex errors.
+_BOUNDARY_LINES = (
+    'flow a/b.process -> c/d.process when s == "open \\" end\n'
+    "// a comment, 'quoted' -> x\n"
+    "sphere s { machine m: w { create } }\r\n"
+    "²1.1 ½٣.٣x Ⅻ_1 ²#a # ! 12.5\n"
+)
+
+
+def test_tokenize_matches_reference_across_the_block_boundary():
+    """The text is lexed a block of lines at a time, each block ending at
+    the first line end at least ``_BLOCK`` characters on.  Here the point
+    one block in falls inside the unterminated string."""
+    filler = "thing w { n: int = 1 }\n" * (_BLOCK // 23 - 4)
+    into = _BOUNDARY_LINES.index('"open') + 3
+    source = filler + "x" * (_BLOCK - into - len(filler) - 1) + "\n" + _BOUNDARY_LINES * 2
+    assert source[_BLOCK - 3:_BLOCK + 2] == '"open'
+    assert_same_as_reference(source)
+
+
+def test_tokenize_matches_reference_for_every_block_size(monkeypatch):
+    """With blocks of 1, 2, 3, ... characters, the point one block in falls
+    on every character of the lines in turn: a cut anywhere but just after
+    a line end splits a token."""
+    for size in range(1, len(_BOUNDARY_LINES) + 1):
+        monkeypatch.setattr(lexer, "_BLOCK", size)
+        assert_same_as_reference(_BOUNDARY_LINES * 2)
 
 
 def test_token_is_a_tuple_with_an_on_demand_span():

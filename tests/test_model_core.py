@@ -358,6 +358,23 @@ def test_auto_labels_follow_binding_order():
     ]
 
 
+def test_chain_stages_go_to_their_own_sides_machine():
+    # process -> process across machines passes release and transfer on the
+    # source, then transfer and receive on the target; a stage a machine
+    # declares (a's transfer) is not added to it.
+    model, diags = load_model(
+        "thing w\nsphere s {\n  machine a: w { create process transfer }\n  machine b: w { process }\n"
+        "  flow s/a.process -> s/b.process #x\n}\n"
+    )
+    assert diags == []
+    a, b = model.find_machine(("s", "a")), model.find_machine(("s", "b"))
+    assert a.implicit == (Stage.RELEASE,)
+    assert b.implicit == (Stage.TRANSFER, Stage.RECEIVE)
+    assert [str(arc.dst) for arc in model.flows] == [
+        "s/a.release", "s/a.transfer", "s/b.transfer", "s/b.receive", "s/b.process"
+    ]
+
+
 @pytest.mark.parametrize("name", ["tvm", "plant", "turbine"])
 def test_canonicalize_takes_over_the_parsers_machines(name):
     tree, diags = parse((CORPUS / f"{name}.fm").read_text(), f"{name}.fm")

@@ -172,5 +172,56 @@ def test_failed_heads_resynchronize(source, rendered):
     assert [d.render() for d in parse(source, "f.fm")[1]] == rendered
 
 
+# Every failure point of an endpoint in a model arc, by its rendered
+# diagnostic.  Where the token that breaks the path is 'trigger', the
+# parser must stand on it: the sphere resynchronizes there and parses the
+# trigger that follows, so the tree holds arc #t.
+_HEAD = "thing w sphere s { machine m: w { create process } "
+ENDPOINT_CASES = {
+    "path-head": (_HEAD + "flow 1.create -> s/m.process }", [
+        "f.fm:1:57: error[syntax-error]: expected an endpoint path, found '1'",
+    ]),
+    "empty-segment": (_HEAD + "flow s/ .create -> s/m.process }", [
+        "f.fm:1:60: error[syntax-error]: expected a path segment, found '.'",
+    ]),
+    "missing-dot": (_HEAD + "flow s/m create -> s/m.process }", [
+        "f.fm:1:61: error[syntax-error]: expected '.' before the stage, found 'create'",
+    ]),
+    "bad-stage": (_HEAD + "flow s/m.foo -> s/m.process }", [
+        "f.fm:1:61: error[syntax-error]: expected a stage name, found 'foo'",
+    ]),
+    "target-string-stage": (_HEAD + 'trigger s/m.process => s/m."create" }', [
+        "f.fm:1:79: error[syntax-error]: expected a stage name, found 'create'",
+    ]),
+    "slash-at-eof": (_HEAD + "flow s/m/", [
+        "f.fm:1:61: error[syntax-error]: expected a path segment, found 'EOF'",
+        "f.fm:1:61: error[syntax-error]: expected '}', found 'EOF'",
+    ]),
+    "dot-at-eof": (_HEAD + "flow s/m.process -> s/m.", [
+        "f.fm:1:76: error[syntax-error]: expected a stage name, found 'EOF'",
+        "f.fm:1:76: error[syntax-error]: expected '}', found 'EOF'",
+    ]),
+    "head-at-keyword": (_HEAD + "flow trigger s/m.process => s/m.create #t }", [
+        "f.fm:1:57: error[syntax-error]: expected an endpoint path, found 'trigger'",
+    ]),
+    "segment-at-keyword": (_HEAD + "flow s/ trigger s/m.process => s/m.create #t }", [
+        "f.fm:1:60: error[syntax-error]: expected a path segment, found 'trigger'",
+    ]),
+    "dot-at-keyword": (_HEAD + "flow s/m trigger s/m.process => s/m.create #t }", [
+        "f.fm:1:61: error[syntax-error]: expected '.' before the stage, found 'trigger'",
+    ]),
+    "stage-at-keyword": (_HEAD + "flow s/m.trigger s/m.process => s/m.create #t }", [
+        "f.fm:1:61: error[syntax-error]: expected a stage name, found 'trigger'",
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", ENDPOINT_CASES)
+def test_endpoint_failures_keep_their_diagnostics(case):
+    source, rendered = ENDPOINT_CASES[case]
+    tree, diags = parse(source, "f.fm")
+    assert [d.render() for d in diags] == rendered
+    assert [arc.label for arc in tree.arcs] == (["t"] if case.endswith("-at-keyword") else [])
+
 if __name__ == "__main__":
     DIGESTS.write_text(json.dumps(all_digests(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
