@@ -57,19 +57,18 @@ class OccurrenceScanner:
     """
 
     def __init__(self, events: Sequence[EventDef]) -> None:
-        # event -> thing -> [start tick, flow labels traversed so far]
-        progress: dict[str, dict[int, list]] = {e.name: {} for e in events}
-        flow_count = {e.name: len(e.region.flow_labels) for e in events}
         # (action, arc label or stage text) -> (event name, its progress, flow
         # count) of each event a record touches, in event order; the count
-        # is 0 where the record adds nothing to the traversed set.
+        # is 0 where the record adds nothing to the traversed set.  An
+        # event's progress maps thing -> [start tick, flow labels so far].
         targets: dict[tuple[str, str], list[tuple[str, dict[int, list], int]]] = {}
         # Arc label -> names of the events it touches: the gate's owners table.
         self.by_arc: dict[str, list[str]] = {}
         for e in events:
+            progress: dict[int, list] = {}
             stages = {str(ep) for ep in e.region.stages}
-            move = (e.name, progress[e.name], flow_count[e.name])
-            other = (e.name, progress[e.name], 0)
+            move = (e.name, progress, len(e.region.flow_labels))
+            other = (e.name, progress, 0)
             for action, keys, target in (
                 ("move", e.region.flow_labels, move),
                 ("trigger-fired", e.region.arc_labels, other),

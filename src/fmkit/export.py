@@ -157,26 +157,25 @@ def write_trace(trace: Trace) -> str:
 # The writer's line shape, split at the first ',"thing":'.  The head holds
 # the action and the three string fields; a string holding no '"', no '\'
 # and no control character decodes to the text between its quotes.  The
-# tail holds two JSON integers, written with [0-9] because \d also matches
-# digits outside ASCII, and the line end a given line may keep (a line that
-# misses goes to the decoder whole, so its error is the one it always was).
+# tail holds two JSON integers of at most 301 digits (so int() takes them
+# under any sys.get_int_max_str_digits; [0-9], as \d also matches digits
+# outside ASCII) and the line end a given line may keep.  A line that misses
+# goes to the decoder whole, so its error is the one it always was.
 _STRING = r'(null|"[^"\\\x00-\x1f]*")'
 _ACTION = '("(?:' + "|".join(sorted(_ACTIONS)) + ')")'  # letters and '-' only
 _HEAD = re.compile(rf'\{{"action":{_ACTION},"arc":{_STRING},"at":{_STRING},"kind":{_STRING}')
-_TAIL = re.compile(r'(null|-?(?:0|[1-9][0-9]*)),"tick":(-?(?:0|[1-9][0-9]*))\}\r?\n?')
+_INT = "-?(?:0|[1-9][0-9]{0,300})"
+_TAIL_TEXT = rf'(null|{_INT}),"tick":({_INT})\}}\r?\n?'
+_TAIL = re.compile(_TAIL_TEXT)
 
 # The tails of a block of lines, each followed by a NUL, checked by one
 # match.  The NUL keeps two bad tails from joining into a good one (a block
-# whose tails hold a NUL of their own is read a line at a time), and an
-# integer has at most 301 digits, so int() takes it under any
-# sys.get_int_max_str_digits.  A possessive repeat keeps no backtracking
-# state per tail; Python 3.10 has none, and its plain repeat holds about
-# 0.7 KB per tail until the match returns.
+# whose tails hold a NUL of their own is read a line at a time).  A
+# possessive repeat keeps no backtracking state per tail; Python 3.10 has
+# none, and its plain repeat holds about 0.7 KB per tail until the match
+# returns.
 _BLOCK = 256
-_INT = "-?(?:0|[1-9][0-9]{0,300})"
-_TAILS = re.compile(
-    rf'(?:(?:null|{_INT}),"tick":{_INT}\}}\r?\n?\x00)*' + ("+" if sys.version_info >= (3, 11) else "")
-)
+_TAILS = re.compile(rf"(?:{_TAIL_TEXT}\x00)*" + ("+" if sys.version_info >= (3, 11) else ""))
 
 
 class _Heads(dict):
@@ -248,24 +247,24 @@ def trace_records(lines: Iterable[str], watched: Callable[..., object] | None = 
     The lines are read 256 at a time.  Each distinct head (the text before
     ``,"thing":``) is checked by one pattern once per call, and its strings
     go through a table that lives for the call, so records share one
-    object per distinct string.  When every head in a block is in the
-    writer's shape, the block's tails (the two integers after the head)
-    are checked together by one more pattern, which takes integers of up
-    to 301 digits, and only then are its records built.  Any other block
-    is read a line at a time: a line in the writer's shape by the same two
-    patterns, and every other line (blank lines, escapes, whitespace, other
-    key orders, ``true`` or ``1.0`` as a tick, integers past
-    ``sys.get_int_max_str_digits``) by the full decoder, which gives the
-    same record, or the same error with the same line number, as it would
-    for a line in the writer's shape.
+    object per distinct string.  A line is in the writer's shape when its
+    head is and its tail (the two integers after the head) matches one
+    tail pattern, whose integers have at most 301 digits.  When every head
+    in a block is in the writer's shape, the block's tails are checked
+    together by that pattern, repeated, and only then are its records
+    built.  Any other block is read a line at a time: a line in the
+    writer's shape by the same two patterns, and every other line (blank
+    lines, escapes, whitespace, other key orders, ``true`` or ``1.0`` as a
+    tick, integers longer than 301 digits) by the full decoder, which
+    gives the same record, or the same error with the same line number, as
+    it would for a line in the writer's shape.
 
     Given ``watched(action, at, arc)`` (``fmkit conform`` passes the
     events' ``OccurrenceScanner.owners``), it is asked once per distinct
     head, and only records whose head it calls true are built.  Every line
     is still validated, with the same errors: a line with an unwatched head
-    yields nothing when its tail is in the writer's shape and under 640
-    characters (the least nonzero ``sys.get_int_max_str_digits``, so no
-    integer in it can be too long), and is otherwise read as unfiltered."""
+    yields nothing when it is in the writer's shape, and is otherwise read
+    as unfiltered."""
     heads = _Heads(watched)
     lines = iter(lines)
     start = 1
@@ -286,7 +285,7 @@ def trace_records(lines: Iterable[str], watched: Callable[..., object] | None = 
 
 def _block_records(block: list[str], heads: _Heads) -> list[TraceEvent] | None:
     """The watched records of a block whose every line is in the writer's
-    shape with integers of at most 301 digits; None for any other block."""
+    shape; None for any other block."""
     tails: list[str] = []
     picked: list[tuple[tuple[str, str | None, str | None, str | None], str]] = []
     for line in block:
@@ -316,23 +315,15 @@ def _line_records(block: list[str], start: int, heads: _Heads) -> Iterator[Trace
     for i, line in enumerate(block, start):
         head, _, tail = line.partition(',"thing":')
         fields = heads[head]
-        if fields:
-            match = _TAIL.fullmatch(tail)
-            if match is not None:
-                thing, tick = match.groups()
-                action, kind, at, arc = fields
-                try:
-                    record = new(TraceEvent, (int(tick), action, None if thing == "null" else int(thing), kind, at, arc))
-                except ValueError:  # past sys.get_int_max_str_digits
-                    pass
-                else:
-                    yield record
-                    continue
-        elif fields is not None and len(tail) < 640 and _TAIL.fullmatch(tail):
-            continue
-        event = _decode_line(i, line[:-1] if line[-1:] == "\n" else line)
-        if event is not None:
-            yield event
+        match = None if fields is None else _TAIL.fullmatch(tail)
+        if match is None:
+            event = _decode_line(i, line[:-1] if line[-1:] == "\n" else line)
+            if event is not None:
+                yield event
+        elif fields:
+            thing, tick = match.groups()
+            action, kind, at, arc = fields
+            yield new(TraceEvent, (int(tick), action, None if thing == "null" else int(thing), kind, at, arc))
 
 
 # DOT mini-grammar ------------------------------------------------------------

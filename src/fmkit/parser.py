@@ -51,12 +51,12 @@ class _TooDeep(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file: str) -> None:
-        self.tokens = tokens
+    def __init__(self, source: str, file: str) -> None:
+        # The lexer's diagnostics come first, then the parser's.
+        self.tokens, self.diags = tokenize(source, file)
         self.pos = 0
-        self.cur = tokens[0]
+        self.cur = self.tokens[0]
         self.file = file
-        self.diags: list[Diagnostic] = []
         self.depth = 0  # sphere, chronology, bracket and prefix levels open
 
     # Token plumbing -------------------------------------------------------
@@ -560,19 +560,15 @@ class _Parser:
 
 def parse(source: str, file: str = "<input>") -> tuple[ast.ModelAst, list[Diagnostic]]:
     """Parse a .fm source into an AST plus diagnostics (never raises)."""
-    tokens, diags = tokenize(source, file)
-    parser = _Parser(tokens, file)
+    parser = _Parser(source, file)
     tree = parser.parse_model()
-    all_diags = diags + parser.diags
-    all_diags.extend(_bind(tree))
-    return tree, all_diags
+    return tree, parser.diags + _bind(tree)
 
 
 def parse_scenario(source: str, file: str = "<scenario>") -> tuple[ast.Scenario, list[Diagnostic]]:
     """Parse a .fms source into a Scenario plus diagnostics (never raises)."""
-    tokens, diags = tokenize(source, file)
-    parser = _Parser(tokens, file)
-    return parser.parse_scenario(), diags + parser.diags
+    parser = _Parser(source, file)
+    return parser.parse_scenario(), parser.diags
 
 
 # Binding ------------------------------------------------------------------

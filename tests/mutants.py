@@ -280,6 +280,17 @@ MUTANTS = (
         (READER + "test_a_block_with_a_longer_integer_is_read_a_line_at_a_time",),
     ),
     Mutant(
+        "line-tail-uncapped", "export.py",
+        "_TAIL = re.compile(_TAIL_TEXT)", '_TAIL = re.compile(_TAIL_TEXT.replace("{0,300}", "*"))',
+        (READER + "test_reader_matches_reference_on_edge_lines",),
+    ),
+    Mutant(
+        "events-share-one-progress-table", "behavior.py",
+        "        for e in events:\n            progress: dict[int, list] = {}\n",
+        "        progress: dict[int, list] = {}\n        for e in events:\n",
+        ("tests/test_occurrences.py::test_scanner_matches_reference_on_corpus_traces",),
+    ),
+    Mutant(
         "spawn-target-adds-to-the-traversed-set", "behavior.py",
         '("spawn", stages, other)', '("spawn", stages, move)',
         ("tests/test_occurrences.py::test_scanner_matches_reference_on_goldens_with_their_own_events",),
@@ -294,7 +305,8 @@ MUTANTS = (
         '"event":{quoted[event]}', '"event":"{event}"',
         ("tests/test_cli.py::test_verdict_with_non_ascii_event_names_is_what_dumps_writes",),
     ),
-    # The parser's one wrong-token message and one place an item is filed.
+    # The parser's one wrong-token message, one place an item is filed and
+    # the lexer's diagnostics ahead of its own.
     Mutant(
         "wrong-token-message-without-the-token", "parser.py",
         """self.error(f"expected {what}, found '{self.cur.text or self.cur.type}'")""",
@@ -305,6 +317,11 @@ MUTANTS = (
         "parsed-item-not-filed", "parser.py",
         "        if decl:\n            into.append(decl)\n", "        if not decl:\n            into.append(decl)\n",
         ("tests/test_dsl.py::test_parse_minimal",),
+    ),
+    Mutant(
+        "lexer-diagnostics-dropped", "parser.py",
+        "self.tokens, self.diags = tokenize(source, file)", "self.tokens, self.diags = tokenize(source, file)[0], []",
+        ("tests/test_parse_diagnostics.py::test_mutant_diagnostics_match_the_recorded_digests",),
     ),
     # The collector pause, warnings-only checks and DOT order.
     Mutant(

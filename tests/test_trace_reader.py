@@ -10,7 +10,8 @@ and leaves out only records no event watches.  The reader checks 256 lines
 at a time: bad lines at the edges of a block, tails that only join into a
 good one, and integers too long for the block check are read as the
 reference reads them, and the writer's output is never read a line at a
-time."""
+time.  Filtered, a line with an unwatched head is left out only when it is
+in the writer's shape."""
 from __future__ import annotations
 
 import gc
@@ -334,6 +335,24 @@ def test_a_block_with_a_longer_integer_is_read_a_line_at_a_time(monkeypatch, hea
     assert streamed(text) == trace_reference.read_trace(text)
     assert watched_only(streamed(text, WATCHED)) == watched_only(trace_reference.read_trace(text))
     assert starts == ([1, 1] if digits > 301 else [])
+
+
+@pytest.mark.parametrize("digits", [301, 302])
+def test_an_unwatched_line_is_left_out_only_in_the_writers_shape(digits):
+    # Line 11's escaped arc fails its block's check, so the block is read a
+    # line at a time; line 21's head is unwatched, and a thing longer than
+    # 301 digits takes its line out of the writer's shape, to the decoder.
+    lines = block_lines(300)
+    lines[10] = EDGE_LINES["escaped-string"].replace('"tick":1', '"tick":11')
+    lines[20] = UNWATCHED.replace('"thing":1', '"thing":' + "9" * digits).replace('"tick":1', '"tick":21')
+    text = "\n".join(lines) + "\n"
+    assert_same_as_reference(text)
+    records = streamed(text, WATCHED)
+    long_ones = [e.tick for e in records if e.thing == int("9" * digits)]
+    if digits > 301:
+        assert len(records) == 150 and long_ones == [21]
+    else:
+        assert len(records) == 149 and long_ones == []
 
 
 def tiled_corpus_trace(tiles: int = 40) -> str:
