@@ -19,7 +19,6 @@ from .model import (
     EventDef,
     FlowArc,
     Model,
-    Region,
     Stage,
     TriggerArc,
     UnknownLabelError,
@@ -60,7 +59,6 @@ def canonicalize(tree: ast.ModelAst) -> Model:
         behaviors=list(tree.behaviors),
         canonical=True,
     )
-    model.reindex()  # the path table, through which implicit stages are added
     auto_counter = 0
     new = tuple.__new__  # skips NamedTuple's Python-level __new__
 
@@ -114,24 +112,19 @@ def canonicalize(tree: ast.ModelAst) -> Model:
     model.reindex()
 
     for event in tree.events:
-        region = _resolve_region(model, event)
+        try:
+            region = subdiagram(model, event.labels)
+        except UnknownLabelError as exc:
+            raise CanonError(
+                error("unknown-label", f"event '{event.name}': {exc}", event.span)
+            ) from exc
+        if region.is_empty:
+            raise CanonError(
+                error("empty-region", f"event '{event.name}' has an empty region", event.span)
+            )
         model.events.append(EventDef(event.name, region))
 
     return model
-
-
-def _resolve_region(model: Model, event: ast.EventDecl) -> Region:
-    try:
-        region = subdiagram(model, event.labels)
-    except UnknownLabelError as exc:
-        raise CanonError(
-            error("unknown-label", f"event '{event.name}': {exc}", event.span)
-        ) from exc
-    if region.is_empty:
-        raise CanonError(
-            error("empty-region", f"event '{event.name}' has an empty region", event.span)
-        )
-    return region
 
 
 def load_model(source: str, file: str = "<input>") -> tuple[Model | None, list[Diagnostic]]:

@@ -279,19 +279,16 @@ class Model(Record):
     ) -> None:
         self.kinds, self.roots, self.flows, self.triggers = kinds, roots, flows, triggers
         self.events, self.behaviors, self.canonical = events, behaviors, canonical
-        self._machines: dict[tuple[str, ...], Machine] = {}
-        self._flows_by_label: dict[str, FlowArc] = {}
-        self._triggers_by_label: dict[str, TriggerArc] = {}
-        # Chain families: each flow label's text before one of its '.'s,
-        # mapped to the flow labels that extend it there, in flow order.
-        self._families: dict[str, list[str]] = {}
+        self.reindex()
 
     def reindex(self) -> None:
         self._machines = {
             path + (m.name,): m for path, sphere in self.spheres() for m in sphere.machines
         }
         self._flows_by_label = {a.label: a for a in self.flows}
-        self._families = {}
+        # Chain families: each flow label's text before one of its '.'s,
+        # mapped to the flow labels that extend it there, in flow order.
+        self._families: dict[str, list[str]] = {}
         for label in self._flows_by_label:
             dot = label.find(".")
             while dot != -1:

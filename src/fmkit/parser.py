@@ -290,37 +290,24 @@ class _Parser:
         return out
 
     def parse_endpoint(self) -> Optional[tuple[Endpoint, SourceSpan]]:
-        """``IDENT {/ IDENT} . stage``, read straight from the token list;
-        on a failure the parser stands at the token that broke it.  Only a
-        token that is not EOF is ever stepped past, so no index runs off
-        the list."""
-        tokens = self.tokens
-        pos = self.pos
-        first = tokens[pos]
-        if first.type != "IDENT":
-            self.expected("an endpoint path")
+        """``IDENT {/ IDENT} . stage``; on a failure the parser stands at the
+        token that broke it."""
+        first = self.expect("IDENT", "an endpoint path")
+        if first is None:
             return None
         segments = [first.text]
-        tok = tokens[pos + 1]
-        while tok.type == "/":
-            seg = tokens[pos + 2]
-            if seg.type != "IDENT":
-                self.seek(pos + 2)
-                self.expected("a path segment")
+        while self.cur.type == "/":
+            self.advance()
+            seg = self.expect("IDENT", "a path segment")
+            if seg is None:
                 return None
             segments.append(seg.text)
-            pos += 2
-            tok = tokens[pos + 1]
-        if tok.type != ".":
-            self.seek(pos + 1)
-            self.expected("'.' before the stage")
+        if self.expect(".", "'.' before the stage") is None:
             return None
-        stage_tok = tokens[pos + 2]
-        if stage_tok.type not in STAGE_KEYWORDS:
-            self.seek(pos + 2)
+        if self.cur.type not in STAGE_KEYWORDS:
             self.expected("a stage name")
             return None
-        self.seek(pos + 3)
+        stage_tok = self.advance()
         span = SourceSpan(first.file, first.line, first.col, stage_tok.line, stage_tok.end_col)
         return tuple.__new__(Endpoint, (tuple(segments), STAGES_BY_NAME[stage_tok.text])), span
 

@@ -80,7 +80,8 @@ def print_model(model: Model) -> str:
         lines.append("")
 
     for event in model.events:
-        families = sorted(_region_families(model, event.region.arc_labels))
+        flows = event.region.flow_labels
+        families = sorted({model.flow(label).family for label in flows} | (event.region.arc_labels - flows))
         labels = " ".join(f"#{f}" for f in families)
         lines.append(f"event {event.name} {{ region {{ {labels} }} }}")
     if model.events:
@@ -108,14 +109,6 @@ def _emit_sphere(lines: list[str], arcs_by_sphere: dict, sphere: Sphere, path: t
     for child in sphere.children:
         _emit_sphere(lines, arcs_by_sphere, child, path + (child.name,), depth + 1)
     lines.append(f"{pad}}}")
-
-
-def _region_families(model: Model, labels: frozenset[str]) -> set[str]:
-    families: set[str] = set()
-    for label in labels:
-        arc = model.flow(label)
-        families.add(arc.family if arc is not None else label)
-    return families
 
 
 def _norm_label(label: str) -> str:

@@ -197,7 +197,8 @@ MUTANTS = (
         (HISTORY + "test_to_lines_is_the_encoders_text",),
         survives="an action is one of three lowercase words, which the encoder writes as they are",
     ),
-    # Event regions, the trace decoder and the chronology automaton.
+    # Event regions, the model's tables, printed events, the trace decoder and
+    # the chronology automaton.
     Mutant(
         "region-triggers-counted-as-flows", "model.py",
         "            arc = model.flow(name)\n            if arc is not None:\n                flow_labels.add(name)\n"
@@ -213,9 +214,25 @@ MUTANTS = (
     ),
     Mutant(
         "region-catches-every-error", "canon.py",
-        "    except UnknownLabelError as exc:\n        raise CanonError(",
-        "    except Exception as exc:\n        raise CanonError(",
+        "        except UnknownLabelError as exc:\n            raise CanonError(",
+        "        except Exception as exc:\n            raise CanonError(",
         ("tests/test_model_core.py::test_event_region_lets_other_errors_through",),
+    ),
+    Mutant(
+        "model-not-indexed-when-built", "model.py",
+        "canonical = events, behaviors, canonical\n        self.reindex()\n",
+        "canonical = events, behaviors, canonical\n",
+        ("tests/test_model_core.py::test_a_model_is_indexed_when_built",),
+    ),
+    Mutant(
+        "event-families-drop-trigger-labels", "printer.py",
+        "for label in flows} | (event.region.arc_labels - flows))", "for label in flows})",
+        ("tests/test_dsl.py::test_round_trip_isomorphic",),
+    ),
+    Mutant(
+        "event-families-print-derived-labels", "printer.py",
+        "{model.flow(label).family for label in flows}", "{label for label in flows}",
+        ("tests/test_dsl.py::test_round_trip_isomorphic",),
     ),
     Mutant(
         "decoder-skips-arc", "export.py",
@@ -305,8 +322,8 @@ MUTANTS = (
         '"event":{quoted[event]}', '"event":"{event}"',
         ("tests/test_cli.py::test_verdict_with_non_ascii_event_names_is_what_dumps_writes",),
     ),
-    # The parser's one wrong-token message, one place an item is filed and
-    # the lexer's diagnostics ahead of its own.
+    # The parser's one wrong-token message, one place an item is filed, the
+    # lexer's diagnostics ahead of its own and an endpoint's path segments.
     Mutant(
         "wrong-token-message-without-the-token", "parser.py",
         """self.error(f"expected {what}, found '{self.cur.text or self.cur.type}'")""",
@@ -322,6 +339,11 @@ MUTANTS = (
         "lexer-diagnostics-dropped", "parser.py",
         "self.tokens, self.diags = tokenize(source, file)", "self.tokens, self.diags = tokenize(source, file)[0], []",
         ("tests/test_parse_diagnostics.py::test_mutant_diagnostics_match_the_recorded_digests",),
+    ),
+    Mutant(
+        "endpoint-segment-unchecked", "parser.py",
+        'seg = self.expect("IDENT", "a path segment")', "seg = self.advance()",
+        ("tests/test_parse_diagnostics.py::test_endpoint_failures_keep_their_diagnostics",),
     ),
     # The collector pause, warnings-only checks and DOT order.
     Mutant(

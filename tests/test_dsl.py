@@ -135,6 +135,14 @@ def test_round_trip_isomorphic(name):
     assert model_signature(reparsed) == model_signature(model)
 
 
+def test_printed_events_list_chain_families_and_trigger_labels(tvm):
+    # #20 and #27 are triggers; #21 and #28 are chains, each printed as its
+    # family, not as the derived labels #21.1 ... its region also holds.
+    events = [line for line in print_model(tvm).splitlines() if line.startswith("event ")]
+    assert "event insert_prompt { region { #20 #21 } }" in events
+    assert "event ticket_out { region { #27 #28 } }" in events
+
+
 def test_round_trip_minimal():
     model, _ = load_model(MINIMAL)
     reparsed, diags = load_model(print_model(model))

@@ -282,6 +282,20 @@ def test_expand_label_matches_the_prefix_scan_on_corpus(name, request):
         assert expand_label(model, label) == expand_label_by_scan(model, label)
 
 
+def test_a_model_is_indexed_when_built():
+    """A hand-built model answers its lookups with no call to reindex()."""
+    machine = Machine("m", "w", (Stage.PROCESS,))
+    ep = Endpoint(("s", "m"), Stage.PROCESS)
+    head = FlowArc(ep, ep, "a", family="a", chain_len=2)
+    step = FlowArc(ep, ep, "a.1", family="a", index=1, chain_len=2)
+    trig = TriggerArc(ep, ep, "t")
+    model = Model({}, [Sphere("s", machines=[machine])], [head, step], [trig], [], [])
+    assert model.find_machine(("s", "m")) is machine
+    assert model.flow("a.1") is step
+    assert model.trigger("t") is trig
+    assert expand_label(model, "a") == ["a", "a.1"]
+
+
 # The parser builds kind and behavior records with the span of their source;
 # equality, hashing and repr ignore it, so a record reads the same wherever
 # it was declared.

@@ -252,10 +252,11 @@ def test_filtered_reader_matches_reference_on_unwatched_edge_lines(line, end):
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer string limit")
 @pytest.mark.parametrize("field", ["tick", "thing"])
-@pytest.mark.parametrize("digits", [600, 628, 629, 630, 639, 640, 641, 700, 4301])
+@pytest.mark.parametrize("digits", [301, 302, 600, 628, 629, 630, 639, 640, 641, 700, 4301])
 def test_filtered_reader_rejects_an_over_limit_integer_on_an_unwatched_line(field, digits):
-    # 640 is the least nonzero limit; a tail under 640 characters is checked
-    # by pattern alone, so it must hold no integer past that limit.
+    # An integer longer than 301 digits takes its line to the full decoder,
+    # which rejects one past the interpreter's limit (640 here, the least
+    # nonzero limit).
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
