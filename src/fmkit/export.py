@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import re
 import sys
-from itertools import islice
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import jsonl
@@ -165,15 +165,14 @@ _STRING = r'(null|"[^"\\\x00-\x1f]*")'
 _ACTION = '("(?:' + "|".join(sorted(_ACTIONS)) + ')")'  # letters and '-' only
 _HEAD = re.compile(rf'\{{"action":{_ACTION},"arc":{_STRING},"at":{_STRING},"kind":{_STRING}')
 _INT = "-?(?:0|[1-9][0-9]{0,300})"
-_TAIL_TEXT = rf'(null|{_INT}),"tick":({_INT})\}}\r?\n?'
-_TAIL = re.compile(_TAIL_TEXT)
+_TAIL_TEXT = rf'(?:null|{_INT}),"tick":{_INT}\}}\r?\n?'
 
-# The tails of a block of lines, each followed by a NUL, checked by one
-# match.  The NUL keeps two bad tails from joining into a good one (a block
-# whose tails hold a NUL of their own is read a line at a time).  A
-# possessive repeat keeps no backtracking state per tail; Python 3.10 has
-# none, and its plain repeat holds about 0.7 KB per tail until the match
-# returns.
+# The tails of a run of lines, each followed by a NUL, checked by one
+# match: the NULs it passes count the good tails.  The NUL keeps two bad
+# tails from joining into a good one (a tail holding a NUL of its own ends
+# the run).  A possessive repeat keeps no backtracking state per tail;
+# Python 3.10 has none, and its plain repeat holds about 0.7 KB per tail
+# until the match returns.
 _BLOCK = 256
 _TAILS = re.compile(rf"(?:{_TAIL_TEXT}\x00)*" + ("+" if sys.version_info >= (3, 11) else ""))
 
@@ -244,20 +243,21 @@ def trace_records(lines: Iterable[str], watched: Callable[..., object] | None = 
     text mode gives its lines so, broken where ``jsonl.split_lines`` breaks
     them); the line end is never part of what is decoded.
 
-    The lines are read 256 at a time.  Each distinct head (the text before
-    ``,"thing":``) is checked by one pattern once per call, and its strings
-    go through a table that lives for the call, so records share one
-    object per distinct string.  A line is in the writer's shape when its
-    head is and its tail (the two integers after the head) matches one
-    tail pattern, whose integers have at most 301 digits.  When every head
-    in a block is in the writer's shape, the block's tails are checked
-    together by that pattern, repeated, and only then are its records
-    built.  Any other block is read a line at a time: a line in the
-    writer's shape by the same two patterns, and every other line (blank
-    lines, escapes, whitespace, other key orders, ``true`` or ``1.0`` as a
-    tick, integers longer than 301 digits) by the full decoder, which
+    The lines are read 256 at a time, and each block by one fast path and
+    the full decoder.  Each distinct head (the text before ``,"thing":``)
+    is checked by one pattern once per call, and its strings go through a
+    table that lives for the call, so records share one object per
+    distinct string.  A line is in the writer's shape when its head is and
+    its tail (the two integers after the head, of at most 301 digits each)
+    matches one tail pattern.  The fast path takes the lines from the
+    first one of a block up to the first whose head is off that shape,
+    checks their tails together by the tail pattern, repeated, and builds
+    the records of the leading lines whose tails pass.  The line that ends
+    that run, and each line after it whose head is off the shape, goes to
+    the full decoder (blank lines, escapes, whitespace, other key orders,
+    ``true`` or ``1.0`` as a tick, integers longer than 301 digits), which
     gives the same record, or the same error with the same line number, as
-    it would for a line in the writer's shape.
+    it would for a line in the writer's shape; then the fast path resumes.
 
     Given ``watched(action, at, arc)`` (``fmkit conform`` passes the
     events' ``OccurrenceScanner.owners``), it is asked once per distinct
@@ -274,56 +274,52 @@ def trace_records(lines: Iterable[str], watched: Callable[..., object] | None = 
             block.extend(islice(lines, _BLOCK))
         except (OSError, ValueError):  # a failed read, say of bytes that are not UTF-8,
             # comes after the lines read before it, as it would one line at a time
-            yield from _line_records(block, start, heads)
+            yield from chain.from_iterable(_block_records(block, start, heads))
             raise
         if not block:
             return
-        records = _block_records(block, heads)
-        yield from _line_records(block, start, heads) if records is None else records
+        yield from chain.from_iterable(_block_records(block, start, heads))
         start += len(block)
 
 
-def _block_records(block: list[str], heads: _Heads) -> list[TraceEvent] | None:
-    """The watched records of a block whose every line is in the writer's
-    shape; None for any other block."""
-    tails: list[str] = []
-    picked: list[tuple[tuple[str, str | None, str | None, str | None], str]] = []
-    for line in block:
-        head, _, tail = line.partition(',"thing":')
-        fields = heads[head]
-        if fields is None:
-            return None
-        tails.append(tail)
-        if fields:
-            picked.append((fields, tail))
-    text = "\x00".join(tails) + "\x00"
-    if text.count("\x00") != len(tails) or _TAILS.fullmatch(text) is None:
-        return None
+def _block_records(block: list[str], start: int, heads: _Heads) -> Iterator[list[TraceEvent]]:
+    """The watched records of a block, its first line numbered ``start``, a
+    list at a time: one per run of lines in the writer's shape, checked by
+    one match, and one per line that goes to the decoder."""
     new = tuple.__new__
-    records = []
-    for (action, kind, at, arc), tail in picked:
-        number, _, tick = tail.partition(',"tick":')
-        thing = None if number == "null" else int(number)
-        records.append(new(TraceEvent, (int(tick.rstrip("}\r\n")), action, thing, kind, at, arc)))
-    return records
-
-
-def _line_records(block: list[str], start: int, heads: _Heads) -> Iterator[TraceEvent]:
-    """The watched records of a block read a line at a time, its first line
-    numbered ``start``."""
-    new = tuple.__new__
-    for i, line in enumerate(block, start):
-        head, _, tail = line.partition(',"thing":')
-        fields = heads[head]
-        match = None if fields is None else _TAIL.fullmatch(tail)
-        if match is None:
-            event = _decode_line(i, line[:-1] if line[-1:] == "\n" else line)
+    i, n = 0, len(block)
+    while i < n:
+        tails: list[str] = []
+        picked: list[tuple[tuple[str, str | None, str | None, str | None], str]] = []
+        for line in block[i:]:
+            head, _, tail = line.partition(',"thing":')
+            fields = heads[head]
+            if fields is None:
+                break
+            tails.append(tail)
+            if fields:
+                picked.append((fields, tail))
+        text = "\x00".join(tails) + "\x00"
+        good = text.count("\x00", 0, _TAILS.match(text).end())
+        if text.count("\x00") != len(tails):  # a tail holding a NUL ends the run
+            good = min(good, next((k for k, tail in enumerate(tails) if "\x00" in tail), good))
+        if good < len(tails):  # the run ends at a bad tail: only the watched lines before it
+            del picked[sum(1 for line in block[i:i + good] if heads[line.partition(',"thing":')[0]]):]
+        records = []
+        for (action, kind, at, arc), tail in picked:
+            number, _, tick = tail.partition(',"tick":')
+            thing = None if number == "null" else int(number)
+            records.append(new(TraceEvent, (int(tick.rstrip("}\r\n")), action, thing, kind, at, arc)))
+        yield records
+        i += good
+        while i < n:  # the line that ends the run, and each after it whose head is off the shape
+            line = block[i]
+            event = _decode_line(start + i, line[:-1] if line[-1:] == "\n" else line)
             if event is not None:
-                yield event
-        elif fields:
-            thing, tick = match.groups()
-            action, kind, at, arc = fields
-            yield new(TraceEvent, (int(tick), action, None if thing == "null" else int(thing), kind, at, arc))
+                yield [event]
+            i += 1
+            if i < n and heads[block[i].partition(',"thing":')[0]] is not None:
+                break
 
 
 # DOT mini-grammar ------------------------------------------------------------

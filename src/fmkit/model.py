@@ -193,7 +193,7 @@ class Region(NamedTuple):
 
     arc_labels: frozenset[str]
     stages: frozenset[Endpoint]
-    flow_labels: frozenset[str] = frozenset()  # the subset of arc_labels that are flows
+    flow_labels: frozenset[str]  # the subset of arc_labels that are flows
 
     @property
     def is_empty(self) -> bool:

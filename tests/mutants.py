@@ -96,6 +96,11 @@ MUTANTS = (
         survives="completion at a site with no assigns and no triggers does nothing",
     ),
     Mutant(
+        "stale-calendar-entries-kept", "simulate.py",
+        "            if thing is None or thing.arrival_tick + dwell != tick:\n", "            if thing is None:\n",
+        (SIM + "test_a_thing_released_early_completes_once_where_it_arrives",),
+    ),
+    Mutant(
         "consumed-thing-left-active", "simulate.py",
         "            self._active.pop(thing_id, None)\n", "",
         (SIM + "test_oracle_equivalence_small_scenario",),
@@ -275,7 +280,32 @@ MUTANTS = (
         (BEHAVIOR + "test_compile_matches_scan_all_edges_reference", "tests/test_export.py"),
         survives="_determinize never reads the watcher flag of an epsilon edge",
     ),
-    # The trace reader's block check, the scanner's targets and the verdict writer.
+    Mutant(
+        "interrupt-body-range-taken-after-the-body", "behavior.py",
+        "            first = self.next_node\n            body = self.build(node.body, known)\n",
+        "            body = self.build(node.body, known)\n            first = self.next_node\n",
+        ("tests/test_acceptance.py::test_criterion_3_chronology_conformance",),
+    ),
+    Mutant(
+        "interrupt-armed-from-the-second-body-node", "behavior.py",
+        "for s in range(first, body_end):", "for s in range(first + 1, body_end):",
+        (BEHAVIOR + "test_compile_matches_scan_all_edges_reference",),
+    ),
+    Mutant(
+        "retag-mark-taken-before-the-body", "behavior.py",
+        "            first = self.next_node\n            body = self.build(node.body, known)\n"
+        "            body_end, mark = self.next_node, len(self.edges)\n",
+        "            first, mark = self.next_node, len(self.edges)\n            body = self.build(node.body, known)\n"
+        "            body_end = self.next_node\n",
+        (BEHAVIOR + "test_compile_matches_scan_all_edges_reference",),
+    ),
+    Mutant(
+        "shuffle-pairs-never-walked", "behavior.py",
+        "                pairs.append(pair)\n", "",
+        (BEHAVIOR + "test_compile_par_interleaves",),
+    ),
+    # The trace reader's runs and the lines it decodes, the scanner's targets
+    # and the verdict writer.
     Mutant(
         "block-tails-joined-without-separator", "export.py",
         r'''text = "\x00".join(tails) + "\x00"''', r'''text = "".join(tails) + "\x00"''',
@@ -283,23 +313,31 @@ MUTANTS = (
     ),
     Mutant(
         "nul-inside-a-tail-unchecked", "export.py",
-        r'''if text.count("\x00") != len(tails) or _TAILS''', "if _TAILS",
+        r'''if text.count("\x00") != len(tails):''', "if False:",
         (READER + "test_a_nul_inside_a_line_does_not_split_its_tail",),
     ),
     Mutant(
         "failed-read-drops-the-lines-before-it", "export.py",
-        "            yield from _line_records(block, start, heads)\n            raise\n", "            raise\n",
+        "            yield from chain.from_iterable(_block_records(block, start, heads))\n            raise\n",
+        "            raise\n",
         (READER + "test_lines_read_before_a_failed_read_are_read_first",),
     ),
     Mutant(
         "block-integers-uncapped", "export.py",
         '_INT = "-?(?:0|[1-9][0-9]{0,300})"', '_INT = "-?(?:0|[1-9][0-9]*)"',
-        (READER + "test_a_block_with_a_longer_integer_is_read_a_line_at_a_time",),
+        (READER + "test_only_a_line_with_a_longer_integer_reaches_the_decoder",),
     ),
     Mutant(
-        "line-tail-uncapped", "export.py",
-        "_TAIL = re.compile(_TAIL_TEXT)", '_TAIL = re.compile(_TAIL_TEXT.replace("{0,300}", "*"))',
-        (READER + "test_reader_matches_reference_on_edge_lines",),
+        "run-one-line-too-long", "export.py",
+        r'''good = text.count("\x00", 0, _TAILS.match(text).end())''',
+        r'''good = text.count("\x00", 0, _TAILS.match(text).end()) + 1''',
+        (READER + "test_reader_matches_reference_on_a_bad_line_at_a_block_edge",),
+    ),
+    Mutant(
+        "off-shape-lines-not-fast-forwarded", "export.py",
+        "            if i < n and heads[block[i].partition(',\"thing\":')[0]] is not None:\n                break\n",
+        "            break\n",
+        (READER + "test_lines_off_the_writers_shape_do_not_each_start_a_block_check",),
     ),
     Mutant(
         "events-share-one-progress-table", "behavior.py",
@@ -323,7 +361,8 @@ MUTANTS = (
         ("tests/test_cli.py::test_verdict_with_non_ascii_event_names_is_what_dumps_writes",),
     ),
     # The parser's one wrong-token message, one place an item is filed, the
-    # lexer's diagnostics ahead of its own and an endpoint's path segments.
+    # lexer's diagnostics ahead of its own, the resync after a bad sphere
+    # head and an endpoint's path segments.
     Mutant(
         "wrong-token-message-without-the-token", "parser.py",
         """self.error(f"expected {what}, found '{self.cur.text or self.cur.type}'")""",
@@ -338,6 +377,12 @@ MUTANTS = (
     Mutant(
         "lexer-diagnostics-dropped", "parser.py",
         "self.tokens, self.diags = tokenize(source, file)", "self.tokens, self.diags = tokenize(source, file)[0], []",
+        ("tests/test_parse_diagnostics.py::test_mutant_diagnostics_match_the_recorded_digests",),
+    ),
+    Mutant(
+        "sphere-head-not-resynchronized", "parser.py",
+        '            self.synchronize(ITEM_KEYWORDS)\n            return None\n        self.nest(start)\n',
+        "            return None\n        self.nest(start)\n",
         ("tests/test_parse_diagnostics.py::test_mutant_diagnostics_match_the_recorded_digests",),
     ),
     Mutant(
@@ -360,6 +405,11 @@ MUTANTS = (
         "no-reachability-for-a-failing-model", "validate.py",
         "    if warnings_if_ok or not ok:", "    if warnings_if_ok:",
         ("tests/test_cli.py::test_failing_model_prints_what_check_prints",),
+    ),
+    Mutant(
+        "reachability-seeds-every-flow-destination", "validate.py",
+        "        if arc.src.path != arc.dst.path:\n            seeds.add(arc.dst)\n", "        seeds.add(arc.dst)\n",
+        ("tests/test_cli.py::test_check_findings_output_is_pinned",),
     ),
     Mutant(
         "dot-edges-in-set-order", "export.py",

@@ -136,7 +136,7 @@ RECORDS = {
     "Region": (
         REGION,
         Region(arc_labels=frozenset({"a"}), stages=frozenset({EP}), flow_labels=frozenset({"a"})),
-        Region(frozenset({"a"}), frozenset({EP})),
+        Region(frozenset({"a"}), frozenset({EP}), frozenset()),
         "Region(arc_labels=frozenset({'a'}), stages=frozenset({Endpoint(path=('s', 'm'), "
         "stage=<Stage.PROCESS: 'process'>)}), flow_labels=frozenset({'a'}))",
     ),
@@ -402,7 +402,7 @@ def test_constructor_defaults():
     assert not arc.is_implicit and arc.is_chain_head
     trig = TriggerArc(EP, EP2, "t")
     assert (trig.guard, trig.spawn_attrs, trig.consuming) == (None, (), False)
-    assert Region(frozenset(), frozenset()).is_empty
+    assert Region(frozenset(), frozenset(), frozenset()).is_empty
     assert (Repeat(A).possible, AttrSpec("n", "int").default, ThingKind("t").attrs) == (False, None, ())
     assert Model({}, [], [], [], [], []).canonical is False
     tree = ModelAst("m.fm")
@@ -412,6 +412,13 @@ def test_constructor_defaults():
     config = SimConfig()
     assert (config.max_ticks, config.stage_dwell, config.gate) == (1000, 1, None)
     assert Thing(1, "w", {}, 0, None).next is None
+
+
+def test_a_region_needs_its_flow_labels():
+    # A region without them would read as holding no flow, to the
+    # occurrence scanner and to the printer alike.
+    with pytest.raises(TypeError):
+        Region(frozenset({"a"}), frozenset({EP}))
 
 
 def test_source_span_start_must_not_follow_its_end():

@@ -758,6 +758,40 @@ def test_injection_of_an_undeclared_kind_is_a_sim_error(tvm, tick):
     assert str(info.value) == "injection of undeclared kind 'nokind'"
 
 
+def test_a_thing_released_early_completes_once_where_it_arrives():
+    # The enable waives the thing's dwell at s/held.process, so it leaves at
+    # tick 7, before its completion there falls due (tick 8), and arrives
+    # at s/held.release, whose trigger falls due at tick 10: the entry left
+    # for tick 8 is stale and completes nothing.
+    source = (
+        "thing w { x: int = 0 }\n"
+        "thing go\n"
+        "thing note\n"
+        "sphere s {\n"
+        "  machine held: w { create process release assign { x = 1 } }\n"
+        "  machine ctl: go { create process }\n"
+        "  machine log: note { create }\n"
+        "  flow s/held.create -> s/held.process #in\n"
+        "  flow s/held.process -> s/held.release #out\n"
+        "  flow s/ctl.create -> s/ctl.process #c\n"
+        "  trigger s/ctl.process => s/held.process #open\n"
+        "  trigger s/held.release => s/log.create #done\n"
+        "}\n"
+    )
+    model, diags = load_model(source)
+    assert not any(d.is_error for d in diags)
+    scenario = Scenario(
+        (
+            Injection(0, "go", Endpoint(("s", "ctl"), Stage.CREATE), ()),
+            Injection(2, "w", Endpoint(("s", "held"), Stage.CREATE), ()),
+        )
+    )
+    trace = run(model, scenario, SimConfig(max_ticks=30, stage_dwell=3))
+    assert [(e.tick, e.arc) for e in trace if e.action == "move" and e.arc in ("in", "out")] == [(5, "in"), (7, "out")]
+    assert [e.tick for e in trace if e.action == "trigger-fired" and e.arc == "done"] == [10]
+    assert write_trace(trace) == run_oracle(model, scenario, max_ticks=30, dwell=3)
+
+
 def test_spawn_at_a_trigger_source_completes_there():
     # An injected thing arrives at a stage a trigger leaves from, so it must
     # complete there at the end of its dwell and fire the trigger.

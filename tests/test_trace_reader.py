@@ -9,13 +9,15 @@ over the reference's records, or the reference's error at the same line,
 and leaves out only records no event watches.  The reader checks 256 lines
 at a time: bad lines at the edges of a block, tails that only join into a
 good one, and integers too long for the block check are read as the
-reference reads them, and the writer's output is never read a line at a
-time.  Filtered, a line with an unwatched head is left out only when it is
-in the writer's shape."""
+reference reads them, and only the lines off the writer's shape reach the
+decoder.  Filtered, a line with an unwatched head is left out only when it
+is in the writer's shape."""
 from __future__ import annotations
 
+import contextlib
 import gc
 import io
+import json
 import os
 import pathlib
 import re
@@ -24,14 +26,15 @@ import tempfile
 
 import pytest
 import trace_reference
-from conftest import golden_text, load_corpus_model
+from conftest import CORPUS, golden_text, load_corpus_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli_fuzz import mutate
 
 from fmkit import export, jsonl
 from fmkit.behavior import OccurrenceScanner, check
-from fmkit.export import _TAIL, TraceParseError, read_trace, trace_records, write_trace
+from fmkit.cli import main
+from fmkit.export import TraceParseError, read_trace, trace_records, write_trace
 from fmkit.simulate import TraceEvent
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -272,88 +275,118 @@ def test_filtered_reader_rejects_an_over_limit_integer_on_an_unwatched_line(fiel
         sys.set_int_max_str_digits(limit)
 
 
-# The reader checks its lines 256 at a time, and reads a block that fails
-# the check a line at a time from the block's first line number.
+# The reader checks its lines 256 at a time: in each block, a run of lines
+# in the writer's shape by one match, and each other line by the decoder.
 def block_lines(count: int) -> list[str]:
     """``count`` lines in the writer's shape, watched and unwatched heads
     taking turns, each with its own tick."""
     return [(GOOD if i % 2 else UNWATCHED).replace('"tick":1', f'"tick":{i}') for i in range(1, count + 1)]
 
 
-def line_records_starts(monkeypatch) -> list[int]:
-    """The first line number of each block the reader reads a line at a time."""
-    starts: list[int] = []
-    line_records = export._line_records
+def decoded_lines(monkeypatch) -> list[int]:
+    """The number of each line the reader gives to the decoder."""
+    numbers: list[int] = []
+    decode_line = export._decode_line
 
-    def spy(block, start, heads):
-        starts.append(start)
-        return line_records(block, start, heads)
+    def spy(i, line):
+        numbers.append(i)
+        return decode_line(i, line)
 
-    monkeypatch.setattr(export, "_line_records", spy)
-    return starts
+    monkeypatch.setattr(export, "_decode_line", spy)
+    return numbers
 
 
 @pytest.mark.parametrize("bad", ["tick-true", "unknown-action", "cut-short", "escaped-string"])
 @pytest.mark.parametrize(("at", "end"), [(1, "\n"), (256, "\n"), (257, "\n"), (600, "\n"), (600, "")],
                          ids=["first", "last-of-a-block", "first-of-a-block", "last", "last-without-a-line-end"])
-def test_reader_matches_reference_on_a_bad_line_at_a_block_edge(bad, at, end):
+def test_reader_matches_reference_on_a_bad_line_at_a_block_edge(monkeypatch, bad, at, end):
     lines = block_lines(600)
     lines[at - 1] = EDGE_LINES[bad]
     text = "\n".join(lines) + end
     assert_same_as_reference(text)
+    decoded = decoded_lines(monkeypatch)
+    got = outcome(streamed, text)
     if bad != "escaped-string":
-        assert outcome(streamed, text)[:2] == ("error", at)
+        assert got[:2] == ("error", at)
+    assert decoded == [at]
+    decoded.clear()
+    outcome(lambda text: streamed(text, WATCHED), text)
+    assert decoded == [at]
 
 
-def test_two_bad_tails_that_join_into_a_good_one_are_each_an_error():
+def test_two_bad_tails_that_join_into_a_good_one_are_each_an_error(monkeypatch):
     head = GOOD[: GOOD.index(',"thing":')]
     first, second = head + ',"thing":1,"tick":', head + ',"thing":0}'
     # Their tails, '1,"tick":' and '0}', run together are a tail in the writer's shape.
-    assert _TAIL.fullmatch(first.partition(',"thing":')[2] + second.partition(',"thing":')[2])
+    assert re.compile(export._TAIL_TEXT).fullmatch(first.partition(',"thing":')[2] + second.partition(',"thing":')[2])
     lines = block_lines(300)
     lines[10:12] = [first, second]
     text = "\n".join(lines) + "\n"
     assert_same_as_reference(text)
+    decoded = decoded_lines(monkeypatch)
     assert outcome(streamed, text)[:2] == ("error", 11)
+    assert decoded == [11]
 
 
-def test_a_nul_inside_a_line_does_not_split_its_tail():
+def test_a_nul_inside_a_line_does_not_split_its_tail(monkeypatch):
     lines = block_lines(300)
     lines[40] = GOOD + '\x001,"tick":2}'  # two tails in the writer's shape, joined by a NUL
     text = "\n".join(lines) + "\n"
     assert_same_as_reference(text)
+    decoded = decoded_lines(monkeypatch)
     assert outcome(streamed, text)[:2] == ("error", 41)
+    assert decoded == [41]
 
 
 @pytest.mark.parametrize("head", [GOOD, UNWATCHED], ids=["watched", "unwatched"])
 @pytest.mark.parametrize("digits", [301, 302])
-def test_a_block_with_a_longer_integer_is_read_a_line_at_a_time(monkeypatch, head, digits):
+def test_only_a_line_with_a_longer_integer_reaches_the_decoder(monkeypatch, head, digits):
     lines = block_lines(300)
     lines[100] = head.replace('"thing":1', '"thing":' + "9" * digits)
     text = "\n".join(lines) + "\n"
     assert_same_as_reference(text)
-    starts = line_records_starts(monkeypatch)
+    decoded = decoded_lines(monkeypatch)
     assert streamed(text) == trace_reference.read_trace(text)
     assert watched_only(streamed(text, WATCHED)) == watched_only(trace_reference.read_trace(text))
-    assert starts == ([1, 1] if digits > 301 else [])
+    assert decoded == ([101, 101] if digits > 301 else [])
 
 
 @pytest.mark.parametrize("digits", [301, 302])
-def test_an_unwatched_line_is_left_out_only_in_the_writers_shape(digits):
-    # Line 11's escaped arc fails its block's check, so the block is read a
-    # line at a time; line 21's head is unwatched, and a thing longer than
-    # 301 digits takes its line out of the writer's shape, to the decoder.
+def test_an_unwatched_line_is_left_out_only_in_the_writers_shape(monkeypatch, digits):
+    # Line 11's escaped arc takes it to the decoder, whole; line 21's head
+    # is unwatched, and a thing longer than 301 digits takes its line out
+    # of the writer's shape, to the decoder.
     lines = block_lines(300)
     lines[10] = EDGE_LINES["escaped-string"].replace('"tick":1', '"tick":11')
     lines[20] = UNWATCHED.replace('"thing":1', '"thing":' + "9" * digits).replace('"tick":1', '"tick":21')
     text = "\n".join(lines) + "\n"
     assert_same_as_reference(text)
+    decoded = decoded_lines(monkeypatch)
     records = streamed(text, WATCHED)
     long_ones = [e.tick for e in records if e.thing == int("9" * digits)]
     if digits > 301:
-        assert len(records) == 150 and long_ones == [21]
+        assert len(records) == 150 and long_ones == [21] and decoded == [11, 21]
     else:
-        assert len(records) == 149 and long_ones == []
+        assert len(records) == 149 and long_ones == [] and decoded == [11]
+
+
+def test_lines_off_the_writers_shape_do_not_each_start_a_block_check(monkeypatch):
+    # After a line that ends a run, the lines whose heads are off the
+    # writer's shape go straight to the decoder: one tail match per block.
+    lines = [json.dumps(dict(reversed(json.loads(line).items())), separators=(",", ":")) for line in block_lines(600)]
+    text = "\n".join(lines) + "\n"
+    matches = []
+    tails = export._TAILS
+
+    class Spy:
+        def match(self, text):
+            matches.append(text)
+            return tails.match(text)
+
+    assert_same_as_reference(text)
+    monkeypatch.setattr(export, "_TAILS", Spy())
+    assert streamed(text) == trace_reference.read_trace(text)
+    assert matches == ["\x00"] * 3  # an empty run at the start of each block
 
 
 def tiled_corpus_trace(tiles: int = 40) -> str:
@@ -418,16 +451,37 @@ def test_lines_read_before_a_failed_read_are_read_first(tmp_path, bad_at):
 
 
 def test_writer_output_is_read_a_block_at_a_time(monkeypatch):
-    text = tiled_corpus_trace()
+    texts = [golden_text(name) for name in GOLDEN_TRACES] + [tiled_corpus_trace()]
+    decoded = decoded_lines(monkeypatch)
+    for text in texts:
+        expected = trace_reference.read_trace(text)
+        assert streamed(text) == expected and streamed(text, WATCHED) == watched_only(expected)
+        assert decoded == []
+        # Split from the text, the blank line after the last line end goes
+        # to the decoder, and no other line does.
+        assert read_trace(text) == expected
+        assert decoded == [text.count("\n") + 1]
+        decoded.clear()
+
+
+def test_a_sim_trace_with_a_non_ascii_machine_name_decodes_only_its_escaped_lines(monkeypatch, tmp_path):
+    # The writer escapes 'í' in each stage of the renamed machine, so only
+    # the lines at those stages are off the writer's shape.
+    source = (CORPUS / "tvm.fm").read_text(encoding="utf-8")
+    source = source.replace("machine ticket:", "machine tícket:").replace("/ticket.", "/tícket.")
+    model_path, trace_path = tmp_path / "tvm.fm", tmp_path / "trace.jsonl"
+    model_path.write_text(source, encoding="utf-8")
+    argv = ["sim", str(model_path), "--scenario", str(CORPUS / "tvm_exact.fms"), "--trace", str(trace_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    text = trace_path.read_text(encoding="utf-8")
+    escaped = [i for i, line in enumerate(text.splitlines(), 1) if "\\u00ed" in line]
+    assert escaped and all("\\" not in line for line in text.splitlines() if "\\u00ed" not in line)
     expected = trace_reference.read_trace(text)
-    starts = line_records_starts(monkeypatch)
-    assert streamed(text) == expected and streamed(text, WATCHED) == watched_only(expected)
-    assert starts == []
-    # Split from the text, the blank line after the last line end is read
-    # a line at a time, in the last block.
-    assert read_trace(text) == expected
-    last = text.count("\n") + 1
-    assert starts == [last - (last - 1) % 256]
+    assert "tvm/tícket.create" in {e.at for e in expected}
+    decoded = decoded_lines(monkeypatch)
+    assert streamed(text) == expected
+    assert decoded == escaped
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "paused"])
